@@ -281,6 +281,14 @@ class FiniteGroup:
         rows = np.take_along_axis(P[b], P[a], axis=1)
         return self._index.lookup(rows)
 
+    def mul_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products a[i]*b[j] of two index vectors, as an |a| x |b| array."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self._table is not None:
+            return self._table[a[:, None], b]
+        return self.mul_pairs(np.repeat(a, len(b)), np.tile(b, len(a))).reshape(len(a), len(b))
+
     def power(self, i: int, k: int) -> int:
         """i^k for k >= 0 by repeated squaring."""
         if k < 0:
@@ -395,82 +403,135 @@ class FiniteGroup:
     # -- generated subsets ---------------------------------------------------
 
     def span(self, generators: Iterable[int]) -> np.ndarray:
-        """Sorted indices of the subgroup generated by the given elements."""
-        n = self.order
-        members = np.zeros(n, dtype=bool)
+        """Sorted indices of the subgroup H generated by the given elements.
+
+        Frontier closure (:meth:`_grow`): the elements are scanned in order
+        and kept as generators only when not yet in the span; each element
+        of H is then multiplied once by each step (a kept generator or one
+        of the repeated squares that come with it), about |H| * |gens| *
+        log2|G| products in all, in O(log|G|) vectorized rounds per kept
+        generator.
+        """
+        members = np.zeros(self.order, dtype=bool)
         members[0] = True
-        gen_list = np.unique(np.array([int(g) for g in generators], dtype=np.int64))
-        if gen_list.size:
-            members[gen_list] = True
+        self._grow(members, [], np.array([int(g) for g in generators], dtype=np.int64))
+        return np.flatnonzero(members)
+
+    def _grow(self, members: np.ndarray, steps: list[int], candidates: np.ndarray) -> list[int]:
+        """Close the subgroup ``members`` under the candidates, in place.
+
+        ``members`` is a boolean mask of a subgroup and ``steps`` the elements
+        it was closed under; both grow.  Candidates are taken in order and
+        one already in the subgroup is skipped, so only the returned ones
+        become generators.  A new generator g joins the steps with its
+        repeated squares g^(2^k) for 2^k < |G|, up to the first square that
+        is a member or repeats, and so does h*g for the generator h kept
+        just before it.  The old members are multiplied by the new steps,
+        then each round multiplies only the elements found in the round
+        before by every step.  The squares close a cycle of length o(g) in
+        log2 o(g) rounds, where g alone would need o(g); those of h*g do the
+        same for two generators of small order whose product has a large
+        one, such as two reflections of a dihedral group.
+        """
+        squares = (self.order - 1).bit_length()
+        kept: list[int] = []
+        fresh = np.zeros(self.order, dtype=bool)
+        pending = candidates
         while True:
-            cur = np.flatnonzero(members)
-            m = len(cur)
-            grew = False
-            if self._table is not None:
-                prods = self._table[np.ix_(cur, cur)]
-                fresh = np.unique(prods[~members[prods]])
-                if fresh.size:
-                    members[fresh] = True
-                    grew = True
-            else:
-                chunk = max(1, (1 << 20) // max(m, 1))
-                for lo in range(0, m, chunk):
-                    block = cur[lo : lo + chunk]
-                    a = np.repeat(block, m)
-                    b = np.tile(cur, len(block))
-                    prods = self.mul_pairs(a, b)
-                    fresh = np.unique(prods[~members[prods]])
-                    if fresh.size:
-                        members[fresh] = True
-                        grew = True
-            if not grew:
-                return cur
+            pending = pending[~members[pending]]
+            if not pending.size:
+                return kept
+            g = int(pending[0])
+            new_steps: list[int] = []
+            for power in [g] + [self.mul(h, g) for h in kept[-1:]]:
+                for _ in range(squares):
+                    if members[power] or power in new_steps:
+                        break
+                    new_steps.append(power)
+                    power = self.mul(power, power)
+            kept.append(g)
+            steps.extend(new_steps)
+            frontier, mult = np.flatnonzero(members), np.array(new_steps, dtype=np.int64)
+            all_steps = np.array(steps, dtype=np.int64)
+            while frontier.size:
+                prods = self.mul_outer(frontier, mult).ravel()
+                prods = prods[~members[prods]]
+                members[prods] = True
+                fresh[prods] = True
+                frontier = np.flatnonzero(fresh)
+                fresh[frontier] = False
+                mult = all_steps
+
+    def _generators(self) -> list[int]:
+        """Generators of the whole group: the greedy pass of :meth:`_grow` over
+        the elements in index order; cached."""
+        cached = self._cache.get("generators")
+        if cached is None:
+            members = np.zeros(self.order, dtype=bool)
+            members[0] = True
+            cached = self._grow(members, [], np.arange(1, self.order))
+            self._cache["generators"] = cached
+        return cached
+
+    def _normal_closure(self, elements: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Member mask and generators of the smallest normal subgroup holding
+        the elements.
+
+        Grows the span of the elements and adds each conjugate g^-1 h g of a
+        subgroup generator h by a group generator g that is missing; a
+        subgroup whose generators' conjugates all lie in it is normal.
+        """
+        members = np.zeros(self.order, dtype=bool)
+        members[0] = True
+        steps: list[int] = []
+        gens = np.array(self._generators(), dtype=np.int64)
+        inv_gens = self.inv[gens].astype(np.int64)
+        kept = self._grow(members, steps, elements)
+        done = 0
+        while done < len(kept):
+            h = np.array(kept[done:], dtype=np.int64)
+            done = len(kept)
+            left = self.mul_outer(inv_gens, h).ravel()
+            conj = self.mul_pairs(left, np.repeat(gens, len(h)))
+            kept += self._grow(members, steps, conj)
+        return members, kept
 
     def is_closed_subset(self, indices: np.ndarray) -> bool:
         """Whether the index set is closed under multiplication (hence a subgroup)."""
         members = np.zeros(self.order, dtype=bool)
         members[indices] = True
-        if self._table is not None:
-            return bool(members[self._table[np.ix_(indices, indices)]].all())
         m = len(indices)
         chunk = max(1, (1 << 20) // max(m, 1))
         for lo in range(0, m, chunk):
-            block = indices[lo : lo + chunk]
-            a = np.repeat(block, m)
-            b = np.tile(indices, len(block))
-            if not members[self.mul_pairs(a, b)].all():
+            if not members[self.mul_outer(indices[lo : lo + chunk], indices)].all():
                 return False
         return True
 
-    def _commutator_set(self, indices: np.ndarray) -> np.ndarray:
-        """Unique commutators a^-1 b^-1 a b over pairs from the index set."""
-        m = len(indices)
-        inv_members = self.inv[indices].astype(np.int64)
-        found: set[int] = set()
-        chunk = max(1, (1 << 19) // max(m, 1))
-        for lo in range(0, m, chunk):
-            block = indices[lo : lo + chunk]
-            a = np.repeat(block, m)
-            b = np.tile(indices, len(block))
-            ia = np.repeat(self.inv[block].astype(np.int64), m)
-            ib = np.tile(inv_members, len(block))
-            comm = self.mul_pairs(self.mul_pairs(ia, ib), self.mul_pairs(a, b))
-            found.update(np.unique(comm).tolist())
-        return np.array(sorted(found), dtype=np.int64)
-
     def derived_series(self) -> list[SubgroupSet]:
-        """G >= G' >= G'' ... down to stabilization (trivial iff solvable)."""
+        """G >= G' >= G'' ... down to stabilization (trivial iff solvable).
+
+        G^(i+1) is the normal closure in G of the commutators a^-1 b^-1 a b
+        of the generator pairs of G^(i); it is normal in G, so conjugating by
+        the generators of G suffices.  The generators of G come from the
+        greedy pass of :meth:`_grow` over all elements, those of G^(i+1) from
+        its normal closure.  Each term costs about |G^(i+1)| * |gens| *
+        log2|G| products, and the generators of G about |G| * |gens| *
+        log2|G|, rather than |G^(i)|^2 commutators per term.
+        """
         cached = self._cache.get("derived")
         if cached is not None:
             return cached
-        cur = np.arange(self.order)
-        series = [_subgroup_from_indices(cur)]
-        while len(cur) > 1:
-            nxt = self.span(self._commutator_set(cur))
-            if len(nxt) == len(cur):
+        members = np.ones(self.order, dtype=bool)
+        series = [SubgroupSet.from_bool(members)]
+        gens = np.array(self._generators(), dtype=np.int64)
+        while len(gens):
+            a, b = (gens[k] for k in np.triu_indices(len(gens), 1))
+            comms = self.mul_pairs(self.mul_pairs(self.inv[a], self.inv[b]), self.mul_pairs(a, b))
+            nxt, kept = self._normal_closure(comms)
+            if nxt.sum() == members.sum():
                 break
-            series.append(_subgroup_from_indices(nxt))
-            cur = nxt
+            series.append(SubgroupSet.from_bool(nxt))
+            members, gens = nxt, np.array(kept, dtype=np.int64)
         self._cache["derived"] = series
         return series
 
@@ -531,27 +592,21 @@ class FiniteGroup:
         """Exactly two normal subgroups (equivalently order > 1 and every
         nontrivial conjugacy class generates the whole group).
 
-        The subgroup generated by a conjugacy class is normal (conjugation
-        permutes its generators), so the first proper class closure settles
-        non-simplicity without enumerating anything else.
+        A nonabelian group with G' < G is not simple, since G' is then a
+        proper nontrivial normal subgroup; :meth:`derived_series` settles
+        that in about |G| * |gens| * log2|G| products.  A perfect group is
+        simple iff each nontrivial class of the cached
+        :meth:`conjugacy_classes` spans G (the span of a class is normal):
+        one :meth:`span` per class, each about |G| * |gens| * log2|G|
+        products.
         """
         if self.order == 1:
             return False
         if self.is_abelian:
             return is_prime(self.order)
-        n = self.order
-        ar = np.arange(n)
-        covered = np.zeros(n, dtype=bool)
-        covered[0] = True
-        for x in range(1, n):
-            if covered[x]:
-                continue
-            t = self.mul_pairs(self.inv.astype(np.int64), np.full(n, x))
-            cls = np.unique(self.mul_pairs(t, ar))
-            covered[cls] = True
-            if len(self.span(cls)) < n:
-                return False
-        return True
+        if len(self.derived_series()) > 1:
+            return False
+        return all(len(self.span(cls)) == self.order for cls in self.conjugacy_classes()[1:])
 
     # -- derived groups ------------------------------------------------------
 
@@ -564,9 +619,7 @@ class FiniteGroup:
         m = len(idx)
         remap = np.full(self.order, -1, dtype=np.int64)
         remap[idx] = np.arange(m)
-        a = np.repeat(idx, m)
-        b = np.tile(idx, m)
-        prods = remap[self.mul_pairs(a, b)].reshape(m, m)
+        prods = remap[self.mul_outer(idx, idx)]
         if (prods < 0).any():
             raise ValueError("index set is not closed under multiplication")
         labels = [self.labels[i] for i in idx]
@@ -597,9 +650,7 @@ class FiniteGroup:
         if len(reps) != qn:
             raise RuntimeError("coset count mismatch")
         coset_of = np.searchsorted(reps, rep)
-        a = np.repeat(reps, qn)
-        b = np.tile(reps, qn)
-        qtable = coset_of[self.mul_pairs(a, b)].reshape(qn, qn)
+        qtable = coset_of[self.mul_outer(reps, reps)]
         # well-definedness: the product coset cannot depend on representatives
         for lo in range(0, n, max(1, (1 << 20) // n)):
             hi = min(n, lo + max(1, (1 << 20) // n))

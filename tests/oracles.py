@@ -57,10 +57,10 @@ def _slow_closure(g: FiniteGroup, seed: set[int]) -> set[int]:
         members |= new
 
 
-def slow_derived_series_sizes(g: FiniteGroup) -> list[int]:
-    """Commutator-closure oracle for the derived series."""
+def slow_derived_series(g: FiniteGroup) -> list[set[int]]:
+    """Commutator-closure oracle for the derived series, as member sets."""
     cur = set(range(g.order))
-    sizes = [len(cur)]
+    series = [cur]
     while len(cur) > 1:
         comms = {
             g.mul(g.mul(int(g.inv[a]), int(g.inv[b])), g.mul(a, b))
@@ -70,9 +70,27 @@ def slow_derived_series_sizes(g: FiniteGroup) -> list[int]:
         nxt = _slow_closure(g, comms)
         if len(nxt) == len(cur):
             break
-        sizes.append(len(nxt))
+        series.append(nxt)
         cur = nxt
-    return sizes
+    return series
+
+
+def slow_derived_series_sizes(g: FiniteGroup) -> list[int]:
+    return [len(members) for members in slow_derived_series(g)]
+
+
+def slow_is_simple(g: FiniteGroup) -> bool:
+    """Order > 1 and every nontrivial brute-force class closes to the whole group."""
+    if g.order == 1:
+        return False
+    remaining = set(range(1, g.order))
+    while remaining:
+        x = min(remaining)
+        cls = {g.mul(g.mul(int(g.inv[t]), x), t) for t in range(g.order)}
+        if len(_slow_closure(g, cls)) < g.order:
+            return False
+        remaining -= cls
+    return True
 
 
 def slow_quotient_order_multiset(g: FiniteGroup, members: list[int]) -> list[int]:

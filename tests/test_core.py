@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cpgroups as cg
 from cpgroups import CapExceededError, Permutation, parse_cycles
 
 from oracles import (
+    _slow_closure,
     quaternion_unit_order_multiset,
     slow_conjugacy_sizes,
+    slow_derived_series,
     slow_derived_series_sizes,
     slow_element_order,
+    slow_is_simple,
     slow_quotient_order_multiset,
 )
 
@@ -294,6 +299,11 @@ class TestTablelessBackend:
             assert np.array_equal(tableless_s4.mul_row(i), s4.mul_row(i))
             assert np.array_equal(tableless_s4.mul_col(i), s4.mul_col(i))
         assert tableless_s4.mul(3, 17) == s4.mul(3, 17)
+        a, b = np.array([0, 5, 23]), np.array([7, 0, 11, 2])
+        outer = tableless_s4.mul_outer(a, b)
+        assert outer.shape == (3, 4)
+        assert np.array_equal(outer, s4.mul_outer(a, b))
+        assert outer.tolist() == [[s4.mul(x, y) for y in b] for x in a]
 
     def test_structure_ops_agree(self, tableless_s4, s4):
         assert np.array_equal(tableless_s4.inv, s4.inv)
@@ -312,3 +322,82 @@ class TestTablelessBackend:
         assert ok1 == ok2
         assert (w1.a_index, w1.b_index) == (w2.a_index, w2.b_index)
         assert is_cp2(tableless_s4)[0] == is_cp2(s4)[0]
+
+
+def _tableless_copy(g, monkeypatch):
+    """g on the permutation backend, same indices: element i acts as x -> x*i."""
+    monkeypatch.setattr(cg.core, "TABLE_LIMIT", 0)
+    h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
+    assert h.table is None
+    return h
+
+
+class TestClosureKernel:
+    """span, derived_series and is_simple against the slow oracles, on both backends."""
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
+    def test_agrees_with_oracles_on_both_backends(self, name, monkeypatch):
+        g = cg.group_from_spec(name)
+        rng = np.random.default_rng(g.order)
+        gen_sets = [rng.choice(g.order, size=min(k, g.order), replace=False) for k in (1, 1, 2, 3)]
+        slow_spans = [sorted(_slow_closure(g, set(gens.tolist()))) for gens in gen_sets]
+        slow_series = [sorted(m) for m in slow_derived_series(g)]
+        simple = slow_is_simple(g)
+        for grp in (g, _tableless_copy(g, monkeypatch)):
+            assert [grp.span(gens).tolist() for gens in gen_sets] == slow_spans
+            assert [s.indices().tolist() for s in grp.derived_series()] == slow_series
+            assert [s.size for s in grp.derived_series()] == [len(m) for m in slow_series]
+            assert grp.is_simple() == simple
+
+    def test_perfect_but_not_simple(self, monkeypatch):
+        # SL(2,5), order 120, acting on the 24 nonzero vectors of GF(5)^2:
+        # perfect, so only the class {-I} of its centre shows it is not simple
+        vectors = [(x, y) for x in range(5) for y in range(5) if (x, y) != (0, 0)]
+
+        def matrix(a, b, c, d):
+            images = [vectors.index(((x * a + y * c) % 5, (x * b + y * d) % 5)) for x, y in vectors]
+            return Permutation(images)
+
+        g = cg.generate_group([matrix(1, 1, 0, 1), matrix(0, 4, 1, 0)])
+        assert g.order == 120
+        assert [s.size for s in g.derived_series()] == slow_derived_series_sizes(g) == [120]
+        assert not slow_is_simple(g)
+        assert not g.is_simple()
+        assert not _tableless_copy(g, monkeypatch).is_simple()
+
+
+_SPAN_GROUPS = {spec: cg.group_from_spec(spec) for spec in ("symmetric:4", "alternating:5", "dihedral:24")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(sorted(_SPAN_GROUPS)),
+    picks=st.lists(st.integers(min_value=0, max_value=59), max_size=4),
+)
+def test_span_matches_slow_closure(spec, picks):
+    g = _SPAN_GROUPS[spec]
+    gens = [p % g.order for p in picks]
+    assert g.span(gens).tolist() == sorted(_slow_closure(g, set(gens)))
+
+
+class TestLargeClosures:
+    def test_s7_derived_series_on_permutation_backend(self):
+        g = cg.symmetric(7)
+        assert g.table is None
+        assert [s.size for s in g.derived_series()] == [5040, 2520]
+        assert not g.is_simple()
+
+    def test_rotation_span_needs_doubling_in_dihedral_2500(self):
+        # the rotation a has order 1250: a closure without power doubling
+        # would take 1250 rounds here
+        g = cg.group_from_spec("dihedral:2500")
+        assert g.label(1) == "a"
+        assert len(g.span([1])) == 1250
+
+    def test_two_reflections_span_dihedral_2500(self):
+        # b and a*b have order 2 and walk a cycle of length 2500 together;
+        # their product a^-1 has order 1250
+        g = cg.group_from_spec("dihedral:2500")
+        b, ab = g.labels.index("b"), g.labels.index("a*b")
+        assert len(g.span([b, ab])) == 2500
+        assert len(g.span([b, g.labels.index("a^2*b")])) == 1250
