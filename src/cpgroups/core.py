@@ -414,10 +414,12 @@ class FiniteGroup:
         """
         members = np.zeros(self.order, dtype=bool)
         members[0] = True
-        self._grow(members, [], np.array([int(g) for g in generators], dtype=np.int64))
+        self._grow(members, [], [], np.array([int(g) for g in generators], dtype=np.int64))
         return np.flatnonzero(members)
 
-    def _grow(self, members: np.ndarray, steps: list[int], candidates: np.ndarray) -> list[int]:
+    def _grow(
+        self, members: np.ndarray, steps: list[int], partners: list[int], candidates: np.ndarray
+    ) -> list[int]:
         """Close the subgroup ``members`` under the candidates, in place.
 
         ``members`` is a boolean mask of a subgroup and ``steps`` the elements
@@ -425,13 +427,14 @@ class FiniteGroup:
         one already in the subgroup is skipped, so only the returned ones
         become generators.  A new generator g joins the steps with its
         repeated squares g^(2^k) for 2^k < |G|, up to the first square that
-        is a member or repeats, and so does h*g for the generator h kept
-        just before it.  The old members are multiplied by the new steps,
-        then each round multiplies only the elements found in the round
-        before by every step.  The squares close a cycle of length o(g) in
-        log2 o(g) rounds, where g alone would need o(g); those of h*g do the
-        same for two generators of small order whose product has a large
-        one, such as two reflections of a dihedral group.
+        is a member or repeats, and so does h*g for each of the ``partners``
+        (elements of the subgroup, such as its generators) and for the
+        generator h kept just before it.  The old members are multiplied by
+        the new steps, then each round multiplies only the elements found in
+        the round before by every step.  The squares close a cycle of length
+        o(g) in log2 o(g) rounds, where g alone would need o(g); those of h*g
+        do the same for two generators of small order whose product has a
+        large one, such as two reflections of a dihedral group.
         """
         squares = (self.order - 1).bit_length()
         kept: list[int] = []
@@ -443,7 +446,7 @@ class FiniteGroup:
                 return kept
             g = int(pending[0])
             new_steps: list[int] = []
-            for power in [g] + [self.mul(h, g) for h in kept[-1:]]:
+            for power in [g] + [self.mul(h, g) for h in partners + kept[-1:]]:
                 for _ in range(squares):
                     if members[power] or power in new_steps:
                         break
@@ -469,7 +472,7 @@ class FiniteGroup:
         if cached is None:
             members = np.zeros(self.order, dtype=bool)
             members[0] = True
-            cached = self._grow(members, [], np.arange(1, self.order))
+            cached = self._grow(members, [], [], np.arange(1, self.order))
             self._cache["generators"] = cached
         return cached
 
@@ -486,14 +489,14 @@ class FiniteGroup:
         steps: list[int] = []
         gens = np.array(self._generators(), dtype=np.int64)
         inv_gens = self.inv[gens].astype(np.int64)
-        kept = self._grow(members, steps, elements)
+        kept = self._grow(members, steps, [], elements)
         done = 0
         while done < len(kept):
             h = np.array(kept[done:], dtype=np.int64)
             done = len(kept)
             left = self.mul_outer(inv_gens, h).ravel()
             conj = self.mul_pairs(left, np.repeat(gens, len(h)))
-            kept += self._grow(members, steps, conj)
+            kept += self._grow(members, steps, [], conj)
         return members, kept
 
     def is_closed_subset(self, indices: np.ndarray) -> bool:
@@ -538,55 +541,47 @@ class FiniteGroup:
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].size == 1
 
-    def normal_subgroups(
-        self, *, class_union_limit: int = 20, cap: int = SUBGROUP_CAP
-    ) -> list[SubgroupSet]:
-        """All normal subgroups, from class unions or the full subgroup list.
+    def normal_subgroups(self, *, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
+        """All normal subgroups, sorted by (size, bitset).
 
-        Candidate unions of conjugacy classes (identity included, total size
-        dividing |G|) are closure-tested when the nontrivial class count is
-        small; otherwise the full subgroup enumeration is filtered by
-        normality, subject to its cap.
+        A normal subgroup is the join of the normal closures of its
+        elements, so this is :func:`subgroups._join_closure` over the
+        distinct normal closures of one representative per conjugacy class
+        (:meth:`_normal_closure`); each result is validated as closed and
+        normal.
+
+        Cap: every subgroup of an abelian group is normal, so there this
+        enumerates the whole lattice, as :func:`subgroups.all_subgroups`
+        does, and an abelian group of order above ``cap`` raises
+        CapExceededError before any work.  A nonabelian group has at most one
+        atom per conjugacy class and no order cap.
         """
-        classes = self.conjugacy_classes()
-        nontrivial = classes[1:]
-        n = self.order
-        out: list[SubgroupSet] = []
-        if len(nontrivial) <= class_union_limit:
-            sizes = np.array([len(c) for c in nontrivial], dtype=np.int64)
-            for pick in range(1 << len(nontrivial)):
-                total = 1
-                for t in range(len(nontrivial)):
-                    if pick >> t & 1:
-                        total += sizes[t]
-                if n % total:
-                    continue
-                members = [np.array([0])]
-                for t in range(len(nontrivial)):
-                    if pick >> t & 1:
-                        members.append(nontrivial[t])
-                idx = np.concatenate(members)
-                idx.sort()
-                if self.is_closed_subset(idx):
-                    out.append(_subgroup_from_indices(idx))
-        else:
-            from .subgroups import all_subgroups
+        from .subgroups import _join_closure
 
-            for sub in all_subgroups(self, cap=cap):
-                if self._is_normal_members(sub.indices()):
-                    out.append(sub)
+        if self.is_abelian and self.order > cap:
+            raise CapExceededError(
+                f"order {self.order} exceeds the subgroup-enumeration cap {cap}"
+            )
+        atoms = [self._normal_closure(cls[:1]) for cls in self.conjugacy_classes()[1:]]
+        out = []
+        for members in _join_closure(self, atoms):
+            idx = np.flatnonzero(members)
+            if not (self.is_closed_subset(idx) and self._is_normal_members(idx)):
+                raise RuntimeError("enumerated normal subgroup failed validation")
+            out.append(SubgroupSet.from_bool(members))
         out.sort(key=lambda s: (s.size, s.mask))
         return out
 
     def _is_normal_members(self, indices: np.ndarray) -> bool:
+        """Whether g^-1 h g lies in the set for every member h and every
+        generator g of the group (:meth:`_generators`); for a subgroup H that
+        is H normal in G, since the generators' conjugations generate all
+        the others."""
         members = np.zeros(self.order, dtype=bool)
         members[indices] = True
-        ar = np.arange(self.order)
-        for m in indices:
-            t = self.mul_pairs(self.inv.astype(np.int64), np.full(self.order, m))
-            if not members[self.mul_pairs(t, ar)].all():
-                return False
-        return True
+        gens = np.array(self._generators(), dtype=np.int64)
+        left = self.mul_outer(self.inv[gens], indices).ravel()
+        return bool(members[self.mul_pairs(left, np.repeat(gens, len(indices)))].all())
 
     def is_simple(self) -> bool:
         """Exactly two normal subgroups (equivalently order > 1 and every
@@ -670,13 +665,6 @@ class FiniteGroup:
         if q.order * sub.size != self.order:
             raise RuntimeError("quotient order invariant violated")
         return q
-
-
-def _subgroup_from_indices(indices: np.ndarray) -> SubgroupSet:
-    mask = 0
-    for i in indices.tolist():
-        mask |= 1 << i
-    return SubgroupSet(mask=mask, size=len(indices))
 
 
 # -- factory functions ---------------------------------------------------

@@ -109,16 +109,31 @@ def scan_pair_order_condition(
     return True, None
 
 
+def cp3_pair_holds(oa, ob, oab) -> np.ndarray:
+    """The CP3 inequality o(ab) < o(a) + o(b), elementwise over broadcast arrays."""
+    return oab < oa + ob
+
+
+def cp2_pair_holds(oa, ob, oab) -> np.ndarray:
+    """The CP2 inequality o(ab) <= max(o(a), o(b)), elementwise over broadcast arrays."""
+    return oab <= np.maximum(oa, ob)
+
+
 def is_cp3(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     """Strict triangle condition o(ab) < o(a) + o(b) for all pairs."""
-    return scan_pair_order_condition(g, lambda oa, ob, oab: oab < oa + ob, tag="CP3")
+    return scan_pair_order_condition(g, cp3_pair_holds, tag="CP3")
 
 
 def is_cp2(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     """Ultrametric condition o(ab) <= max(o(a), o(b)) for all pairs."""
-    return scan_pair_order_condition(
-        g, lambda oa, ob, oab: oab <= np.maximum(oa, ob), tag="CP2"
-    )
+    return scan_pair_order_condition(g, cp2_pair_holds, tag="CP2")
+
+
+# The pair-order predicates with the pair conditions that decide them.
+PAIR_CONDITIONS: tuple[tuple[Callable, PairCondition], ...] = (
+    (is_cp2, cp2_pair_holds),
+    (is_cp3, cp3_pair_holds),
+)
 
 
 def is_cp(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:

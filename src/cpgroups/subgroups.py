@@ -2,9 +2,11 @@
 
 Enumeration seeds with all cyclic subgroups and closes the set under joins
 with those cyclic atoms until nothing new appears; every subgroup is a join
-of its cyclic subgroups, so the fixed point is the full lattice.  Exceeding
-the enumeration cap raises instead of truncating: a partial list would
-break every closure claim downstream.
+of its cyclic subgroups, so the fixed point is the full lattice.  The same
+join closure over the normal closures of the conjugacy classes gives the
+normal subgroups (:meth:`FiniteGroup.normal_subgroups`).  Exceeding the
+enumeration cap raises instead of truncating: a partial list would break
+every closure claim downstream.
 """
 
 from __future__ import annotations
@@ -21,22 +23,117 @@ from .core import (
     SubgroupSet,
     distinct_primes,
 )
+from .metric import PAIR_CONDITIONS, PairCondition
 
 GroupPredicate = Callable[[FiniteGroup], Union[bool, tuple]]
 
 
-def _mask_of(members: np.ndarray) -> int:
-    raw = np.packbits(members.astype(np.uint8), bitorder="little").tobytes()
-    return int.from_bytes(raw, "little")
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrence of each distinct row of a boolean matrix, in row order,
+    and the rows packed to bits.
+
+    A packed row's bytes are the key of its subgroup in :func:`_join_closure`.
+    For the sort the packed rows are padded to whole uint64 words and
+    lexsorted; the sort is stable, so the first occurrence of a row leads
+    its run of equal rows.
+    """
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    m, nbytes = packed.shape
+    words = np.zeros((m, -(-nbytes // 8) * 8), dtype=np.uint8)
+    words[:, :nbytes] = packed
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[first]), packed
+
+
+def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
+    """Member masks of the trivial subgroup and every join of the atoms, one row each.
+
+    ``atoms`` are subgroups of g as (member mask, generators); repeated
+    masks are dropped.  Breadth first from the trivial subgroup and the
+    atoms, every subgroup of a frontier is joined with each atom it does not
+    contain, one batch per atom, until a frontier brings nothing new; the
+    fixed point holds the subgroup generated by every set of atoms.
+
+    In an abelian group the join of H and A is the product HA: for each
+    generator a of A the batch is closed under the right shifts by a, a^2,
+    a^4, ... (a^(2^k) for 2^k < o(a)), one vectorized pass each.
+    Otherwise :meth:`FiniteGroup._grow` grows each row of the batch from H
+    by the generators of A, with the generators of H as its steps and as the
+    partners of the new generators (two reflections of a dihedral group,
+    one from H and one from A, would otherwise walk the cycle of their
+    product one step per round); the closure carries every subgroup's
+    generators along.  Each batch is deduplicated exactly
+    (:func:`_distinct_rows`) before its rows are looked up among the
+    subgroups already found.
+    """
+    n = g.order
+    orders = g.order_table().orders
+    abelian = g.is_abelian
+    trivial = np.zeros((1, n), dtype=bool)
+    trivial[0, 0] = True
+    seeds = np.concatenate([trivial] + [members[None, :] for members, _ in atoms])
+    first, packed = _distinct_rows(seeds)
+    known = {packed[j].tobytes() for j in first.tolist()}
+    seed_gens = [[]] + [list(gens) for _, gens in atoms]
+    frontier, frontier_gens = seeds[first], [seed_gens[j] for j in first.tolist()]
+    joins = []
+    for j in first[1:].tolist():
+        gens = seed_gens[j]
+        shifts = []
+        if abelian:
+            for a in gens:
+                power, reach = int(a), 1
+                while reach < orders[a]:
+                    shifts.append(g.mul_col(int(g.inv[power])))
+                    power, reach = g.mul(power, power), 2 * reach
+        joins.append((np.array(gens, dtype=np.int64), shifts))
+    levels = [frontier]
+    while len(frontier):
+        new_rows: list[np.ndarray] = []
+        new_gens: list[list[int]] = []
+        for gens, shifts in joins:
+            sel = np.flatnonzero(~frontier[:, gens].all(axis=1))
+            if not sel.size:
+                continue
+            joined = frontier[sel]
+            if abelian:
+                for shift in shifts:
+                    joined |= joined[:, shift]
+            else:
+                joined_gens = [
+                    frontier_gens[i] + g._grow(row, list(frontier_gens[i]), frontier_gens[i], gens)
+                    for row, i in zip(joined, sel.tolist())
+                ]
+            first, packed = _distinct_rows(joined)
+            fresh = []
+            for j in first.tolist():
+                key = packed[j].tobytes()
+                if key not in known:
+                    known.add(key)
+                    fresh.append(j)
+            if fresh:
+                new_rows.append(joined[fresh])
+                if not abelian:
+                    new_gens.extend(joined_gens[j] for j in fresh)
+        frontier = np.concatenate(new_rows) if new_rows else np.zeros((0, n), dtype=bool)
+        frontier_gens = new_gens
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     """Every subgroup of g, sorted by (size, bitset), duplicates impossible.
 
-    Joins against the cyclic atoms are batched over whole BFS frontiers, so
-    for abelian groups each (frontier, atom) pair costs a handful of
-    vectorized passes over an (m, n) membership matrix.  Results are cached
-    on the group instance.
+    Every subgroup is the join of its cyclic subgroups, so this is
+    :func:`_join_closure` over the cyclic subgroups <x>, whose members come
+    from one vectorized pass of max_order products x^k * x over all x at
+    once.  Groups of order above ``cap`` raise CapExceededError before any
+    work, and each subgroup found is validated as closed under
+    multiplication.  Results are cached on the group instance.
     """
     n = g.order
     if n > cap:
@@ -44,66 +141,15 @@ def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     cached = g._cache.get("subgroups")
     if cached is not None:
         return list(cached)
-    atoms: list[tuple[int, np.ndarray]] = []
-    seen_atoms: set[int] = set()
-    for x in range(1, n):
-        members = np.zeros(n, dtype=bool)
-        members[0] = True
-        cur = x
-        while not members[cur]:
-            members[cur] = True
-            cur = g.mul(cur, x)
-        key = _mask_of(members)
-        if key not in seen_atoms:
-            seen_atoms.add(key)
-            atoms.append((x, members))
-    trivial = np.zeros(n, dtype=bool)
-    trivial[0] = True
-    abelian = g.is_abelian
-    shift_maps = {x: g.mul_col(int(g.inv[x])) for x, _ in atoms} if abelian else {}
-    known: dict[bytes, np.ndarray] = {}
-    frontier: list[np.ndarray] = []
-    for members in [trivial] + [m for _, m in atoms]:
-        key = np.packbits(members, bitorder="little").tobytes()
-        if key not in known:
-            known[key] = members
-            frontier.append(members)
-    while frontier:
-        base = np.stack(frontier)
-        next_frontier: list[np.ndarray] = []
-        for x, atom_members in atoms:
-            sel = ~base[:, x]
-            if not sel.any():
-                continue
-            joined = base[sel]
-            if abelian:
-                # H<x> is already a subgroup here: union of cosets H, Hx, Hx^2, ...
-                shift = shift_maps[x]
-                while True:
-                    grown = joined | joined[:, shift]
-                    if np.array_equal(grown, joined):
-                        break
-                    joined = grown
-            else:
-                rows = []
-                for row in joined:
-                    span = np.zeros(n, dtype=bool)
-                    span[g.span(np.flatnonzero(row | atom_members))] = True
-                    rows.append(span)
-                joined = np.stack(rows)
-            packed = np.packbits(joined, axis=1, bitorder="little")
-            uniq, first = np.unique(packed, axis=0, return_index=True)
-            for row_bytes, j in zip(uniq, first):
-                key = row_bytes.tobytes()
-                if key not in known:
-                    members = joined[j]
-                    known[key] = members
-                    next_frontier.append(members)
-        frontier = next_frontier
+    ar = np.arange(n)
+    cyclic = np.zeros((n, n), dtype=bool)
+    power = ar
+    for _ in range(g.order_table().max_order):
+        cyclic[ar, power] = True
+        power = g.mul_pairs(power, ar)
     out = []
-    for members in known.values():
-        idx = np.flatnonzero(members)
-        if not g.is_closed_subset(idx):
+    for members in _join_closure(g, [(cyclic[x], [x]) for x in range(1, n)]):
+        if not g.is_closed_subset(np.flatnonzero(members)):
             raise RuntimeError("enumerated subgroup failed closure validation")
         out.append(SubgroupSet.from_bool(members))
     out.sort(key=lambda s: (s.size, s.mask))
@@ -137,22 +183,41 @@ class HereditaryReport:
         return not self.violations
 
 
+def _holds_on_subgroup(g: FiniteGroup, s: SubgroupSet, condition: PairCondition) -> bool:
+    """Whether a pair-order condition holds on all |H|^2 pairs of the subgroup H.
+
+    Decided on g's own data: an element of H has the same order in H as in
+    g, and so does a product of two of them.
+    """
+    idx = s.indices()
+    orders = g.order_table().orders
+    sub_orders = orders[idx]
+    oab = orders[g.mul_outer(idx, idx)]
+    return bool(np.asarray(condition(sub_orders[:, None], sub_orders[None, :], oab)).all())
+
+
 def hereditary_check(
     g: FiniteGroup, predicate: GroupPredicate, cap: int = SUBGROUP_CAP
 ) -> HereditaryReport:
     """Find subgroups violating a predicate that the parent satisfies.
 
     Inapplicable (parent fails the predicate) yields an empty, vacuous
-    report.  Each subgroup is realized as a standalone group by index
-    re-compaction before the predicate runs.
+    report.  The pair-order predicates :func:`is_cp2` and :func:`is_cp3`
+    are decided exhaustively on each subgroup through g's order table
+    (:func:`_holds_on_subgroup`).  Any other predicate runs on the subgroup
+    realized as a standalone group by :meth:`FiniteGroup.subgroup`.
     """
     if not _predicate_holds(predicate, g):
         return HereditaryReport(applicable=False, subgroups_checked=0, violations=())
+    condition = next((c for p, c in PAIR_CONDITIONS if p is predicate), None)
     violations = []
     subs = all_subgroups(g, cap=cap)
     for s in subs:
-        sub_group = g.subgroup(s)
-        if not _predicate_holds(predicate, sub_group):
+        if condition is not None:
+            holds = _holds_on_subgroup(g, s, condition)
+        else:
+            holds = _predicate_holds(predicate, g.subgroup(s))
+        if not holds:
             violations.append(s)
     return HereditaryReport(
         applicable=True, subgroups_checked=len(subs), violations=tuple(violations)

@@ -93,6 +93,57 @@ def slow_is_simple(g: FiniteGroup) -> bool:
     return True
 
 
+def slow_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every subgroup as a sorted index tuple, listed in tuple order.
+
+    From the trivial subgroup on, each subgroup found is extended by each
+    element outside it, and the extension is closed by multiplying out from
+    the identity by the generators; every subgroup is generated by finitely
+    many of its elements, so each is reached.
+    """
+    table = [g.mul_row(i).tolist() for i in range(g.order)]
+
+    def generated(gens: tuple[int, ...]) -> frozenset:
+        members = {0}
+        frontier = [0]
+        while frontier:
+            new = []
+            for a in frontier:
+                for b in gens:
+                    c = table[a][b]
+                    if c not in members:
+                        members.add(c)
+                        new.append(c)
+            frontier = new
+        return frozenset(members)
+
+    found = {frozenset([0]): ()}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for h in frontier:
+            for x in range(g.order):
+                if x not in h:
+                    gens = found[h] + (x,)
+                    k = generated(gens)
+                    if k not in found:
+                        found[k] = gens
+                        new.append(k)
+        frontier = new
+    return sorted(tuple(sorted(h)) for h in found)
+
+
+def slow_normal_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The subgroups of :func:`slow_subgroups` that hold every conjugate
+    t^-1 h t of their members h by every element t."""
+    out = []
+    for h in slow_subgroups(g):
+        members = set(h)
+        if all(g.mul(g.mul(int(g.inv[t]), x), t) in members for t in range(g.order) for x in h):
+            out.append(h)
+    return out
+
+
 def slow_quotient_order_multiset(g: FiniteGroup, members: list[int]) -> list[int]:
     """Coset-multiplication oracle: element orders of g/N, sorted."""
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import cpgroups as cg
 from cpgroups import CapExceededError, Permutation, parse_cycles
+from cpgroups.subgroups import all_subgroups
 
 from oracles import (
     _slow_closure,
@@ -14,7 +15,9 @@ from oracles import (
     slow_derived_series_sizes,
     slow_element_order,
     slow_is_simple,
+    slow_normal_subgroups,
     slow_quotient_order_multiset,
+    slow_subgroups,
 )
 
 
@@ -195,10 +198,16 @@ class TestNormalSubgroups:
         assert cg.cyclic(7).is_simple()
         assert not cg.cyclic(8).is_simple()
 
-    def test_fallback_path_matches_union_path(self, s4):
-        by_union = [(s.size, s.mask) for s in s4.normal_subgroups()]
-        by_filter = [(s.size, s.mask) for s in s4.normal_subgroups(class_union_limit=0)]
-        assert by_union == by_filter
+    def test_cyclic_21_has_one_per_divisor(self):
+        assert [s.size for s in cg.cyclic(21).normal_subgroups()] == [1, 3, 7, 21]
+
+    def test_abelian_group_over_cap_raises_before_enumerating(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("enumeration started above the cap")
+
+        monkeypatch.setattr(cg.subgroups, "_join_closure", refuse)
+        with pytest.raises(CapExceededError):
+            cg.elementary_abelian(2, 5).normal_subgroups(cap=10)
 
 
 class TestQuotient:
@@ -364,6 +373,19 @@ class TestClosureKernel:
         assert not slow_is_simple(g)
         assert not g.is_simple()
         assert not _tableless_copy(g, monkeypatch).is_simple()
+
+
+class TestJoinClosure:
+    """all_subgroups and normal_subgroups against the slow oracles, on both backends."""
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
+    def test_agrees_with_oracles_on_both_backends(self, name, monkeypatch):
+        g = cg.group_from_spec(name)
+        subgroups = slow_subgroups(g)
+        normal = slow_normal_subgroups(g)
+        for grp in (g, _tableless_copy(g, monkeypatch)):
+            assert sorted(tuple(s.indices().tolist()) for s in all_subgroups(grp)) == subgroups
+            assert sorted(tuple(s.indices().tolist()) for s in grp.normal_subgroups()) == normal
 
 
 _SPAN_GROUPS = {spec: cg.group_from_spec(spec) for spec in ("symmetric:4", "alternating:5", "dihedral:24")}

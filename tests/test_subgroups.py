@@ -4,8 +4,9 @@ import pytest
 
 import cpgroups as cg
 from cpgroups import CapExceededError
-from cpgroups.metric import is_cp, is_cp3
+from cpgroups.metric import cp2_pair_holds, cp3_pair_holds, is_cp, is_cp2, is_cp3
 from cpgroups.subgroups import (
+    _holds_on_subgroup,
     abelian_subgroup_scan,
     all_subgroups,
     hereditary_check,
@@ -66,6 +67,19 @@ class TestAllSubgroups:
             assert s.contains(0)
             assert s4.order % s.size == 0
 
+    @pytest.mark.parametrize("p,k", [(2, 6), (3, 4)])
+    def test_elementary_abelian_counts_are_gaussian_binomial_sums(self, p, k):
+        # the subgroups of (Z_p)^k are its subspaces: sum over d of [k choose d]_p
+        expected = 0
+        for d in range(k + 1):
+            count = 1
+            for i in range(d):
+                count = count * (p ** (k - i) - 1) // (p ** (i + 1) - 1)
+            expected += count
+        subs = all_subgroups(cg.elementary_abelian(p, k))
+        assert len(subs) == expected == {(2, 6): 2825, (3, 4): 212}[(p, k)]
+        assert len({s.mask for s in subs}) == len(subs)
+
     def test_cap_is_structured_error(self):
         with pytest.raises(CapExceededError):
             all_subgroups(cg.cyclic(401))
@@ -101,10 +115,49 @@ class TestHereditaryCheck:
         assert report.subgroups_checked == 0
         assert report.ok
 
+    def test_pair_order_predicates_use_the_parent_order_table(self, a4, q8, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("subgroup realized for a pair-order predicate")
+
+        monkeypatch.setattr(cg.FiniteGroup, "subgroup", refuse)
+        for g, predicate in ((a4, is_cp3), (q8, is_cp2)):
+            report = hereditary_check(g, predicate)
+            assert report.applicable and report.ok
+
+    def test_unhashable_predicate_runs_on_realized_subgroups(self, a4):
+        class AtLeastTwo:
+            __hash__ = None
+
+            def __call__(self, g):
+                return g.order >= 2
+
+        report = hereditary_check(a4, AtLeastTwo())
+        assert report.applicable and [s.size for s in report.violations] == [1]
+
     def test_violations_reported_for_contrived_predicate(self, s4):
         report = hereditary_check(s4, lambda g: g.order > 3)
         assert report.applicable and not report.ok
         assert all(s.size <= 3 for s in report.violations)
+
+
+class TestPairConditionsOnSubgroups:
+    """The order-table verdicts of hereditary_check against realized subgroups."""
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
+    def test_restricted_verdicts_match_realized_subgroups(self, name):
+        g = cg.group_from_spec(name)
+        for s in all_subgroups(g):
+            h = g.subgroup(s)
+            assert _holds_on_subgroup(g, s, cp2_pair_holds) == is_cp2(h)[0]
+            assert _holds_on_subgroup(g, s, cp3_pair_holds) == is_cp3(h)[0]
+
+    def test_violations_are_seen_in_s4(self, s4):
+        # S4 is neither CP2 nor CP3, nor are S3 and D8 CP2
+        subs = all_subgroups(s4)
+        cp2 = [s.size for s in subs if not _holds_on_subgroup(s4, s, cp2_pair_holds)]
+        cp3 = [s.size for s in subs if not _holds_on_subgroup(s4, s, cp3_pair_holds)]
+        assert 24 in cp3 and 24 in cp2
+        assert {6, 8} <= set(cp2)
 
 
 class TestAbelianSubgroupScan:
