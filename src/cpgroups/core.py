@@ -19,6 +19,10 @@ TABLE_LIMIT = 4096
 ELEMENT_CAP = 10000
 ASSOC_CAP = 512
 SUBGROUP_CAP = 400
+# A normal subgroup is a union of conjugacy classes, so a group with at most
+# this many nontrivial classes has at most 2^20 of them whatever its order;
+# FiniteGroup.normal_subgroups applies its order cap only above this count.
+NORMAL_CLASS_LIMIT = 20
 
 _ASSOC_SAMPLES = 512
 
@@ -414,11 +418,16 @@ class FiniteGroup:
         """
         members = np.zeros(self.order, dtype=bool)
         members[0] = True
-        self._grow(members, [], [], np.array([int(g) for g in generators], dtype=np.int64))
+        self._grow(members, [], np.array([int(g) for g in generators], dtype=np.int64))
         return np.flatnonzero(members)
 
     def _grow(
-        self, members: np.ndarray, steps: list[int], partners: list[int], candidates: np.ndarray
+        self,
+        members: np.ndarray,
+        steps: list[int],
+        candidates: np.ndarray,
+        *,
+        partners: Sequence[int] = (),
     ) -> list[int]:
         """Close the subgroup ``members`` under the candidates, in place.
 
@@ -446,7 +455,7 @@ class FiniteGroup:
                 return kept
             g = int(pending[0])
             new_steps: list[int] = []
-            for power in [g] + [self.mul(h, g) for h in partners + kept[-1:]]:
+            for power in [g] + [self.mul(h, g) for h in [*partners, *kept[-1:]]]:
                 for _ in range(squares):
                     if members[power] or power in new_steps:
                         break
@@ -472,7 +481,7 @@ class FiniteGroup:
         if cached is None:
             members = np.zeros(self.order, dtype=bool)
             members[0] = True
-            cached = self._grow(members, [], [], np.arange(1, self.order))
+            cached = self._grow(members, [], np.arange(1, self.order))
             self._cache["generators"] = cached
         return cached
 
@@ -489,14 +498,14 @@ class FiniteGroup:
         steps: list[int] = []
         gens = np.array(self._generators(), dtype=np.int64)
         inv_gens = self.inv[gens].astype(np.int64)
-        kept = self._grow(members, steps, [], elements)
+        kept = self._grow(members, steps, elements)
         done = 0
         while done < len(kept):
             h = np.array(kept[done:], dtype=np.int64)
             done = len(kept)
             left = self.mul_outer(inv_gens, h).ravel()
             conj = self.mul_pairs(left, np.repeat(gens, len(h)))
-            kept += self._grow(members, steps, [], conj)
+            kept += self._grow(members, steps, conj)
         return members, kept
 
     def is_closed_subset(self, indices: np.ndarray) -> bool:
@@ -550,15 +559,19 @@ class FiniteGroup:
         (:meth:`_normal_closure`); each result is validated as closed and
         normal.
 
-        Cap: every subgroup of an abelian group is normal, so there this
-        enumerates the whole lattice, as :func:`subgroups.all_subgroups`
-        does, and an abelian group of order above ``cap`` raises
-        CapExceededError before any work.  A nonabelian group has at most one
-        atom per conjugacy class and no order cap.
+        Cap: a group of order above ``cap`` raises CapExceededError before
+        any enumeration when it is abelian or has more than
+        NORMAL_CLASS_LIMIT (20) nontrivial conjugacy classes.  Every subgroup
+        of an abelian group is normal, so there this enumerates the whole
+        lattice, as :func:`subgroups.all_subgroups` does under the same cap;
+        a group with at most 20 nontrivial classes has at most 2^20 normal
+        subgroups, since each is a union of classes, and no order cap.
         """
         from .subgroups import _join_closure
 
-        if self.is_abelian and self.order > cap:
+        if self.order > cap and (
+            self.is_abelian or len(self.conjugacy_classes()) - 1 > NORMAL_CLASS_LIMIT
+        ):
             raise CapExceededError(
                 f"order {self.order} exceeds the subgroup-enumeration cap {cap}"
             )

@@ -105,7 +105,8 @@ def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> 
                     joined |= joined[:, shift]
             else:
                 joined_gens = [
-                    frontier_gens[i] + g._grow(row, list(frontier_gens[i]), frontier_gens[i], gens)
+                    frontier_gens[i]
+                    + g._grow(row, list(frontier_gens[i]), gens, partners=frontier_gens[i])
                     for row, i in zip(joined, sel.tolist())
                 ]
             first, packed = _distinct_rows(joined)

@@ -209,6 +209,23 @@ class TestNormalSubgroups:
         with pytest.raises(CapExceededError):
             cg.elementary_abelian(2, 5).normal_subgroups(cap=10)
 
+    def test_nonabelian_group_with_many_classes_over_cap_raises(self, monkeypatch):
+        # Z2^5 x S3 has 95 nontrivial classes, and every subgroup of its
+        # Z2^5 factor is normal: the lattice the cap guards against
+        def refuse(*_):
+            raise AssertionError("enumeration started above the cap")
+
+        g = cg.direct_product(cg.elementary_abelian(2, 5), cg.symmetric(3))
+        monkeypatch.setattr(cg.subgroups, "_join_closure", refuse)
+        with pytest.raises(CapExceededError):
+            g.normal_subgroups(cap=100)
+        with pytest.raises(CapExceededError):
+            cg.quotient_scan(g, cg.is_cp3, cap=100)
+
+    def test_group_with_few_classes_has_no_order_cap(self):
+        # A5 has 4 nontrivial classes, so at most 2^4 normal subgroups
+        assert [s.size for s in cg.alternating(5).normal_subgroups(cap=10)] == [1, 60]
+
 
 class TestQuotient:
     def test_by_trivial_keeps_order(self, s4):
