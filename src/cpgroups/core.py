@@ -180,6 +180,8 @@ class FiniteGroup:
             perms = np.ascontiguousarray(perms, dtype=_perm_dtype(perms.shape[1]))
             if perms.shape[0] != n:
                 raise ValueError("permutation array does not match label count")
+            if not np.array_equal(perms[0], np.arange(perms.shape[1])):
+                raise ValueError("identity permutation is not at index 0")
             self._perms = perms
             self._perms.setflags(write=False)
             self._index = _PermIndex(perms)
@@ -201,20 +203,62 @@ class FiniteGroup:
     # -- construction-time validation ------------------------------------
 
     def _build_table_from_perms(self) -> np.ndarray:
+        """Cayley table from generator rows along a Schreier tree.
+
+        Generators are picked greedily, each the smallest element not yet
+        reached; only their rows s*y and columns x*s go through the index,
+        so a set that is not closed raises there.  A breadth-first search
+        over right multiplication by the generators reaches each element
+        as e = p*s and gives it the row e*y = p*(s*y), one gather of row p
+        by row s.  The identity reaches every element and the set is closed
+        under each generator, so it is the group they generate.  Every
+        entry is then checked against the permutations, point by point.
+        """
         P = self._perms
-        n = self.order
+        n, degree = P.shape
+        block = max(1, (1 << 20) // n)
         table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            table[i] = self._index.lookup(P[:, P[i]])
+        table[0] = np.arange(n)
+        reached = np.zeros(n, dtype=bool)
+        reached[0] = True
+        gens: list[tuple[np.ndarray, np.ndarray]] = []
+
+        def extend(frontier: np.ndarray, steps) -> np.ndarray:
+            """Reach frontier*s for each (row_s, col_s) in steps; the new elements."""
+            found = []
+            for row_s, col_s in steps:
+                children = col_s[frontier]
+                fresh = ~reached[children]
+                parents, children = frontier[fresh], children[fresh]
+                reached[children] = True
+                for lo in range(0, len(children), block):
+                    table[children[lo : lo + block]] = table[parents[lo : lo + block]][:, row_s]
+                found.append(children)
+            return np.concatenate(found)
+
+        while not reached.all():
+            s = int(np.argmin(reached))
+            row_s = self._index.lookup(P[:, P[s]])
+            col_s = self._index.lookup(P[s][P])
+            # s itself is reached as 0*s unless the permutations repeat
+            reached[s] = True
+            table[s] = row_s
+            gens.append((row_s, col_s))
+            frontier = extend(np.flatnonzero(reached), gens[-1:])
+            while len(frontier):
+                frontier = extend(frontier, gens)
+
+        PT = np.ascontiguousarray(P.T)
+        for lo in range(0, n, block):
+            rows = table[lo : lo + block].astype(np.intp)  # one index cast for all points
+            for c in range(degree):
+                if not np.array_equal(PT[c][rows], PT[P[lo : lo + block, c]]):
+                    raise RuntimeError("table entry does not match the permutations")
         return table
 
     def _validate(self, rigor: str) -> None:
         n = self.order
         ar = np.arange(n)
-        if self._perms is not None:
-            degree = self._perms.shape[1]
-            if not np.array_equal(self._perms[0], np.arange(degree, dtype=self._perms.dtype)):
-                raise ValueError("identity permutation is not at index 0")
         if self._table is not None:
             T = self._table
             if not np.array_equal(T[0], ar) or not np.array_equal(T[:, 0], ar):
@@ -322,27 +366,27 @@ class FiniteGroup:
     # -- structural data ---------------------------------------------------
 
     def order_table(self) -> OrderTable:
-        """Orders of all elements; cached after the first call."""
+        """Orders of all elements; cached after the first call.
+
+        The powers x^k of the elements whose order is still unknown advance
+        by one :meth:`mul_pairs` step per k until they reach the identity.
+        """
         cached = self._cache.get("orders")
         if cached is not None:
             return cached
         n = self.order
-        if self._perms is not None:
-            orders = np.empty(n, dtype=np.int64)
-            for i in range(n):
-                orders[i] = Permutation(self._perms[i]).order()
-        else:
-            orders = np.zeros(n, dtype=np.int64)
-            cur = np.arange(n)
-            ar = np.arange(n)
-            k = 1
-            while (orders == 0).any():
-                if k > n:
-                    raise RuntimeError("element order exceeded group order")
-                hit = (cur == 0) & (orders == 0)
-                orders[hit] = k
-                k += 1
-                cur = self._table[cur, ar]
+        orders = np.zeros(n, dtype=np.int64)
+        pending = np.arange(n)
+        cur = pending
+        k = 1
+        while len(pending):
+            if k > n:
+                raise RuntimeError("element order exceeded group order")
+            hit = cur == 0
+            orders[pending[hit]] = k
+            pending, cur = pending[~hit], cur[~hit]
+            cur = self.mul_pairs(cur, pending)
+            k += 1
         if orders[0] != 1 or (orders == 1).sum() != 1:
             raise RuntimeError("identity order table invariant violated")
         if (n % orders != 0).any():

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from cpgroups import FiniteGroup, Permutation
+from cpgroups.core import _PermIndex
 
 
 def slow_element_order(g: FiniteGroup, i: int) -> int:
@@ -34,6 +35,28 @@ def slow_perm_order(p: Permutation) -> int:
         cur = cur * p
         k += 1
     return k
+
+
+def rowwise_lookup_table(g: FiniteGroup) -> np.ndarray:
+    """Cayley table of a permutation group, one index lookup per row.
+
+    Row i holds the indices of the products i*y, found by composing the
+    image arrays and looking each one up in the element index: n lookups of
+    n rows, against which the generator-row construction is checked.
+    """
+    perms = g.perms
+    index = _PermIndex(perms)
+    table = np.empty((g.order, g.order), dtype=np.int32)
+    for i in range(g.order):
+        table[i] = index.lookup(perms[:, perms[i]])
+    return table
+
+
+def slow_perm_table(g: FiniteGroup) -> list[list[int]]:
+    """Cayley table of a permutation group by pure-Python composition."""
+    perms = [Permutation(row) for row in g.perms]
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[p * q] for q in perms] for p in perms]
 
 
 def slow_conjugacy_sizes(g: FiniteGroup) -> list[int]:

@@ -10,12 +10,15 @@ from cpgroups.subgroups import all_subgroups
 from oracles import (
     _slow_closure,
     quaternion_unit_order_multiset,
+    rowwise_lookup_table,
     slow_conjugacy_sizes,
     slow_derived_series,
     slow_derived_series_sizes,
     slow_element_order,
     slow_is_simple,
     slow_normal_subgroups,
+    slow_perm_order,
+    slow_perm_table,
     slow_quotient_order_multiset,
     slow_subgroups,
 )
@@ -356,6 +359,73 @@ def _tableless_copy(g, monkeypatch):
     h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
     assert h.table is None
     return h
+
+
+_PERM_FAMILIES = ("symmetric", "alternating", "psl2")
+
+
+def _perm_catalog(max_order):
+    return [e.name for e in cg.catalog_entries(max_order) if e.family in _PERM_FAMILIES]
+
+
+class TestPermutationTables:
+    """Cayley tables built from generator rows, checked against the slow constructions."""
+
+    @pytest.mark.parametrize("name", _perm_catalog(cg.core.TABLE_LIMIT))
+    def test_table_matches_rowwise_lookup(self, name):
+        g = cg.group_from_spec(name)
+        assert g.table is not None
+        assert np.array_equal(g.table, rowwise_lookup_table(g))
+        if g.order <= 360:
+            assert g.table.tolist() == slow_perm_table(g)
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
+    def test_right_regular_representation_rebuilds_the_table(self, name):
+        g = cg.group_from_spec(name)
+        h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
+        assert h.table is not None
+        assert np.array_equal(h.table, g.table)
+
+    def test_index_looks_up_generator_rows_only(self, monkeypatch):
+        # a full row-by-row build would look up 2520 rows of 2520 products
+        looked_up = []
+        lookup = cg.core._PermIndex.lookup
+
+        def counting(index, rows):
+            looked_up.append(len(rows))
+            return lookup(index, rows)
+
+        monkeypatch.setattr(cg.core._PermIndex, "lookup", counting)
+        g = cg.alternating(7)
+        assert len(looked_up) <= 8
+        assert sum(looked_up) <= 8 * g.order
+
+    @pytest.mark.parametrize("name", _perm_catalog(5040))
+    def test_orders_match_permutation_orders(self, name):
+        g = cg.group_from_spec(name)
+        if name == "symmetric:7":
+            assert g.table is None
+        expected = [slow_perm_order(Permutation(row)) for row in g.perms]
+        assert g.order_table().orders.tolist() == expected
+
+    def test_set_missing_a_square_is_rejected(self):
+        perms = np.array([[0, 1, 2], [1, 2, 0]])
+        with pytest.raises(RuntimeError, match="product fell outside the element set"):
+            cg.from_permutation_set(perms, name="not-closed")
+
+    def test_missing_product_with_a_known_key_prefix_is_rejected(self):
+        # (1 2 3)(4 5) * (1 3 2) = (4 5) is missing and fixes points 1, 2, 3
+        # like the identity, so it finds the identity's key but not its row
+        perms = np.array([[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 0, 1, 3, 4]])
+        with pytest.raises(RuntimeError, match="element index lookup mismatch"):
+            cg.from_permutation_set(perms, name="not-closed")
+
+    def test_repeated_permutation_is_rejected(self):
+        # the index finds one of the two copies of (1 2); the other is never
+        # reached by a product, so it must not stall the search
+        perms = np.array([[0, 1, 2], [1, 0, 2], [1, 0, 2]])
+        with pytest.raises(ValueError, match="identity is not at index 0"):
+            cg.FiniteGroup(perms=perms, labels=["e", "a", "b"], name="repeated", source="test")
 
 
 class TestClosureKernel:
