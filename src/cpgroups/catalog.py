@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     CapExceededError,
     ELEMENT_CAP,
+    TABLE_LIMIT,
     FiniteGroup,
     direct_product,
     distinct_primes,
@@ -171,14 +172,31 @@ class ProjectivePoint:
 # -- table-built families --------------------------------------------------
 
 
+def _check_table_cap(order: int) -> None:
+    """The table families build an order x order int32 table: refuse before
+    allocating it when the order exceeds TABLE_LIMIT."""
+    if order > TABLE_LIMIT:
+        raise CapExceededError(
+            f"order {order} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}"
+        )
+
+
+def _fill_mod(out: np.ndarray, m: int, sign: int, shift: int = 0, offset: int = 0) -> None:
+    """out[x, y] = offset + (x + sign * y + shift) mod m on an m x m block, in place."""
+    ar = np.arange(m, dtype=np.int32)
+    np.add.outer(ar + shift, sign * ar, out=out)
+    np.remainder(out, m, out=out)
+    if offset:
+        out += offset
+
+
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n."""
     if n < 1:
         raise ValueError("order must be positive")
-    if n > ELEMENT_CAP:
-        raise CapExceededError(f"order {n} exceeds the element cap")
-    ar = np.arange(n, dtype=np.int64)
-    table = (ar[:, None] + ar[None, :]) % n
+    _check_table_cap(n)
+    table = np.empty((n, n), dtype=np.int32)
+    _fill_mod(table, n, 1)
     labels = _power_labels(n)
     return FiniteGroup(table=table, labels=labels, name=f"cyclic:{n}", source="cayley-table")
 
@@ -195,17 +213,25 @@ def _power_labels(n: int, suffix: str = "") -> list[str]:
     return out
 
 
+def _metacyclic_table(m: int, square: int) -> np.ndarray:
+    """Table of the 2m elements a^i (index i) and a^i b (index m + i) with
+    a^m = 1, b a = a^-1 b and b^2 = a^square: a^i a^j = a^(i+j),
+    a^i a^j b = a^(i+j) b, a^i b a^j = a^(i-j) b and a^i b a^j b = a^(i-j+square)."""
+    table = np.empty((2 * m, 2 * m), dtype=np.int32)
+    _fill_mod(table[:m, :m], m, 1)
+    _fill_mod(table[:m, m:], m, 1, offset=m)
+    _fill_mod(table[m:, :m], m, -1, offset=m)
+    _fill_mod(table[m:, m:], m, -1, shift=square)
+    return table
+
+
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (n rotations, n reflections)."""
     if n < 1:
         raise ValueError("n must be positive")
     order = 2 * n
-    if order > ELEMENT_CAP:
-        raise CapExceededError(f"order {order} exceeds the element cap")
-    ar = np.arange(n, dtype=np.int32)
-    plus = (ar[:, None] + ar[None, :]) % n
-    minus = (ar[:, None] - ar[None, :]) % n
-    table = np.block([[plus, plus + n], [minus + n, minus]])
+    _check_table_cap(order)
+    table = _metacyclic_table(n, 0)
     labels = _power_labels(n) + _power_labels(n, suffix="b")
     grp = FiniteGroup(table=table, labels=labels, name=f"dihedral:{order}", source="cayley-table")
     if grp.order != order:
@@ -222,13 +248,9 @@ def dicyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
     order = 4 * n
-    if order > ELEMENT_CAP:
-        raise CapExceededError(f"order {order} exceeds the element cap")
+    _check_table_cap(order)
     m = 2 * n
-    ar = np.arange(m, dtype=np.int32)
-    plus = (ar[:, None] + ar[None, :]) % m
-    minus = (ar[:, None] - ar[None, :]) % m
-    table = np.block([[plus, plus + m], [minus + m, (minus + n) % m]])
+    table = _metacyclic_table(m, n)
     labels = _power_labels(m) + _power_labels(m, suffix="b")
     grp = FiniteGroup(table=table, labels=labels, name=f"dicyclic:{order}", source="cayley-table")
     if grp.order != order:
@@ -243,13 +265,21 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if k < 1:
         raise ValueError("k must be positive")
     n = p**k
-    if n > ELEMENT_CAP:
-        raise CapExceededError(f"order {n} exceeds the element cap")
-    ar = np.arange(n, dtype=np.int64)
-    digits = np.stack([(ar // p**d) % p for d in range(k)], axis=1)
-    weights = np.array([p**d for d in range(k)], dtype=np.int64)
-    table = (((digits[:, None, :] + digits[None, :, :]) % p) * weights).sum(axis=2)
-    labels = ["(" + ",".join(str(d) for d in row) + ")" for row in digits]
+    _check_table_cap(n)
+    ar = np.arange(n, dtype=np.int32)
+    table = np.zeros((n, n), dtype=np.int32)
+    digit_sum = np.empty((n, n), dtype=np.int32)
+    digits = []
+    for d in range(k):
+        digit = (ar // p**d) % p
+        digits.append(digit)
+        np.add.outer(digit, digit, out=digit_sum)
+        np.remainder(digit_sum, p, out=digit_sum)
+        digit_sum *= p**d
+        table += digit_sum
+    del digit_sum  # freed before the group's validation allocates its own n x n mask
+    rows = np.stack(digits, axis=1).tolist()
+    labels = ["(" + ",".join(str(d) for d in row) + ")" for row in rows]
     labels[0] = "e"
     return FiniteGroup(table=table, labels=labels, name=f"elemab:{p}^{k}", source="cayley-table")
 
@@ -408,7 +438,12 @@ def catalog_entries(max_order: int) -> list[CatalogEntry]:
 
 
 def catalog_iter(max_order: int) -> Iterator[tuple[str, FiniteGroup]]:
-    """Stream of (name, group) over the catalog, in deterministic order."""
+    """Stream of (name, group) over the catalog, in deterministic order.
+
+    A bound above TABLE_LIMIT lists cyclic:(TABLE_LIMIT + 1), whose table is
+    over the cap, so it raises before any group is built.
+    """
+    _check_table_cap(max_order)
     for entry in catalog_entries(max_order):
         yield entry.name, entry.build()
 

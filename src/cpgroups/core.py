@@ -2,8 +2,8 @@
 
 A group is a total multiplication over indices 0..n-1.  Groups with at most
 TABLE_LIMIT elements materialize the full Cayley table; larger permutation
-groups compose image arrays on demand, one row of products at a time, so
-pair scans stay vectorized without an n x n table in memory.
+groups compose image arrays on demand, one block of products at a time,
+so pair scans stay vectorized without an n x n table in memory.
 """
 
 from __future__ import annotations
@@ -329,25 +329,35 @@ class FiniteGroup:
         rows = np.take_along_axis(P[b], P[a], axis=1)
         return self._index.lookup(rows)
 
-    def mul_outer(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products a[i]*b[j] of two index vectors, as an |a| x |b| array."""
+    def mul_outer(self, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+        """Products a[i]*b[j] of two index vectors, as an |a| x |b| array;
+        without ``b``, the products a[i]*y for every element y (on the table
+        backend, the rows a of the table)."""
         a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
         if self._table is not None:
-            return self._table[a[:, None], b]
+            return self._table[a] if b is None else self._table[a[:, None], b]
+        b = np.arange(self.order) if b is None else np.asarray(b, dtype=np.int64)
         return self.mul_pairs(np.repeat(a, len(b)), np.tile(b, len(a))).reshape(len(a), len(b))
 
-    def power(self, i: int, k: int) -> int:
-        """i^k for k >= 0 by repeated squaring."""
+    def powers(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x[i]^k for every entry of an index vector, k >= 0, by repeated
+        squaring: one :meth:`mul_pairs` round per squaring and per set bit
+        of k after the lowest."""
         if k < 0:
             raise ValueError("negative powers: use inv[] first")
-        acc, base = 0, int(i)
+        base = np.array(x, dtype=np.int64)  # a copy: k = 1 returns it
+        acc = None
         while k:
             if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = base if acc is None else self.mul_pairs(acc, base)
             k >>= 1
-        return acc
+            if k:
+                base = self.mul_pairs(base, base)
+        return np.zeros(len(base), dtype=np.int64) if acc is None else acc
+
+    def power(self, i: int, k: int) -> int:
+        """i^k for k >= 0: the one-element case of :meth:`powers`."""
+        return int(self.powers(np.array([i]), k)[0])
 
     def label(self, i: int) -> str:
         return self.labels[i]
@@ -368,25 +378,32 @@ class FiniteGroup:
     def order_table(self) -> OrderTable:
         """Orders of all elements; cached after the first call.
 
-        The powers x^k of the elements whose order is still unknown advance
-        by one :meth:`mul_pairs` step per k until they reach the identity.
+        One prime at a time: for each prime power p^e exactly dividing |G|,
+        y = x^(|G|/p^e) has order the p-part of o(x), and that is p^k for the
+        number k of p-th powers that take y to the identity.  All elements
+        advance at once through :meth:`powers`, so the table costs
+        O(omega(|G|) log|G|) :meth:`mul_pairs` rounds, not max o(x).
         """
         cached = self._cache.get("orders")
         if cached is not None:
             return cached
         n = self.order
-        orders = np.zeros(n, dtype=np.int64)
-        pending = np.arange(n)
-        cur = pending
-        k = 1
-        while len(pending):
-            if k > n:
-                raise RuntimeError("element order exceeded group order")
-            hit = cur == 0
-            orders[pending[hit]] = k
-            pending, cur = pending[~hit], cur[~hit]
-            cur = self.mul_pairs(cur, pending)
-            k += 1
+        orders = np.ones(n, dtype=np.int64)
+        for p in distinct_primes(n):
+            e, rest = 0, n
+            while rest % p == 0:
+                e, rest = e + 1, rest // p
+            pending = np.arange(n)
+            y = self.powers(pending, rest)
+            for _ in range(e):
+                keep = y != 0
+                pending, y = pending[keep], y[keep]
+                if not pending.size:
+                    break
+                orders[pending] *= p
+                y = self.powers(y, p)
+            if (y != 0).any():
+                raise RuntimeError("element order does not divide group order")
         if orders[0] != 1 or (orders == 1).sum() != 1:
             raise RuntimeError("identity order table invariant violated")
         if (n % orders != 0).any():
@@ -706,7 +723,7 @@ class FiniteGroup:
         # well-definedness: the product coset cannot depend on representatives
         for lo in range(0, n, max(1, (1 << 20) // n)):
             hi = min(n, lo + max(1, (1 << 20) // n))
-            rows = np.stack([self.mul_row(i) for i in range(lo, hi)])
+            rows = self.mul_outer(np.arange(lo, hi))
             if not np.array_equal(coset_of[rows], qtable[coset_of[lo:hi]][:, coset_of]):
                 raise RuntimeError("coset multiplication is not well defined")
         labels = []
@@ -813,10 +830,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n = g.order * h.order
     if g.table is None or h.table is None or n > TABLE_LIMIT:
         raise CapExceededError(f"direct product of order {n} exceeds the table limit {TABLE_LIMIT}")
-    tg = g.table.astype(np.int64)
-    th = h.table.astype(np.int64)
+    # int32 throughout: the tables are int32 and every index is below n
     table = (
-        tg[:, None, :, None] * h.order + th[None, :, None, :]
+        g.table[:, None, :, None] * h.order + h.table[None, :, None, :]
     ).reshape(n, n)
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
     prod = FiniteGroup(

@@ -41,3 +41,17 @@ def a4():
 @pytest.fixture(scope="session")
 def a5():
     return cg.alternating(5)
+
+
+@pytest.fixture()
+def tableless_copy(monkeypatch):
+    """g on the permutation backend, same indices: element i acts as x -> x*i
+    (the right regular representation, built with the table limit at 0)."""
+
+    def copy(g):
+        monkeypatch.setattr(cg.core, "TABLE_LIMIT", 0)
+        h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
+        assert h.table is None
+        return h
+
+    return copy

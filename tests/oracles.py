@@ -26,6 +26,31 @@ def slow_element_order(g: FiniteGroup, i: int) -> int:
     return k
 
 
+def slow_pair_witness(g: FiniteGroup, holds) -> tuple[int, int] | None:
+    """First pair (a, b) in row-major order with not holds(o(a), o(b), o(ab)).
+
+    Products come from the rows of g as Python lists and orders from
+    repeated multiplication by them; ``holds`` gets three Python ints, and
+    the pairs are tried one at a time, row by row.  None when every pair
+    holds.
+    """
+    n = g.order
+    table = [g.mul_row(i).tolist() for i in range(n)]
+    orders = []
+    for x in range(n):
+        k, cur = 1, x
+        while cur != 0:
+            cur = table[cur][x]
+            k += 1
+        orders.append(k)
+    for a in range(n):
+        row = table[a]
+        for b in range(n):
+            if not holds(orders[a], orders[b], orders[row[b]]):
+                return a, b
+    return None
+
+
 def slow_perm_order(p: Permutation) -> int:
     """Repeated composition oracle for permutation order."""
     k = 1

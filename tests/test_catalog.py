@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import cpgroups as cg
@@ -84,6 +86,41 @@ class TestConstructors:
             cg.cyclic(20000)
         with pytest.raises(CapExceededError):
             cg.symmetric(8)
+
+
+class TestTableCap:
+    """The table families stop at TABLE_LIMIT before allocating and build int32 directly."""
+
+    TABLE_BYTES = cg.core.TABLE_LIMIT**2 * 4  # the int32 table of order 4096
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["cyclic:4097", "cyclic:10000", "dihedral:4098", "dicyclic:4100", "elemab:2^13", "elemab:17^3"],
+    )
+    def test_over_the_cap_raises_before_allocating(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="TABLE_LIMIT=4096"):
+                cg.group_from_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("spec", ["cyclic:4096", "elemab:2^12"])
+    def test_build_peak_is_bounded_by_three_tables(self, spec):
+        tracemalloc.start()
+        try:
+            g = cg.group_from_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.order == 4096 and g.table.dtype == np.int32
+        assert peak <= 3 * self.TABLE_BYTES
+
+    def test_catalog_iter_over_the_cap_raises_before_building(self):
+        with pytest.raises(CapExceededError, match="TABLE_LIMIT=4096"):
+            next(cg.catalog_iter(5000))
 
 
 class TestPsl2:

@@ -42,6 +42,38 @@ class TestAnalyze:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "spec", ["cyclic:4097", "dihedral:4098", "dicyclic:4100", "elemab:2^13", "elemab:17^3"]
+    )
+    def test_table_families_over_the_table_cap_exit_3(self, capsys, spec):
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert code == 3
+        assert out == ""
+        assert "cap" in err and "TABLE_LIMIT=4096" in err
+
+    def test_symmetric_7_on_the_permutation_backend(self, capsys):
+        # order 5040, above the table and distance-matrix caps: classified
+        # from its order table and pair scans alone
+        code, out, _ = run_cli(capsys, "analyze", "symmetric:7", "--format", "records")
+        assert code == 0
+        records = dict(line.split("=", 1) for line in out.splitlines())
+        code, ref, _ = run_cli(capsys, "analyze", "psl2:17", "--format", "records")
+        assert code == 0
+        # psl2:17 is in cp, so its report has no cp witness lines
+        keys = [key for key in records if not key.startswith("cp_witness_")]
+        assert keys == [line.split("=", 1)[0] for line in ref.splitlines()]
+        assert records["order"] == "5040"
+        assert (records["metric_identity"], records["metric_symmetry"]) == ("true", "true")
+        expected = {
+            "cp": ("(2 3 4 5 6 7)", "(2 3 4 5 6 7)", "6,6,6"),
+            "cp2": ("(1 2)", "(2 3 4 5 6 7)", "2,6,7"),
+            "cp3": ("(1 2)", "(1 3 5 7 2 4 6)", "2,7,12"),
+        }
+        for tag, (a, b, orders) in expected.items():
+            assert records[tag] == "false"
+            got = tuple(records[f"{tag}_witness_{field}"] for field in ("a", "b", "orders"))
+            assert got == (a, b, orders)
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
         code, out, _ = run_cli(capsys, "analyze", "cyclic:4", "--output", str(target))
@@ -100,6 +132,18 @@ class TestClassify:
         assert len(lines) == 1
         for flag in ("cp=true", "cp2=true", "cp3=true", "solvable=true"):
             assert flag in lines[0]
+
+    def test_max_order_over_the_table_cap_exit_3_before_building(self, capsys, monkeypatch):
+        from cpgroups import catalog
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group was built")
+
+        monkeypatch.setattr(catalog, "cyclic", refuse)
+        code, out, err = run_cli(capsys, "classify", "--max-order", "5000")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err and "TABLE_LIMIT=4096" in err
 
     def test_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

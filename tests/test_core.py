@@ -124,6 +124,47 @@ class TestOrderTable:
         assert ot.max_order == 4
         assert ot.primes == (2, 3)
 
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
+    def test_matches_slow_oracle_on_both_backends(self, name, tableless_copy):
+        g = cg.group_from_spec(name)
+        expected = [slow_element_order(g, i) for i in range(g.order)]
+        for grp in (g, tableless_copy(g)):
+            assert grp.order_table().orders.tolist() == expected
+
+    @pytest.mark.parametrize("spec", ["cyclic:4096", "dicyclic:4096", "cyclic:2310"])
+    def test_large_groups_match_slow_oracle(self, spec):
+        # cyclic:2310 = 2 * 3 * 5 * 7 * 11 runs one pass per prime
+        g = cg.group_from_spec(spec)
+        expected = [slow_element_order(g, i) for i in range(g.order)]
+        assert g.order_table().orders.tolist() == expected
+
+    def test_cyclic_4096_takes_one_round_per_prime_power_step(self, monkeypatch):
+        # one squaring per step of 2^12; a loop over the powers x^k would
+        # take 4096 rounds
+        g = cg.cyclic(4096)
+        rounds = []
+        mul_pairs = g.mul_pairs
+        monkeypatch.setattr(g, "mul_pairs", lambda a, b: rounds.append(len(a)) or mul_pairs(a, b))
+        assert g.order_table().max_order == 4096
+        assert len(rounds) == 12
+
+    def test_order_not_dividing_the_group_order_raises(self, monkeypatch):
+        # products taken mod 8 on four elements: 1 has order 8, and after
+        # the two squarings that 4 = 2^2 allows, 1^4 is still not the identity
+        g = cg.cyclic(4)
+        monkeypatch.setattr(g, "mul_pairs", lambda a, b: (a + b) % 8)
+        with pytest.raises(RuntimeError, match="element order does not divide group order"):
+            g.order_table()
+
+    def test_powers_match_repeated_multiplication(self, s4):
+        x = np.arange(s4.order)
+        for k in range(0, 14):
+            expected = [0] * s4.order
+            for _ in range(k):
+                expected = [s4.mul(e, i) for e, i in zip(expected, range(s4.order))]
+            assert s4.powers(x, k).tolist() == expected
+            assert [s4.power(i, k) for i in range(s4.order)] == expected
+
 
 class TestConjugacyClasses:
     def test_abelian_all_singletons(self, z6):
@@ -353,14 +394,6 @@ class TestTablelessBackend:
         assert is_cp2(tableless_s4)[0] == is_cp2(s4)[0]
 
 
-def _tableless_copy(g, monkeypatch):
-    """g on the permutation backend, same indices: element i acts as x -> x*i."""
-    monkeypatch.setattr(cg.core, "TABLE_LIMIT", 0)
-    h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
-    assert h.table is None
-    return h
-
-
 _PERM_FAMILIES = ("symmetric", "alternating", "psl2")
 
 
@@ -432,20 +465,20 @@ class TestClosureKernel:
     """span, derived_series and is_simple against the slow oracles, on both backends."""
 
     @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
-    def test_agrees_with_oracles_on_both_backends(self, name, monkeypatch):
+    def test_agrees_with_oracles_on_both_backends(self, name, tableless_copy):
         g = cg.group_from_spec(name)
         rng = np.random.default_rng(g.order)
         gen_sets = [rng.choice(g.order, size=min(k, g.order), replace=False) for k in (1, 1, 2, 3)]
         slow_spans = [sorted(_slow_closure(g, set(gens.tolist()))) for gens in gen_sets]
         slow_series = [sorted(m) for m in slow_derived_series(g)]
         simple = slow_is_simple(g)
-        for grp in (g, _tableless_copy(g, monkeypatch)):
+        for grp in (g, tableless_copy(g)):
             assert [grp.span(gens).tolist() for gens in gen_sets] == slow_spans
             assert [s.indices().tolist() for s in grp.derived_series()] == slow_series
             assert [s.size for s in grp.derived_series()] == [len(m) for m in slow_series]
             assert grp.is_simple() == simple
 
-    def test_perfect_but_not_simple(self, monkeypatch):
+    def test_perfect_but_not_simple(self, tableless_copy):
         # SL(2,5), order 120, acting on the 24 nonzero vectors of GF(5)^2:
         # perfect, so only the class {-I} of its centre shows it is not simple
         vectors = [(x, y) for x in range(5) for y in range(5) if (x, y) != (0, 0)]
@@ -459,18 +492,18 @@ class TestClosureKernel:
         assert [s.size for s in g.derived_series()] == slow_derived_series_sizes(g) == [120]
         assert not slow_is_simple(g)
         assert not g.is_simple()
-        assert not _tableless_copy(g, monkeypatch).is_simple()
+        assert not tableless_copy(g).is_simple()
 
 
 class TestJoinClosure:
     """all_subgroups and normal_subgroups against the slow oracles, on both backends."""
 
     @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
-    def test_agrees_with_oracles_on_both_backends(self, name, monkeypatch):
+    def test_agrees_with_oracles_on_both_backends(self, name, tableless_copy):
         g = cg.group_from_spec(name)
         subgroups = slow_subgroups(g)
         normal = slow_normal_subgroups(g)
-        for grp in (g, _tableless_copy(g, monkeypatch)):
+        for grp in (g, tableless_copy(g)):
             assert sorted(tuple(s.indices().tolist()) for s in all_subgroups(grp)) == subgroups
             assert sorted(tuple(s.indices().tolist()) for s in grp.normal_subgroups()) == normal
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from cpgroups.metric import (
     triangle_audit,
 )
 
-from oracles import slow_triangle_holds, slow_ultrametric_holds
+from oracles import (
+    slow_element_order,
+    slow_pair_witness,
+    slow_triangle_holds,
+    slow_ultrametric_holds,
+)
 
 
 class TestDistance:
@@ -54,8 +61,8 @@ class TestDistanceMatrix:
         assert (np.diag(d) == 0).all()
 
     def test_cap(self):
-        big = cg.cyclic(5000)
-        with pytest.raises(CapExceededError):
+        big = cg.symmetric(7)  # order 5040, above TABLE_LIMIT
+        with pytest.raises(CapExceededError, match="TABLE_LIMIT"):
             distance_matrix(big)
 
 
@@ -161,6 +168,87 @@ class TestCustomScanHook:
         assert ok and wit is None
 
 
+# (numpy condition as the scan calls it, the same condition on Python ints)
+_SCAN_CONDITIONS = {
+    "CP2": (lambda oa, ob, oab: oab <= np.maximum(oa, ob), lambda oa, ob, oab: oab <= max(oa, ob)),
+    "CP3": (lambda oa, ob, oab: oab < oa + ob, lambda oa, ob, oab: oab < oa + ob),
+    "lcm": (
+        lambda oa, ob, oab: np.lcm(oa, ob) % oab == 0,
+        lambda oa, ob, oab: math.lcm(oa, ob) % oab == 0,
+    ),
+}
+
+
+def _assert_scans_match_slow_witness(g):
+    predicates = {"CP2": is_cp2, "CP3": is_cp3}
+    for tag, (fast, slow) in _SCAN_CONDITIONS.items():
+        if tag in predicates:
+            ok, wit = predicates[tag](g)
+        else:
+            ok, wit = scan_pair_order_condition(g, fast, tag=tag)
+        expected = slow_pair_witness(g, slow)
+        assert ok == (expected is None), tag
+        if expected is not None:
+            a, b = expected
+            assert (wit.a_index, wit.b_index, wit.violated) == (a, b, tag)
+            assert (wit.a_order, wit.b_order, wit.ab_order) == (
+                slow_element_order(g, a),
+                slow_element_order(g, b),
+                slow_element_order(g, g.mul(a, b)),
+            )
+
+
+class TestBlockPairScan:
+    """Witnesses of the block scan against a pure-Python pair-by-pair scan."""
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(200)])
+    def test_table_backend_matches_slow_witness(self, name):
+        _assert_scans_match_slow_witness(cg.group_from_spec(name))
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
+    def test_permutation_backend_matches_slow_witness(self, name, tableless_copy):
+        _assert_scans_match_slow_witness(tableless_copy(cg.group_from_spec(name)))
+
+    def test_blocks_double_up_to_the_entry_bound(self, monkeypatch):
+        monkeypatch.setattr(cg.metric, "_SCAN_ENTRIES", 16 * 128)
+        shapes = []
+
+        def record(oa, ob, oab):
+            shapes.append(oab.shape)
+            assert oa.shape == (oab.shape[0], 1) and ob.shape == (1, 128)
+            return oab >= 1
+
+        assert scan_pair_order_condition(cg.elementary_abelian(2, 7), record) == (True, None)
+        assert [rows for rows, _ in shapes] == [1, 2, 4, 8] + [16] * 7 + [1]
+        assert {cols for _, cols in shapes} == {128}
+
+    @pytest.mark.parametrize(
+        "name", ["cyclic:60", "dihedral:120", "dicyclic:96", "symmetric:4", "psl2:5", "elemab:2^7"]
+    )
+    def test_witnesses_unchanged_when_the_bound_binds(self, name, monkeypatch):
+        # 3 rows a block at most, so the witness rows sit many blocks in
+        g = cg.group_from_spec(name)
+        monkeypatch.setattr(cg.metric, "_SCAN_ENTRIES", 3 * g.order + 1)
+        _assert_scans_match_slow_witness(g)
+
+    def test_condition_may_return_a_broadcastable_array(self, z6):
+        # a condition on the a-orders alone is a column; it fails first at a = 1
+        ok, wit = scan_pair_order_condition(z6, lambda oa, ob, oab: oa < 2, tag="col")
+        assert not ok and (wit.a_index, wit.b_index) == (1, 0)
+
+    def test_symmetric_7_needs_no_distance_matrix(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(cg.metric, "distance_matrix", refuse)
+        g = cg.symmetric(7)
+        assert g.table is None
+        r = classify(g)
+        assert r.metric.identity and r.metric.symmetry
+        assert not r.in_cp and not r.in_cp2 and not r.in_cp3
+        assert (r.cp3_witness.a_order, r.cp3_witness.b_order, r.cp3_witness.ab_order) == (2, 7, 12)
+
+
 class TestMetricAxioms:
     def test_s3_all_axioms_hold(self, s3):
         ax = check_metric_axioms(s3)
@@ -179,6 +267,24 @@ class TestMetricAxioms:
         ax = check_metric_axioms(q8)
         assert ax.identity and ax.symmetry and ax.triangle and ax.ultrametric
 
+    @pytest.mark.parametrize(
+        "orders,identity,symmetry",
+        [
+            ([1, 6, 3, 2, 3, 6], True, True),
+            ([1, 6, 1, 2, 1, 6], False, True),  # a^2 and a^4 at distance 0 from e
+            ([1, 6, 3, 2, 2, 6], True, False),  # o(a^2) != o(a^4) = o((a^2)^-1)
+        ],
+    )
+    def test_identity_and_symmetry_are_read_off_the_orders(
+        self, orders, identity, symmetry, monkeypatch
+    ):
+        # cyclic:6 with a substituted order table: inverses are i -> 6 - i
+        g = cg.cyclic(6)
+        table = cg.core.OrderTable(orders=np.array(orders), max_order=6, primes=(2, 3))
+        monkeypatch.setattr(g, "order_table", lambda: table)
+        ax = check_metric_axioms(g)
+        assert (ax.identity, ax.symmetry) == (identity, symmetry)
+
     def test_audit_agrees_with_reduction(self, s3, z6, q8, d8):
         for g in (s3, z6, q8, d8):
             ax = check_metric_axioms(g, audit=True)
@@ -189,6 +295,14 @@ class TestMetricAxioms:
         for g in (cg.symmetric(3), cg.cyclic(6), cg.dicyclic(2), cg.dihedral(4), cg.cyclic(8)):
             assert triangle_audit(g) == slow_triangle_holds(g)
             assert is_cp2(g)[0] == slow_ultrametric_holds(g)
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(24)])
+    def test_identity_and_symmetry_match_the_distance_matrix(self, name):
+        g = cg.group_from_spec(name)
+        d = distance_matrix(g)
+        ax = check_metric_axioms(g)
+        assert ax.identity == bool(((d == 0) == np.eye(g.order, dtype=bool)).all())
+        assert ax.symmetry == bool(np.array_equal(d, d.T))
 
     def test_audit_cap(self):
         with pytest.raises(CapExceededError):
