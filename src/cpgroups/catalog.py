@@ -437,14 +437,21 @@ def catalog_entries(max_order: int) -> list[CatalogEntry]:
     return entries
 
 
-def catalog_iter(max_order: int) -> Iterator[tuple[str, FiniteGroup]]:
-    """Stream of (name, group) over the catalog, in deterministic order.
+def sweep_entries(max_order: int) -> list[CatalogEntry]:
+    """Catalog entries for a sweep that builds every listed group.
 
-    A bound above TABLE_LIMIT lists cyclic:(TABLE_LIMIT + 1), whose table is
-    over the cap, so it raises before any group is built.
+    The catalog lists cyclic:n for every n up to its bound, so a sweep is
+    refused above TABLE_LIMIT before any group is built.  Listing alone
+    goes up to ELEMENT_CAP, where the permutation families build without
+    a table.
     """
     _check_table_cap(max_order)
-    for entry in catalog_entries(max_order):
+    return catalog_entries(max_order)
+
+
+def catalog_iter(max_order: int) -> Iterator[tuple[str, FiniteGroup]]:
+    """Stream of (name, group) over the catalog, in deterministic order."""
+    for entry in sweep_entries(max_order):
         yield entry.name, entry.build()
 
 

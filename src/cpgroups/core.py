@@ -19,6 +19,9 @@ TABLE_LIMIT = 4096
 ELEMENT_CAP = 10000
 ASSOC_CAP = 512
 SUBGROUP_CAP = 400
+# entries per block of the vectorized row loops (table build, closure test,
+# quotient check, pair scans), so a block stays near 8 MB of int64
+BLOCK_ENTRIES = 1 << 20
 # A normal subgroup is a union of conjugacy classes, so a group with at most
 # this many nontrivial classes has at most 2^20 of them whatever its order;
 # FiniteGroup.normal_subgroups applies its order cap only above this count.
@@ -29,6 +32,11 @@ _ASSOC_SAMPLES = 512
 
 class CapExceededError(RuntimeError):
     """A desk-scale cap (element count, table size, enumeration bound) was exceeded."""
+
+
+def rows_per_block(width: int) -> int:
+    """Rows of a given width that fit in one block of BLOCK_ENTRIES entries (at least one)."""
+    return max(1, BLOCK_ENTRIES // max(width, 1))
 
 
 def distinct_primes(n: int) -> tuple[int, ...]:
@@ -216,7 +224,7 @@ class FiniteGroup:
         """
         P = self._perms
         n, degree = P.shape
-        block = max(1, (1 << 20) // n)
+        block = rows_per_block(n)
         table = np.empty((n, n), dtype=np.int32)
         table[0] = np.arange(n)
         reached = np.zeros(n, dtype=bool)
@@ -574,7 +582,7 @@ class FiniteGroup:
         members = np.zeros(self.order, dtype=bool)
         members[indices] = True
         m = len(indices)
-        chunk = max(1, (1 << 20) // max(m, 1))
+        chunk = rows_per_block(m)
         for lo in range(0, m, chunk):
             if not members[self.mul_outer(indices[lo : lo + chunk], indices)].all():
                 return False
@@ -721,8 +729,9 @@ class FiniteGroup:
         coset_of = np.searchsorted(reps, rep)
         qtable = coset_of[self.mul_outer(reps, reps)]
         # well-definedness: the product coset cannot depend on representatives
-        for lo in range(0, n, max(1, (1 << 20) // n)):
-            hi = min(n, lo + max(1, (1 << 20) // n))
+        block = rows_per_block(n)
+        for lo in range(0, n, block):
+            hi = min(n, lo + block)
             rows = self.mul_outer(np.arange(lo, hi))
             if not np.array_equal(coset_of[rows], qtable[coset_of[lo:hi]][:, coset_of]):
                 raise RuntimeError("coset multiplication is not well defined")

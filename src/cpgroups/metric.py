@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import TABLE_LIMIT, CapExceededError, FiniteGroup, distinct_primes
+from .core import TABLE_LIMIT, CapExceededError, FiniteGroup, distinct_primes, rows_per_block
 
 AUDIT_CAP = 60
 
@@ -87,9 +87,6 @@ def distance_matrix(g: FiniteGroup) -> np.ndarray:
 
 PairCondition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-# entries per block of the pair scan, the bound the table build uses too
-_SCAN_ENTRIES = 1 << 20
-
 
 def scan_pair_order_condition(
     g: FiniteGroup, satisfies: PairCondition, tag: str = "custom"
@@ -124,7 +121,7 @@ def scan_pair_order_condition(
                 violated=tag,
             )
         lo += len(a)
-        rows = min(2 * rows, max(1, _SCAN_ENTRIES // n))
+        rows = min(2 * rows, rows_per_block(n))
     return True, None
 
 

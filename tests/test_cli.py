@@ -153,6 +153,20 @@ class TestClassify:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("target", ["theorem1", "theorem4", "subgroup-closure"])
+    def test_max_order_over_the_table_cap_exit_3_before_building(self, target, capsys, monkeypatch):
+        from cpgroups import catalog
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a group was built")
+
+        for family in ("cyclic", "dihedral", "dicyclic", "symmetric", "alternating"):
+            monkeypatch.setattr(catalog, family, refuse)
+        code, out, err = run_cli(capsys, "verify", target, "--max-order", "5000")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err and "TABLE_LIMIT=4096" in err
+
     def test_theorem1_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "theorem1", "--max-order", "60")
         assert code == 0

@@ -210,7 +210,7 @@ class TestBlockPairScan:
         _assert_scans_match_slow_witness(tableless_copy(cg.group_from_spec(name)))
 
     def test_blocks_double_up_to_the_entry_bound(self, monkeypatch):
-        monkeypatch.setattr(cg.metric, "_SCAN_ENTRIES", 16 * 128)
+        monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", 16 * 128)
         shapes = []
 
         def record(oa, ob, oab):
@@ -228,7 +228,7 @@ class TestBlockPairScan:
     def test_witnesses_unchanged_when_the_bound_binds(self, name, monkeypatch):
         # 3 rows a block at most, so the witness rows sit many blocks in
         g = cg.group_from_spec(name)
-        monkeypatch.setattr(cg.metric, "_SCAN_ENTRIES", 3 * g.order + 1)
+        monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", 3 * g.order + 1)
         _assert_scans_match_slow_witness(g)
 
     def test_condition_may_return_a_broadcastable_array(self, z6):
