@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import (
     CapExceededError,
     ELEMENT_CAP,
-    TABLE_LIMIT,
     FiniteGroup,
+    check_table_cap,
     direct_product,
     distinct_primes,
     from_permutation_set,
@@ -61,14 +61,6 @@ class FieldTable:
     neg: np.ndarray
     inv: np.ndarray
     reduction: tuple[int, ...]
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
 
 def _poly_mul_mod(a: list[int], b: list[int], red: tuple[int, ...], p: int) -> list[int]:
@@ -151,34 +143,7 @@ def make_field(p: int, k: int) -> FieldTable:
     return field
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """Point of the projective line over GF(q): a field element or infinity."""
-
-    value: Optional[int]
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    @classmethod
-    def infinity(cls) -> "ProjectivePoint":
-        return cls(value=None)
-
-    def index(self, q: int) -> int:
-        return q if self.value is None else self.value
-
-
 # -- table-built families --------------------------------------------------
-
-
-def _check_table_cap(order: int) -> None:
-    """The table families build an order x order int32 table: refuse before
-    allocating it when the order exceeds TABLE_LIMIT."""
-    if order > TABLE_LIMIT:
-        raise CapExceededError(
-            f"order {order} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}"
-        )
 
 
 def _fill_mod(out: np.ndarray, m: int, sign: int, shift: int = 0, offset: int = 0) -> None:
@@ -194,7 +159,7 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n."""
     if n < 1:
         raise ValueError("order must be positive")
-    _check_table_cap(n)
+    check_table_cap(n)
     table = np.empty((n, n), dtype=np.int32)
     _fill_mod(table, n, 1)
     labels = _power_labels(n)
@@ -230,7 +195,7 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
     order = 2 * n
-    _check_table_cap(order)
+    check_table_cap(order)
     table = _metacyclic_table(n, 0)
     labels = _power_labels(n) + _power_labels(n, suffix="b")
     grp = FiniteGroup(table=table, labels=labels, name=f"dihedral:{order}", source="cayley-table")
@@ -248,7 +213,7 @@ def dicyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
     order = 4 * n
-    _check_table_cap(order)
+    check_table_cap(order)
     m = 2 * n
     table = _metacyclic_table(m, n)
     labels = _power_labels(m) + _power_labels(m, suffix="b")
@@ -265,7 +230,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if k < 1:
         raise ValueError("k must be positive")
     n = p**k
-    _check_table_cap(n)
+    check_table_cap(n)
     ar = np.arange(n, dtype=np.int32)
     table = np.zeros((n, n), dtype=np.int32)
     digit_sum = np.empty((n, n), dtype=np.int32)
@@ -445,7 +410,7 @@ def sweep_entries(max_order: int) -> list[CatalogEntry]:
     goes up to ELEMENT_CAP, where the permutation families build without
     a table.
     """
-    _check_table_cap(max_order)
+    check_table_cap(max_order)
     return catalog_entries(max_order)
 
 

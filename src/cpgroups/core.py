@@ -4,6 +4,11 @@ A group is a total multiplication over indices 0..n-1.  Groups with at most
 TABLE_LIMIT elements materialize the full Cayley table; larger permutation
 groups compose image arrays on demand, one block of products at a time,
 so pair scans stay vectorized without an n x n table in memory.
+
+Only construction and the three multiplication primitives :meth:`FiniteGroup.mul`,
+:meth:`FiniteGroup.mul_pairs` and :meth:`FiniteGroup.mul_outer` know which
+of the two backends a group has; every other algorithm is written once on
+top of them.
 """
 
 from __future__ import annotations
@@ -32,6 +37,15 @@ _ASSOC_SAMPLES = 512
 
 class CapExceededError(RuntimeError):
     """A desk-scale cap (element count, table size, enumeration bound) was exceeded."""
+
+
+def check_table_cap(order: int, what: str = "order") -> None:
+    """Refuse a group whose order x order Cayley table would exceed
+    TABLE_LIMIT, before the table is allocated or any product formed."""
+    if order > TABLE_LIMIT:
+        raise CapExceededError(
+            f"{what} {order} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}"
+        )
 
 
 def rows_per_block(width: int) -> int:
@@ -104,7 +118,8 @@ class OrderTable:
 
 
 def _perm_dtype(degree: int):
-    return np.uint8 if degree <= 255 else np.uint16
+    """The smallest unsigned dtype that holds every point 0..degree-1."""
+    return np.min_scalar_type(degree - 1)
 
 
 class _PermIndex:
@@ -313,20 +328,6 @@ class FiniteGroup:
             return int(self._table[i, j])
         return int(self._index.lookup(self._perms[j][self._perms[i]][None, :])[0])
 
-    def mul_row(self, i: int) -> np.ndarray:
-        """Products i*y for every y, as an index vector."""
-        if self._table is not None:
-            return self._table[i]
-        P = self._perms
-        return self._index.lookup(P[:, P[i]])
-
-    def mul_col(self, j: int) -> np.ndarray:
-        """Products x*j for every x."""
-        if self._table is not None:
-            return self._table[:, j]
-        P = self._perms
-        return self._index.lookup(P[j][P])
-
     def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise products of two equal-length index vectors."""
         a = np.asarray(a, dtype=np.int64)
@@ -446,24 +447,20 @@ class FiniteGroup:
         return classes
 
     def center(self) -> np.ndarray:
-        """Indices of elements commuting with everything."""
-        if self._table is not None:
-            return np.flatnonzero((self._table == self._table.T).all(axis=1))
-        return np.array(
-            [i for i in range(self.order) if np.array_equal(self.mul_row(i), self.mul_col(i))]
-        )
+        """Indices of elements commuting with everything: z is central iff it
+        commutes with each generator (:meth:`_generators`)."""
+        gens = np.array(self._generators(), dtype=np.int64)
+        zg = self.mul_outer(np.arange(self.order), gens)
+        return np.flatnonzero((zg == self.mul_outer(gens).T).all(axis=1))
 
     @property
     def is_abelian(self) -> bool:
+        """Whether the generators (:meth:`_generators`) commute pairwise; cached."""
         cached = self._cache.get("abelian")
         if cached is None:
-            if self._table is not None:
-                cached = bool(np.array_equal(self._table, self._table.T))
-            else:
-                cached = all(
-                    np.array_equal(self.mul_row(i), self.mul_col(i)) for i in range(self.order)
-                )
-            self._cache["abelian"] = cached
+            gens = np.array(self._generators(), dtype=np.int64)
+            prods = self.mul_outer(gens, gens)
+            cached = self._cache["abelian"] = bool(np.array_equal(prods, prods.T))
         return cached
 
     def is_p_group(self) -> Union[int, str, None]:
@@ -694,16 +691,15 @@ class FiniteGroup:
         if idx[0] != 0:
             raise ValueError("subgroup must contain the identity (index 0)")
         m = len(idx)
+        check_table_cap(m, "subgroup order")
         remap = np.full(self.order, -1, dtype=np.int64)
         remap[idx] = np.arange(m)
         prods = remap[self.mul_outer(idx, idx)]
         if (prods < 0).any():
             raise ValueError("index set is not closed under multiplication")
         labels = [self.labels[i] for i in idx]
-        perms = self._perms[idx] if self._perms is not None else None
         return FiniteGroup(
             table=prods,
-            perms=perms,
             labels=labels,
             name=f"{self.name}[sub:{m}]",
             source="cayley-table",
@@ -714,22 +710,24 @@ class FiniteGroup:
         idx = sub.indices()
         if idx.size == 0 or idx[0] != 0:
             raise ValueError("normal subgroup must contain the identity")
+        n = self.order
+        qn = n // sub.size
+        check_table_cap(qn, "quotient order")
         if not self.is_closed_subset(idx):
             raise ValueError("index set is not a subgroup")
         if not self._is_normal_members(idx):
             raise ValueError("subgroup is not normal")
-        n = self.order
+        # the coset N*x is represented by its smallest member, min over m of m*x
+        block = rows_per_block(n)
         rep = np.full(n, n, dtype=np.int64)
-        for m in idx:
-            rep = np.minimum(rep, self.mul_row(int(m)).astype(np.int64))
+        for lo in range(0, len(idx), block):
+            rep = np.minimum(rep, self.mul_outer(idx[lo : lo + block]).min(axis=0))
         reps = np.unique(rep)
-        qn = n // sub.size
         if len(reps) != qn:
             raise RuntimeError("coset count mismatch")
         coset_of = np.searchsorted(reps, rep)
         qtable = coset_of[self.mul_outer(reps, reps)]
         # well-definedness: the product coset cannot depend on representatives
-        block = rows_per_block(n)
         for lo in range(0, n, block):
             hi = min(n, lo + block)
             rows = self.mul_outer(np.arange(lo, hi))
@@ -844,11 +842,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         g.table[:, None, :, None] * h.order + h.table[None, :, None, :]
     ).reshape(n, n)
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
-    prod = FiniteGroup(
+    return FiniteGroup(
         table=table,
         labels=labels,
         name=f"product:{g.name},{h.name}",
         source="product",
     )
-    prod._cache["abelian"] = g.is_abelian and h.is_abelian
-    return prod

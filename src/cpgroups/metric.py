@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -76,16 +76,30 @@ def distance_matrix(g: FiniteGroup) -> np.ndarray:
         raise CapExceededError(
             f"order {g.order} exceeds the distance-matrix cap TABLE_LIMIT={TABLE_LIMIT}"
         )
-    orders = g.order_table().orders
-    rows = np.empty((g.order, g.order), dtype=np.int64)
-    for x in range(g.order):
-        rows[x] = orders[g.mul_row(x)[g.inv]]
-    return rows - 1
+    n = g.order
+    dist = g.order_table().orders - 1
+    d = np.empty((n, n), dtype=np.int64)
+    block = rows_per_block(n)
+    for lo in range(0, n, block):
+        x = np.arange(lo, min(n, lo + block))
+        d[x] = dist[g.mul_outer(x)[:, g.inv]]
+    return d
 
 
 # -- pair scans ----------------------------------------------------------
 
 PairCondition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _doubling_blocks(n: int) -> Iterator[np.ndarray]:
+    """Consecutive blocks of the rows 0..n-1 of an n x n pair scan: one row
+    first, then twice as many each time, up to :func:`core.rows_per_block`,
+    so an early hit costs about one row and a full scan O(log n) rounds."""
+    lo, rows = 0, 1
+    while lo < n:
+        yield np.arange(lo, min(n, lo + rows))
+        lo += rows
+        rows = min(2 * rows, rows_per_block(n))
 
 
 def scan_pair_order_condition(
@@ -104,9 +118,7 @@ def scan_pair_order_condition(
     """
     orders = g.order_table().orders
     n = g.order
-    lo, rows = 0, 1
-    while lo < n:
-        a = np.arange(lo, min(n, lo + rows))
+    for a in _doubling_blocks(n):
         oab = orders[g.mul_outer(a)]
         ok = satisfies(orders[a][:, None], orders[None, :], oab)
         ok = np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape)
@@ -120,8 +132,6 @@ def scan_pair_order_condition(
                 ab_order=int(oab[i, b]),
                 violated=tag,
             )
-        lo += len(a)
-        rows = min(2 * rows, rows_per_block(n))
     return True, None
 
 
@@ -184,20 +194,21 @@ def is_cp(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
 
 
 def involution_product_witness(g: FiniteGroup, threshold: int = 3) -> Optional[Witness]:
-    """Smallest pair of order-2 elements whose product order exceeds threshold."""
+    """Smallest pair of order-2 elements whose product order exceeds threshold,
+    the first in row-major order over the involutions."""
     orders = g.order_table().orders
     invol = np.flatnonzero(orders == 2)
-    for a in invol:
-        oab = orders[g.mul_row(int(a))[invol]]
+    for rows in _doubling_blocks(len(invol)):
+        oab = orders[g.mul_outer(invol[rows], invol)]
         hit = oab > threshold
         if hit.any():
-            b = int(invol[np.argmax(hit)])
+            i, j = divmod(int(np.argmax(hit)), len(invol))
             return Witness(
-                a_index=int(a),
-                b_index=b,
+                a_index=int(invol[rows[i]]),
+                b_index=int(invol[j]),
                 a_order=2,
                 b_order=2,
-                ab_order=int(oab[np.argmax(hit)]),
+                ab_order=int(oab[i, j]),
                 violated="CP3",
             )
     return None

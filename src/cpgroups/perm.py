@@ -123,11 +123,3 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         result = result * Permutation(images)
     return result
 
-
-def perm_compose(p: Permutation, q: Permutation) -> Permutation:
-    """Compose two permutations, applying ``p`` first."""
-    return p * q
-
-
-def perm_order(p: Permutation) -> int:
-    return p.order()

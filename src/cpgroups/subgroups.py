@@ -88,7 +88,8 @@ def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> 
             for a in gens:
                 power, reach = int(a), 1
                 while reach < orders[a]:
-                    shifts.append(g.mul_col(int(g.inv[power])))
+                    # x*c for every x: in an abelian group that is the row c*x
+                    shifts.append(g.mul_outer(g.inv[[power]])[0])
                     power, reach = g.mul(power, power), 2 * reach
         joins.append((np.array(gens, dtype=np.int64), shifts))
     levels = [frontier]
@@ -240,18 +241,14 @@ class AbelianScanReport:
 def abelian_subgroup_scan(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> AbelianScanReport:
     """List abelian subgroups and check each has prime-power order."""
     subs = all_subgroups(g, cap=cap)
-    table = g.table
     parent_abelian = g.is_abelian
     entries = []
     for s in subs:
-        idx = s.indices()
-        if parent_abelian:
-            commutes = True
-        else:
-            block = table[np.ix_(idx, idx)]
-            commutes = bool(np.array_equal(block, block.T))
-        if not commutes:
-            continue
+        if not parent_abelian:
+            idx = s.indices()
+            prods = g.mul_outer(idx, idx)
+            if not np.array_equal(prods, prods.T):
+                continue
         if s.size == 1:
             flag: Union[int, str, None] = "trivial"
         else:

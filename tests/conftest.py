@@ -46,11 +46,14 @@ def a5():
 @pytest.fixture()
 def tableless_copy(monkeypatch):
     """g on the permutation backend, same indices: element i acts as x -> x*i
-    (the right regular representation, built with the table limit at 0)."""
+    (the right regular representation, built with the table limit at 0; the
+    limit is restored afterwards, so the copy's subgroups and quotients are
+    realized as usual)."""
 
     def copy(g):
-        monkeypatch.setattr(cg.core, "TABLE_LIMIT", 0)
-        h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
+        with monkeypatch.context() as m:
+            m.setattr(cg.core, "TABLE_LIMIT", 0)
+            h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
         assert h.table is None
         return h
 

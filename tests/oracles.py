@@ -29,13 +29,13 @@ def slow_element_order(g: FiniteGroup, i: int) -> int:
 def slow_pair_witness(g: FiniteGroup, holds) -> tuple[int, int] | None:
     """First pair (a, b) in row-major order with not holds(o(a), o(b), o(ab)).
 
-    Products come from the rows of g as Python lists and orders from
-    repeated multiplication by them; ``holds`` gets three Python ints, and
-    the pairs are tried one at a time, row by row.  None when every pair
-    holds.
+    Products come from the rows of g (:meth:`FiniteGroup.mul_outer` of all
+    elements) as Python lists and orders from repeated multiplication by
+    them; ``holds`` gets three Python ints, and the pairs are tried one at a
+    time, row by row.  None when every pair holds.
     """
     n = g.order
-    table = [g.mul_row(i).tolist() for i in range(n)]
+    table = g.mul_outer(np.arange(n)).tolist()
     orders = []
     for x in range(n):
         k, cur = 1, x
@@ -96,6 +96,12 @@ def slow_conjugacy_sizes(g: FiniteGroup) -> list[int]:
     return sorted(sizes)
 
 
+def slow_center(g: FiniteGroup) -> list[int]:
+    """Elements z with z*x == x*z for every x, one pair at a time."""
+    n = g.order
+    return [z for z in range(n) if all(g.mul(z, x) == g.mul(x, z) for x in range(n))]
+
+
 def _slow_closure(g: FiniteGroup, seed: set[int]) -> set[int]:
     members = set(seed) | {0}
     while True:
@@ -149,7 +155,7 @@ def slow_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:
     the identity by the generators; every subgroup is generated by finitely
     many of its elements, so each is reached.
     """
-    table = [g.mul_row(i).tolist() for i in range(g.order)]
+    table = g.mul_outer(np.arange(g.order)).tolist()
 
     def generated(gens: tuple[int, ...]) -> frozenset:
         members = {0}

@@ -162,13 +162,6 @@ class TestPsl2:
         g = cg.psl2(5)
         assert g.perms.shape[1] == 6
 
-    def test_projective_point_indexing(self):
-        pt = cg.ProjectivePoint(value=3)
-        inf = cg.ProjectivePoint.infinity()
-        assert pt.index(5) == 3
-        assert inf.index(5) == 5
-        assert inf.is_infinity and not pt.is_infinity
-
 
 class TestCatalog:
     def test_max_order_8_contains_named_groups(self):

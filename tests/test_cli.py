@@ -98,6 +98,15 @@ class TestFileInputs:
         assert "order: 24" in out
         assert "cp3: false" in out
 
+    @pytest.mark.parametrize("degree", [65536, 70000])
+    def test_generator_file_of_large_degree(self, capsys, tmp_path, degree):
+        # points above 65535 need more than 16 bits
+        path = tmp_path / "transposition.gens"
+        path.write_text(f"degree: {degree}\n(1 2)\n")
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "records")
+        assert code == 0
+        assert "order=2" in out.splitlines()
+
     def test_malformed_table_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.table"
         path.write_text("2\n0 1\n")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -301,6 +303,34 @@ class TestQuotient:
             s3.quotient(sub)
 
 
+class TestDerivedGroupCaps:
+    """subgroup() and quotient() refuse a table above TABLE_LIMIT before
+    they form any product."""
+
+    @pytest.fixture()
+    def s7(self, monkeypatch):
+        g = cg.symmetric(7)  # order 5040, above TABLE_LIMIT
+
+        def refuse(*_):
+            raise AssertionError("a product was formed above the cap")
+
+        for name in ("mul", "mul_pairs", "mul_outer"):
+            monkeypatch.setattr(g, name, refuse)
+        return g
+
+    def _assert_refused_quickly(self, call):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="TABLE_LIMIT=4096"):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+    def test_subgroup_of_the_whole_group(self, s7):
+        self._assert_refused_quickly(lambda: s7.subgroup(np.arange(5040)))
+
+    def test_quotient_by_the_trivial_subgroup(self, s7):
+        self._assert_refused_quickly(lambda: s7.quotient(cg.SubgroupSet.from_indices([0])))
+
+
 class TestDirectProduct:
     def test_orders_multiply(self):
         g = cg.direct_product(cg.cyclic(2), cg.cyclic(3))
@@ -350,8 +380,8 @@ class TestSubgroupSet:
 class TestOrderCommutativityInvariant:
     def test_o_ab_equals_o_ba(self, s4):
         orders = s4.order_table().orders
-        for i in range(s4.order):
-            assert np.array_equal(orders[s4.mul_row(i)], orders[s4.mul_col(i)])
+        ab = s4.mul_outer(np.arange(s4.order))
+        assert np.array_equal(orders[ab], orders[ab.T])
 
 
 class TestTablelessBackend:
@@ -365,9 +395,11 @@ class TestTablelessBackend:
         return g
 
     def test_mul_matches_table_group(self, tableless_s4, s4):
+        ar = np.arange(24)
         for i in range(24):
-            assert np.array_equal(tableless_s4.mul_row(i), s4.mul_row(i))
-            assert np.array_equal(tableless_s4.mul_col(i), s4.mul_col(i))
+            # the row i*y and the column x*i
+            assert np.array_equal(tableless_s4.mul_outer([i]), s4.mul_outer([i]))
+            assert np.array_equal(tableless_s4.mul_outer(ar, [i]), s4.mul_outer(ar, [i]))
         assert tableless_s4.mul(3, 17) == s4.mul(3, 17)
         a, b = np.array([0, 5, 23]), np.array([7, 0, 11, 2])
         outer = tableless_s4.mul_outer(a, b)
