@@ -72,7 +72,7 @@ def is_prime(n: int) -> bool:
     return n > 1 and distinct_primes(n) == (n,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubgroupSet:
     """Subgroup of an ambient group, stored as a bitset over element indices."""
 
@@ -623,7 +623,8 @@ class FiniteGroup:
         elements, so this is :func:`subgroups._join_closure` over the
         distinct normal closures of one representative per conjugacy class
         (:meth:`_normal_closure`); each result is validated as closed and
-        normal.
+        normal, in blocks of subgroups of one size
+        (:func:`subgroups._checked_subgroups`).
 
         Cap: a group of order above ``cap`` raises CapExceededError before
         any enumeration when it is abelian or has more than
@@ -633,7 +634,7 @@ class FiniteGroup:
         a group with at most 20 nontrivial classes has at most 2^20 normal
         subgroups, since each is a union of classes, and no order cap.
         """
-        from .subgroups import _join_closure
+        from .subgroups import _checked_subgroups, _join_closure
 
         if self.order > cap and (
             self.is_abelian or len(self.conjugacy_classes()) - 1 > NORMAL_CLASS_LIMIT
@@ -642,14 +643,7 @@ class FiniteGroup:
                 f"order {self.order} exceeds the subgroup-enumeration cap {cap}"
             )
         atoms = [self._normal_closure(cls[:1]) for cls in self.conjugacy_classes()[1:]]
-        out = []
-        for members in _join_closure(self, atoms):
-            idx = np.flatnonzero(members)
-            if not (self.is_closed_subset(idx) and self._is_normal_members(idx)):
-                raise RuntimeError("enumerated normal subgroup failed validation")
-            out.append(SubgroupSet.from_bool(members))
-        out.sort(key=lambda s: (s.size, s.mask))
-        return out
+        return _checked_subgroups(self, _join_closure(self, atoms), normal=True)
 
     def _is_normal_members(self, indices: np.ndarray) -> bool:
         """Whether g^-1 h g lies in the set for every member h and every
@@ -763,7 +757,10 @@ def from_cayley(
     Row/column 0 must behave as the identity.  Associativity is checked on
     all triples, which bounds n by ``assoc_cap``.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    try:
+        arr = np.asarray(table, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError("table entry out of range") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("Cayley table must be square")
     n = arr.shape[0]

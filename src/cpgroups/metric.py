@@ -162,6 +162,12 @@ PAIR_CONDITIONS: tuple[tuple[Callable, PairCondition], ...] = (
 )
 
 
+def non_prime_power_elements(orders: np.ndarray) -> np.ndarray:
+    """Mask of the elements whose order is neither 1 nor a prime power."""
+    bad_orders = [int(m) for m in np.unique(orders) if len(distinct_primes(int(m))) >= 2]
+    return np.isin(orders, bad_orders)
+
+
 def is_cp(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     """Every element order is 1 or a prime power.
 
@@ -170,10 +176,9 @@ def is_cp(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     product certifies the CP3 failure this implies.
     """
     orders = g.order_table().orders
-    bad_orders = {int(m) for m in np.unique(orders) if len(distinct_primes(int(m))) >= 2}
-    if not bad_orders:
+    bad = non_prime_power_elements(orders)
+    if not bad.any():
         return True, None
-    bad = np.isin(orders, sorted(bad_orders))
     x = int(np.argmax(bad))
     m = int(orders[x])
     p, q = distinct_primes(m)[:2]

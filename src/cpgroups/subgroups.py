@@ -12,41 +12,54 @@ every closure claim downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from itertools import compress
+from typing import Callable, Iterator, Union
 
 import numpy as np
 
 from .core import (
+    BLOCK_ENTRIES,
     SUBGROUP_CAP,
     CapExceededError,
     FiniteGroup,
     SubgroupSet,
     distinct_primes,
 )
-from .metric import PAIR_CONDITIONS, PairCondition
+from .metric import PAIR_CONDITIONS, PairCondition, is_cp, non_prime_power_elements
 
 GroupPredicate = Callable[[FiniteGroup], Union[bool, tuple]]
 
+# products per block of the subgroup checks (closure, normality, pair
+# conditions, commutativity); a sixteenth of BLOCK_ENTRIES keeps a block's
+# int64 temporaries near 512 KB, so checking subgroups in batches needs no
+# more memory than checking them one at a time
+CHECK_ENTRIES = BLOCK_ENTRIES >> 4
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First occurrence of each distinct row of a boolean matrix, in row order,
-    and the rows packed to bits.
 
-    A packed row's bytes are the key of its subgroup in :func:`_join_closure`.
-    For the sort the packed rows are padded to whole uint64 words and
-    lexsorted; the sort is stable, so the first occurrence of a row leads
-    its run of equal rows.
-    """
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows packed to bits, in whole little-endian 64-bit words: bit
+    i of a row is bit i % 64 of its word i // 64."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     m, nbytes = packed.shape
     words = np.zeros((m, -(-nbytes // 8) * 8), dtype=np.uint8)
     words[:, :nbytes] = packed
-    words = words.view(np.uint64)
+    return words.view("<u8")
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrence of each distinct row of a boolean matrix, in row order,
+    and the rows packed to words (:func:`_words`).
+
+    A row's words are the key of its subgroup in :func:`_join_closure`.
+    The words are lexsorted; the sort is stable, so the first occurrence of
+    a row leads its run of equal rows.
+    """
+    words = _words(rows)
     order = np.lexsort(words.T[::-1])
     ranked = words[order]
-    first = np.ones(m, dtype=bool)
+    first = np.ones(len(words), dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return np.sort(order[first]), packed
+    return np.sort(order[first]), words
 
 
 def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
@@ -54,9 +67,17 @@ def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> 
 
     ``atoms`` are subgroups of g as (member mask, generators); repeated
     masks are dropped.  Breadth first from the trivial subgroup and the
-    atoms, every subgroup of a frontier is joined with each atom it does not
+    atoms, every subgroup H of a frontier is joined with atoms it does not
     contain, one batch per atom, until a frontier brings nothing new; the
     fixed point holds the subgroup generated by every set of atoms.
+
+    One join per coset: for an atom <a> with the single generator a, the
+    join <H, a> depends only on the coset aH, since b = a*h with h in H puts
+    each of a and b in the subgroup generated by H and the other.  So H is
+    joined with <a> only when a is the smallest single generator of an atom
+    in aH: each such atom carries the h with a*h a smaller one (``below``),
+    and a frontier row meeting them is left out of its batch.  Atoms with
+    more than one generator are joined with every row that lacks them.
 
     In an abelian group the join of H and A is the product HA: for each
     generator a of A the batch is closed under the right shifts by a, a^2,
@@ -76,13 +97,23 @@ def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> 
     trivial = np.zeros((1, n), dtype=bool)
     trivial[0, 0] = True
     seeds = np.concatenate([trivial] + [members[None, :] for members, _ in atoms])
-    first, packed = _distinct_rows(seeds)
-    known = {packed[j].tobytes() for j in first.tolist()}
+    first, words = _distinct_rows(seeds)
+    known = {words[j].tobytes() for j in first.tolist()}
     seed_gens = [[]] + [list(gens) for _, gens in atoms]
-    frontier, frontier_gens = seeds[first], [seed_gens[j] for j in first.tolist()]
+    frontier, frontier_words = seeds[first], words[first]
+    frontier_gens = [seed_gens[j] for j in first.tolist()]
+    atom_gens = [seed_gens[j] for j in first[1:].tolist()]
+    single = np.zeros(n, dtype=bool)
+    single[[gens[0] for gens in atom_gens if len(gens) == 1]] = True
+    gens_masks = np.zeros((len(atom_gens), n), dtype=bool)
+    below_masks = np.zeros((len(atom_gens), n), dtype=bool)
+    for gens, gens_mask, below in zip(atom_gens, gens_masks, below_masks):
+        gens_mask[gens] = True
+        if len(gens) == 1:
+            row = g.mul_outer(np.array(gens))[0]
+            below[:] = single[row] & (row < gens[0])
     joins = []
-    for j in first[1:].tolist():
-        gens = seed_gens[j]
+    for gens, gens_word, below_word in zip(atom_gens, _words(gens_masks), _words(below_masks)):
         shifts = []
         if abelian:
             for a in gens:
@@ -91,13 +122,22 @@ def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> 
                     # x*c for every x: in an abelian group that is the row c*x
                     shifts.append(g.mul_outer(g.inv[[power]])[0])
                     power, reach = g.mul(power, power), 2 * reach
-        joins.append((np.array(gens, dtype=np.int64), shifts))
+        joins.append((np.array(gens, dtype=np.int64), shifts, gens_word, below_word))
     levels = [frontier]
-    while len(frontier):
+    while True:
         new_rows: list[np.ndarray] = []
+        new_words: list[np.ndarray] = []
         new_gens: list[list[int]] = []
-        for gens, shifts in joins:
-            sel = np.flatnonzero(~frontier[:, gens].all(axis=1))
+        columns = np.ascontiguousarray(frontier_words.T)
+        for gens, shifts, gens_word, below_word in joins:
+            # the rows that lack a generator of the atom and meet none of its
+            # ``below``, one 64-bit word of every row at a time
+            lacks = np.zeros(len(frontier), dtype=bool)
+            meets = np.zeros(len(frontier), dtype=bool)
+            for column, gw, bw in zip(columns, gens_word, below_word):
+                lacks |= (column & gw) != gw
+                meets |= (column & bw) != 0
+            sel = np.flatnonzero(lacks & ~meets)
             if not sel.size:
                 continue
             joined = frontier[sel]
@@ -110,21 +150,90 @@ def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> 
                     + g._grow(row, list(frontier_gens[i]), gens, partners=frontier_gens[i])
                     for row, i in zip(joined, sel.tolist())
                 ]
-            first, packed = _distinct_rows(joined)
+            first, words = _distinct_rows(joined)
             fresh = []
             for j in first.tolist():
-                key = packed[j].tobytes()
+                key = words[j].tobytes()
                 if key not in known:
                     known.add(key)
                     fresh.append(j)
             if fresh:
                 new_rows.append(joined[fresh])
+                new_words.append(words[fresh])
                 if not abelian:
                     new_gens.extend(joined_gens[j] for j in fresh)
-        frontier = np.concatenate(new_rows) if new_rows else np.zeros((0, n), dtype=bool)
+        if not new_rows:
+            break
+        frontier, frontier_words = np.concatenate(new_rows), np.concatenate(new_words)
         frontier_gens = new_gens
         levels.append(frontier)
     return np.concatenate(levels)
+
+
+def _size_blocks(
+    g: FiniteGroup, words: np.ndarray, sizes: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Subgroups in blocks of one size s, from their member rows packed to
+    words (:func:`_words`); each run of consecutive rows of one size is cut
+    into blocks, so rows sorted by size make the fewest blocks.
+
+    Yields, per block of k rows: the block's slice, its k x |G| member
+    mask, its k x s member indices idx and the k x s x s products
+    idx[r, i] * idx[r, j], formed by one :meth:`FiniteGroup.mul_pairs`.  A
+    block holds at most CHECK_ENTRIES products, so its temporaries stay well
+    under a megabyte.
+    """
+    ends = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+    for start, end in zip([0] + ends, ends + [len(sizes)]):
+        s = int(sizes[start])
+        step = max(1, CHECK_ENTRIES // (s * s))
+        for lo in range(start, end, step):
+            block = slice(lo, min(end, lo + step))
+            k = block.stop - lo
+            bits = words[block].view(np.uint8)
+            members = np.unpackbits(bits, axis=1, count=g.order, bitorder="little").view(bool)
+            idx = np.nonzero(members)[1].reshape(k, s)
+            prods = g.mul_pairs(np.repeat(idx, s, axis=1).ravel(), np.tile(idx, (1, s)).ravel())
+            yield block, members, idx, prods.reshape(k, s, s)
+
+
+def _subgroup_words(subs: list[SubgroupSet], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bitsets of subgroups of a group of order n packed to words, as
+    :func:`_words` packs member rows, and their sizes."""
+    words = np.zeros((len(subs), -(-n // 64)), dtype="<u8")
+    raw = memoryview(words).cast("B")
+    nbytes = 8 * words.shape[1]
+    for at, s in zip(range(0, len(subs) * nbytes, nbytes), subs):
+        raw[at : at + nbytes] = s.mask.to_bytes(nbytes, "little")
+    return words, np.fromiter((s.size for s in subs), dtype=np.int64, count=len(subs))
+
+
+def _checked_subgroups(g: FiniteGroup, rows: np.ndarray, *, normal: bool = False) -> list[SubgroupSet]:
+    """The subgroups with the given member rows, sorted by (size, bitset),
+    each checked to be closed under multiplication and, with ``normal``,
+    under conjugation by the generators of g (:meth:`FiniteGroup._generators`).
+
+    Raises RuntimeError naming the failed validation if any row fails.
+    """
+    sizes = rows.sum(axis=1)
+    words = _words(rows)
+    # (size, bitset) order: the last word holds the highest bits
+    order = np.lexsort([*words.T, sizes])
+    words, sizes = words[order], sizes[order]
+    gens = np.array(g._generators() if normal else [], dtype=np.int64)
+    for _, members, idx, prods in _size_blocks(g, words, sizes):
+        products = [prods.reshape(len(idx), -1)]
+        if normal:
+            h = np.repeat(idx.ravel(), len(gens))
+            conj = g.mul_pairs(g.inv[np.tile(gens, idx.size)], g.mul_pairs(h, np.tile(gens, idx.size)))
+            products.append(conj.reshape(len(idx), -1))
+        if not all(np.take_along_axis(members, p, axis=1).all() for p in products):
+            what = "normal subgroup failed validation" if normal else "subgroup failed closure validation"
+            raise RuntimeError(f"enumerated {what}")
+    return [
+        SubgroupSet(mask=int.from_bytes(w.tobytes(), "little"), size=s)
+        for w, s in zip(words, sizes.tolist())
+    ]
 
 
 def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
@@ -135,7 +244,8 @@ def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     from one vectorized pass of max_order products x^k * x over all x at
     once.  Groups of order above ``cap`` raise CapExceededError before any
     work, and each subgroup found is validated as closed under
-    multiplication.  Results are cached on the group instance.
+    multiplication (:func:`_checked_subgroups`).  Results are cached on the
+    group instance.
     """
     n = g.order
     if n > cap:
@@ -149,12 +259,7 @@ def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     for _ in range(g.order_table().max_order):
         cyclic[ar, power] = True
         power = g.mul_pairs(power, ar)
-    out = []
-    for members in _join_closure(g, [(cyclic[x], [x]) for x in range(1, n)]):
-        if not g.is_closed_subset(np.flatnonzero(members)):
-            raise RuntimeError("enumerated subgroup failed closure validation")
-        out.append(SubgroupSet.from_bool(members))
-    out.sort(key=lambda s: (s.size, s.mask))
+    out = _checked_subgroups(g, _join_closure(g, [(cyclic[x], [x]) for x in range(1, n)]))
     g._cache["subgroups"] = tuple(out)
     return out
 
@@ -185,17 +290,24 @@ class HereditaryReport:
         return not self.violations
 
 
-def _holds_on_subgroup(g: FiniteGroup, s: SubgroupSet, condition: PairCondition) -> bool:
-    """Whether a pair-order condition holds on all |H|^2 pairs of the subgroup H.
+def pair_condition_verdicts(
+    g: FiniteGroup, subs: list[SubgroupSet], condition: PairCondition
+) -> np.ndarray:
+    """Whether a pair-order condition holds on all |H|^2 pairs, for each
+    subgroup H of ``subs``.
 
     Decided on g's own data: an element of H has the same order in H as in
-    g, and so does a product of two of them.
+    g, and so does a product of two of them.  The products come in blocks of
+    subgroups of one size (:func:`_size_blocks`).
     """
-    idx = s.indices()
     orders = g.order_table().orders
-    sub_orders = orders[idx]
-    oab = orders[g.mul_outer(idx, idx)]
-    return bool(np.asarray(condition(sub_orders[:, None], sub_orders[None, :], oab)).all())
+    verdicts = np.empty(len(subs), dtype=bool)
+    for block, _, idx, prods in _size_blocks(g, *_subgroup_words(subs, g.order)):
+        sub_orders = orders[idx]
+        oab = orders[prods]
+        ok = condition(sub_orders[:, :, None], sub_orders[:, None, :], oab)
+        verdicts[block] = np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape).all(axis=(1, 2))
+    return verdicts
 
 
 def hereditary_check(
@@ -206,24 +318,25 @@ def hereditary_check(
     Inapplicable (parent fails the predicate) yields an empty, vacuous
     report.  The pair-order predicates :func:`is_cp2` and :func:`is_cp3`
     are decided exhaustively on each subgroup through g's order table
-    (:func:`_holds_on_subgroup`).  Any other predicate runs on the subgroup
-    realized as a standalone group by :meth:`FiniteGroup.subgroup`.
+    (:func:`pair_condition_verdicts`), and :func:`is_cp` there too: an
+    element has the same order in H as in g, so H is in CP iff none of its
+    members has an order that is not a prime power.  Any other predicate
+    runs on the subgroup realized as a standalone group by
+    :meth:`FiniteGroup.subgroup`.
     """
     if not _predicate_holds(predicate, g):
         return HereditaryReport(applicable=False, subgroups_checked=0, violations=())
     condition = next((c for p, c in PAIR_CONDITIONS if p is predicate), None)
-    violations = []
     subs = all_subgroups(g, cap=cap)
-    for s in subs:
-        if condition is not None:
-            holds = _holds_on_subgroup(g, s, condition)
-        else:
-            holds = _predicate_holds(predicate, g.subgroup(s))
-        if not holds:
-            violations.append(s)
-    return HereditaryReport(
-        applicable=True, subgroups_checked=len(subs), violations=tuple(violations)
-    )
+    if condition is not None:
+        holds = pair_condition_verdicts(g, subs, condition).tolist()
+    elif predicate is is_cp:
+        bad = SubgroupSet.from_bool(non_prime_power_elements(g.order_table().orders)).mask
+        holds = [not s.mask & bad for s in subs]
+    else:
+        holds = [_predicate_holds(predicate, g.subgroup(s)) for s in subs]
+    violations = tuple(s for s, ok in zip(subs, holds) if not ok)
+    return HereditaryReport(applicable=True, subgroups_checked=len(subs), violations=violations)
 
 
 @dataclass(frozen=True)
@@ -239,16 +352,19 @@ class AbelianScanReport:
 
 
 def abelian_subgroup_scan(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> AbelianScanReport:
-    """List abelian subgroups and check each has prime-power order."""
+    """List abelian subgroups and check each has prime-power order.
+
+    In a nonabelian parent a subgroup is abelian iff its s x s products
+    are symmetric, checked in blocks of subgroups of one size
+    (:func:`_size_blocks`).
+    """
     subs = all_subgroups(g, cap=cap)
-    parent_abelian = g.is_abelian
+    abelian = np.ones(len(subs), dtype=bool)
+    if not g.is_abelian:
+        for block, _, _, prods in _size_blocks(g, *_subgroup_words(subs, g.order)):
+            abelian[block] = (prods == prods.transpose(0, 2, 1)).all(axis=(1, 2))
     entries = []
-    for s in subs:
-        if not parent_abelian:
-            idx = s.indices()
-            prods = g.mul_outer(idx, idx)
-            if not np.array_equal(prods, prods.T):
-                continue
+    for s in compress(subs, abelian):
         if s.size == 1:
             flag: Union[int, str, None] = "trivial"
         else:

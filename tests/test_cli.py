@@ -1,4 +1,11 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpgroups.cli import main
 
@@ -113,11 +120,63 @@ class TestFileInputs:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_table_entry_too_large_for_int64_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.table"
+        path.write_text("2\n0 99999999999999999999\n1 0\n")
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert "out of range" in err
+
     def test_bad_generator_word_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.gens"
         path.write_text("degree: 3\n(1 9)\n")
         code, _, _ = run_cli(capsys, "analyze", str(path))
         assert code == 2
+
+
+# Loader inputs: arbitrary text, and text shaped like the two file formats
+# with small orders and degrees (at most S5 and a 5 x 5 table, so every
+# accepted file is analyzed within the caps and exits 0)
+_entry = st.one_of(
+    st.integers(min_value=-1, max_value=5).map(str),
+    st.sampled_from(["x", "1.5", "", "99999999999999999999"]),
+)
+
+
+def _table_text(n: int, rows: list[list[str]]) -> str:
+    return "\n".join([str(n)] + [" ".join(row) for row in rows])
+
+
+_square_table = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda rows: _table_text(n, rows)
+    )
+)
+_ragged_table = st.builds(
+    _table_text, st.integers(min_value=-1, max_value=5), st.lists(st.lists(_entry, max_size=6), max_size=6)
+)
+_generator_file = st.builds(
+    lambda degree, words: "\n".join([f"degree: {degree}"] + words),
+    st.integers(min_value=-1, max_value=5),
+    st.lists(st.text(alphabet="()0123456789 ,-x", max_size=14), max_size=4),
+)
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _square_table, _ragged_table, _generator_file))
+    def test_any_file_exits_0_or_2_without_a_traceback(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "group.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["analyze", path])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
 
 
 class TestClassify:

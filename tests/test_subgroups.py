@@ -1,15 +1,17 @@
 import io
 
+import numpy as np
 import pytest
 
 import cpgroups as cg
 from cpgroups import CapExceededError
 from cpgroups.metric import cp2_pair_holds, cp3_pair_holds, is_cp, is_cp2, is_cp3
+import cpgroups.subgroups as subgroups_module
 from cpgroups.subgroups import (
-    _holds_on_subgroup,
     abelian_subgroup_scan,
     all_subgroups,
     hereditary_check,
+    pair_condition_verdicts,
     quotient_scan,
     write_subgroup_list,
 )
@@ -80,6 +82,53 @@ class TestAllSubgroups:
         assert len(subs) == expected == {(2, 6): 2825, (3, 4): 212}[(p, k)]
         assert len({s.mask for s in subs}) == len(subs)
 
+    def test_one_join_per_coset(self, monkeypatch):
+        # every nonzero x of (Z_2)^7 is the generator of its atom <x>, so a
+        # subspace H of dimension k is joined once per coset other than H:
+        # sum over k of [7 choose k]_2 * (2^(7-k) - 1) rows, against
+        # [7 choose k]_2 * (128 - 2^k) with one join per atom outside H
+        counted = []
+        distinct_rows = subgroups_module._distinct_rows
+
+        def count(rows):
+            counted.append(len(rows))
+            return distinct_rows(rows)
+
+        monkeypatch.setattr(subgroups_module, "_distinct_rows", count)
+        subs = all_subgroups(cg.elementary_abelian(2, 7))
+        assert len(subs) == 29212
+        seeds = 128  # the trivial subgroup and the 127 atoms
+        assert counted[0] == seeds
+        assert sum(counted) == seeds + 358775
+
+    @pytest.mark.parametrize("normal", [False, True])
+    def test_a_row_that_is_not_closed_is_refused(self, monkeypatch, normal):
+        # {e, x} with o(x) = 3 is not closed, and it joins the batch of the
+        # three subgroups of order 2 in S3
+        g = cg.symmetric(3)
+        x = int(np.flatnonzero(g.order_table().orders == 3)[0])
+        self._add_row(monkeypatch, g, [0, x])
+        with pytest.raises(RuntimeError, match="failed"):
+            g.normal_subgroups() if normal else all_subgroups(g)
+
+    def test_a_row_that_is_not_normal_is_refused(self, monkeypatch):
+        g = cg.symmetric(3)
+        t = int(np.flatnonzero(g.order_table().orders == 2)[0])
+        self._add_row(monkeypatch, g, [0, t])
+        with pytest.raises(RuntimeError, match="normal subgroup failed validation"):
+            g.normal_subgroups()
+
+    @staticmethod
+    def _add_row(monkeypatch, g, members):
+        join_closure = subgroups_module._join_closure
+        extra = np.zeros((1, g.order), dtype=bool)
+        extra[0, members] = True
+
+        def with_extra_row(grp, atoms):
+            return np.concatenate([join_closure(grp, atoms), extra])
+
+        monkeypatch.setattr(subgroups_module, "_join_closure", with_extra_row)
+
     def test_cap_is_structured_error(self):
         with pytest.raises(CapExceededError):
             all_subgroups(cg.cyclic(401))
@@ -115,14 +164,15 @@ class TestHereditaryCheck:
         assert report.subgroups_checked == 0
         assert report.ok
 
-    def test_pair_order_predicates_use_the_parent_order_table(self, a4, q8, monkeypatch):
+    def test_pair_order_predicates_use_the_parent_order_table(self, a4, q8, s4, monkeypatch):
         def refuse(*_):
             raise AssertionError("subgroup realized for a pair-order predicate")
 
         monkeypatch.setattr(cg.FiniteGroup, "subgroup", refuse)
-        for g, predicate in ((a4, is_cp3), (q8, is_cp2)):
+        for g, predicate in ((a4, is_cp3), (q8, is_cp2), (s4, is_cp)):
             report = hereditary_check(g, predicate)
             assert report.applicable and report.ok
+            assert report.subgroups_checked == len(all_subgroups(g))
 
     def test_unhashable_predicate_runs_on_realized_subgroups(self, a4):
         class AtLeastTwo:
@@ -144,18 +194,23 @@ class TestPairConditionsOnSubgroups:
     """The order-table verdicts of hereditary_check against realized subgroups."""
 
     @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
-    def test_restricted_verdicts_match_realized_subgroups(self, name):
+    def test_batched_verdicts_match_realized_subgroups(self, name, tableless_copy):
         g = cg.group_from_spec(name)
-        for s in all_subgroups(g):
-            h = g.subgroup(s)
-            assert _holds_on_subgroup(g, s, cp2_pair_holds) == is_cp2(h)[0]
-            assert _holds_on_subgroup(g, s, cp3_pair_holds) == is_cp3(h)[0]
+        subs = all_subgroups(g)
+        realized = [g.subgroup(s) for s in subs]
+        expected = {
+            cp2_pair_holds: [is_cp2(h)[0] for h in realized],
+            cp3_pair_holds: [is_cp3(h)[0] for h in realized],
+        }
+        for grp in (g, tableless_copy(g)):
+            for condition, verdicts in expected.items():
+                assert pair_condition_verdicts(grp, subs, condition).tolist() == verdicts
 
     def test_violations_are_seen_in_s4(self, s4):
         # S4 is neither CP2 nor CP3, nor are S3 and D8 CP2
         subs = all_subgroups(s4)
-        cp2 = [s.size for s in subs if not _holds_on_subgroup(s4, s, cp2_pair_holds)]
-        cp3 = [s.size for s in subs if not _holds_on_subgroup(s4, s, cp3_pair_holds)]
+        cp2 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, subs, cp2_pair_holds)) if not ok]
+        cp3 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, subs, cp3_pair_holds)) if not ok]
         assert 24 in cp3 and 24 in cp2
         assert {6, 8} <= set(cp2)
 
