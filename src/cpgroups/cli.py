@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional, TextIO
 
 from .catalog import catalog_iter, group_from_spec
 from .core import (
@@ -27,7 +28,7 @@ from .core import (
     from_cayley,
     generate_group,
 )
-from .metric import classify, distance_csv_text, report_records, report_text
+from .metric import classify, distance_matrix, report_records, report_text, write_distance_csv
 from .perm import parse_cycles
 from .verify import DEFAULT_BOUNDS, TARGETS, run_verify
 
@@ -67,12 +68,19 @@ def resolve_group(spec: str, element_cap: int = ELEMENT_CAP) -> FiniteGroup:
         raise
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """The file at path, opened for writing, or stdout without a path."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, output: Optional[str]) -> None:
+    with _output(output) as stream:
+        stream.write(text)
 
 
 def _cmd_analyze(args) -> int:
@@ -130,7 +138,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_distance_matrix(args) -> int:
     group = resolve_group(args.spec, element_cap=args.cap_elements)
-    _emit(distance_csv_text(group), args.output)
+    d = distance_matrix(group)  # refuses a group above the cap before any output
+    with _output(args.output) as stream:
+        write_distance_csv(group, d, stream)
     return EXIT_OK
 
 

@@ -19,7 +19,15 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .core import TABLE_LIMIT, CapExceededError, FiniteGroup, distinct_primes, rows_per_block
+from .core import (
+    TABLE_LIMIT,
+    CapExceededError,
+    FiniteGroup,
+    _words,
+    closure_verdicts,
+    distinct_primes,
+    rows_per_block,
+)
 
 AUDIT_CAP = 60
 
@@ -305,7 +313,8 @@ def layer_check(g: FiniteGroup) -> LayerReport:
     """For a p-group of order p^n, test each order layer {x : o(x) <= p^i}.
 
     Every layer of a CP3 p-group must be a normal subgroup; the report says
-    which layers are subgroups and which are normal.
+    which layers are subgroups and which are normal, all layers decided by
+    one :func:`core.closure_verdicts`.
     """
     p = g.is_p_group()
     if p is None:
@@ -317,13 +326,15 @@ def layer_check(g: FiniteGroup) -> LayerReport:
     k = 0
     while p**k < g.order:
         k += 1
-    rows = []
-    for i in range(k + 1):
-        members = np.flatnonzero(orders <= p**i)
-        is_sub = g.is_closed_subset(members)
-        is_norm = bool(is_sub and g._is_normal_members(members))
-        rows.append(LayerRow(i=i, threshold=p**i, size=len(members), is_subgroup=is_sub, is_normal=is_norm))
-    return LayerReport(p=p, rows=tuple(rows), all_normal=all(r.is_normal for r in rows))
+    thresholds = [p**i for i in range(k + 1)]
+    members = orders[None, :] <= np.array(thresholds)[:, None]
+    sizes = members.sum(axis=1)
+    closed, normal = closure_verdicts(g, _words(members), sizes, normal=True)
+    rows = tuple(
+        LayerRow(i=i, threshold=t, size=int(sizes[i]), is_subgroup=bool(closed[i]), is_normal=bool(normal[i]))
+        for i, t in enumerate(thresholds)
+    )
+    return LayerReport(p=p, rows=rows, all_normal=bool(normal.all()))
 
 
 # -- aggregated classification ------------------------------------------------
@@ -431,16 +442,23 @@ def report_records(g: FiniteGroup, r: ClassReport) -> str:
     return "\n".join(f"{k}={v}" for k, v in rows)
 
 
-def write_distance_csv(g: FiniteGroup, stream) -> None:
-    """Distance matrix as CSV: header row of element labels, one row per element."""
-    d = distance_matrix(g)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([""] + list(g.labels))
-    for i in range(g.order):
-        writer.writerow([g.labels[i]] + [int(x) for x in d[i]])
-
-
-def distance_csv_text(g: FiniteGroup) -> str:
+def _csv_cell(field: str) -> str:
+    """A field as :mod:`csv` writes it within a row of several fields
+    (quoted where it holds a comma, a quote or a newline)."""
     buf = io.StringIO()
-    write_distance_csv(g, buf)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([field, ""])
+    return buf.getvalue()[: -len(",\n")]
+
+
+def write_distance_csv(g: FiniteGroup, d: np.ndarray, stream) -> None:
+    """The distance matrix d of g (:func:`distance_matrix`) as CSV, one row
+    at a time: a header row of element labels, then one row per element.
+
+    Labels are quoted as :mod:`csv` quotes them; the numbers of a row are
+    formatted with one join over the decimal strings of 0..max(d).
+    """
+    cells = [_csv_cell(label) for label in g.labels]
+    stream.write(",".join([""] + cells) + "\n")
+    decimals = np.array([str(v) for v in range(int(d.max(initial=0)) + 1)], dtype=object)
+    for cell, row in zip(cells, d):
+        stream.write(cell + "," + ",".join(decimals[row]) + "\n")

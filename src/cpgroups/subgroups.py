@@ -4,46 +4,33 @@ Enumeration seeds with all cyclic subgroups and closes the set under joins
 with those cyclic atoms until nothing new appears; every subgroup is a join
 of its cyclic subgroups, so the fixed point is the full lattice.  The same
 join closure over the normal closures of the conjugacy classes gives the
-normal subgroups (:meth:`FiniteGroup.normal_subgroups`).  Exceeding the
-enumeration cap raises instead of truncating: a partial list would break
-every closure claim downstream.
+normal subgroups of a nonabelian group
+(:meth:`FiniteGroup.normal_subgroups`).  Exceeding the enumeration cap
+raises instead of truncating: a partial list would break every closure
+claim downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .core import (
-    BLOCK_ENTRIES,
     SUBGROUP_CAP,
     CapExceededError,
     FiniteGroup,
     SubgroupSet,
+    _size_blocks,
+    _words,
+    closure_verdicts,
     distinct_primes,
 )
 from .metric import PAIR_CONDITIONS, PairCondition, is_cp, non_prime_power_elements
 
 GroupPredicate = Callable[[FiniteGroup], Union[bool, tuple]]
-
-# products per block of the subgroup checks (closure, normality, pair
-# conditions, commutativity); a sixteenth of BLOCK_ENTRIES keeps a block's
-# int64 temporaries near 512 KB, so checking subgroups in batches needs no
-# more memory than checking them one at a time
-CHECK_ENTRIES = BLOCK_ENTRIES >> 4
-
-
-def _words(rows: np.ndarray) -> np.ndarray:
-    """Boolean rows packed to bits, in whole little-endian 64-bit words: bit
-    i of a row is bit i % 64 of its word i // 64."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    m, nbytes = packed.shape
-    words = np.zeros((m, -(-nbytes // 8) * 8), dtype=np.uint8)
-    words[:, :nbytes] = packed
-    return words.view("<u8")
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,33 +157,6 @@ def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> 
     return np.concatenate(levels)
 
 
-def _size_blocks(
-    g: FiniteGroup, words: np.ndarray, sizes: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """Subgroups in blocks of one size s, from their member rows packed to
-    words (:func:`_words`); each run of consecutive rows of one size is cut
-    into blocks, so rows sorted by size make the fewest blocks.
-
-    Yields, per block of k rows: the block's slice, its k x |G| member
-    mask, its k x s member indices idx and the k x s x s products
-    idx[r, i] * idx[r, j], formed by one :meth:`FiniteGroup.mul_pairs`.  A
-    block holds at most CHECK_ENTRIES products, so its temporaries stay well
-    under a megabyte.
-    """
-    ends = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
-    for start, end in zip([0] + ends, ends + [len(sizes)]):
-        s = int(sizes[start])
-        step = max(1, CHECK_ENTRIES // (s * s))
-        for lo in range(start, end, step):
-            block = slice(lo, min(end, lo + step))
-            k = block.stop - lo
-            bits = words[block].view(np.uint8)
-            members = np.unpackbits(bits, axis=1, count=g.order, bitorder="little").view(bool)
-            idx = np.nonzero(members)[1].reshape(k, s)
-            prods = g.mul_pairs(np.repeat(idx, s, axis=1).ravel(), np.tile(idx, (1, s)).ravel())
-            yield block, members, idx, prods.reshape(k, s, s)
-
-
 def _subgroup_words(subs: list[SubgroupSet], n: int) -> tuple[np.ndarray, np.ndarray]:
     """The bitsets of subgroups of a group of order n packed to words, as
     :func:`_words` packs member rows, and their sizes."""
@@ -211,7 +171,7 @@ def _subgroup_words(subs: list[SubgroupSet], n: int) -> tuple[np.ndarray, np.nda
 def _checked_subgroups(g: FiniteGroup, rows: np.ndarray, *, normal: bool = False) -> list[SubgroupSet]:
     """The subgroups with the given member rows, sorted by (size, bitset),
     each checked to be closed under multiplication and, with ``normal``,
-    under conjugation by the generators of g (:meth:`FiniteGroup._generators`).
+    normal in g (:func:`core.closure_verdicts`).
 
     Raises RuntimeError naming the failed validation if any row fails.
     """
@@ -220,16 +180,10 @@ def _checked_subgroups(g: FiniteGroup, rows: np.ndarray, *, normal: bool = False
     # (size, bitset) order: the last word holds the highest bits
     order = np.lexsort([*words.T, sizes])
     words, sizes = words[order], sizes[order]
-    gens = np.array(g._generators() if normal else [], dtype=np.int64)
-    for _, members, idx, prods in _size_blocks(g, words, sizes):
-        products = [prods.reshape(len(idx), -1)]
-        if normal:
-            h = np.repeat(idx.ravel(), len(gens))
-            conj = g.mul_pairs(g.inv[np.tile(gens, idx.size)], g.mul_pairs(h, np.tile(gens, idx.size)))
-            products.append(conj.reshape(len(idx), -1))
-        if not all(np.take_along_axis(members, p, axis=1).all() for p in products):
-            what = "normal subgroup failed validation" if normal else "subgroup failed closure validation"
-            raise RuntimeError(f"enumerated {what}")
+    closed, is_normal = closure_verdicts(g, words, sizes, normal=normal)
+    if not (is_normal if normal else closed).all():
+        what = "normal subgroup failed validation" if normal else "subgroup failed closure validation"
+        raise RuntimeError(f"enumerated {what}")
     return [
         SubgroupSet(mask=int.from_bytes(w.tobytes(), "little"), size=s)
         for w, s in zip(words, sizes.tolist())
@@ -297,16 +251,17 @@ def pair_condition_verdicts(
     subgroup H of ``subs``.
 
     Decided on g's own data: an element of H has the same order in H as in
-    g, and so does a product of two of them.  The products come in blocks of
-    subgroups of one size (:func:`_size_blocks`).
+    g, and so does a product of two of them.  The products come in blocks
+    of subgroups of one size, a large subgroup's in row slices
+    (:func:`core._size_blocks`); a subgroup's verdict is the AND over its
+    slices.
     """
     orders = g.order_table().orders
-    verdicts = np.empty(len(subs), dtype=bool)
-    for block, _, idx, prods in _size_blocks(g, *_subgroup_words(subs, g.order)):
-        sub_orders = orders[idx]
+    verdicts = np.ones(len(subs), dtype=bool)
+    for block, _, x, y, prods in _size_blocks(g, *_subgroup_words(subs, g.order)):
         oab = orders[prods]
-        ok = condition(sub_orders[:, :, None], sub_orders[:, None, :], oab)
-        verdicts[block] = np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape).all(axis=(1, 2))
+        ok = condition(orders[x], orders[y], oab)
+        verdicts[block] &= np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape).all(axis=(1, 2))
     return verdicts
 
 
@@ -331,7 +286,8 @@ def hereditary_check(
     if condition is not None:
         holds = pair_condition_verdicts(g, subs, condition).tolist()
     elif predicate is is_cp:
-        bad = SubgroupSet.from_bool(non_prime_power_elements(g.order_table().orders)).mask
+        bad = non_prime_power_elements(g.order_table().orders)
+        bad = SubgroupSet.from_indices(np.flatnonzero(bad)).mask
         holds = [not s.mask & bad for s in subs]
     else:
         holds = [_predicate_holds(predicate, g.subgroup(s)) for s in subs]
@@ -354,15 +310,15 @@ class AbelianScanReport:
 def abelian_subgroup_scan(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> AbelianScanReport:
     """List abelian subgroups and check each has prime-power order.
 
-    In a nonabelian parent a subgroup is abelian iff its s x s products
-    are symmetric, checked in blocks of subgroups of one size
-    (:func:`_size_blocks`).
+    In a nonabelian parent a subgroup is abelian iff x * y = y * x for all
+    its members x and y, checked in blocks of subgroups of one size, a
+    large subgroup's in row slices (:func:`core._size_blocks`).
     """
     subs = all_subgroups(g, cap=cap)
     abelian = np.ones(len(subs), dtype=bool)
     if not g.is_abelian:
-        for block, _, _, prods in _size_blocks(g, *_subgroup_words(subs, g.order)):
-            abelian[block] = (prods == prods.transpose(0, 2, 1)).all(axis=(1, 2))
+        for block, _, x, y, prods in _size_blocks(g, *_subgroup_words(subs, g.order)):
+            abelian[block] &= (prods == g.mul_pairs(y, x)).all(axis=(1, 2))
     entries = []
     for s in compress(subs, abelian):
         if s.size == 1:

@@ -10,8 +10,21 @@ import numpy as np
 import pytest
 
 import cpgroups as cg
-from cpgroups.metric import classify, distance_matrix, involution_product_witness, layer_check
-from cpgroups.subgroups import abelian_subgroup_scan, all_subgroups
+from cpgroups.metric import (
+    PAIR_CONDITIONS,
+    classify,
+    distance_matrix,
+    involution_product_witness,
+    is_cp2,
+    is_cp3,
+    layer_check,
+)
+from cpgroups.subgroups import (
+    abelian_subgroup_scan,
+    all_subgroups,
+    hereditary_check,
+    pair_condition_verdicts,
+)
 
 from oracles import slow_center, slow_element_order, slow_quotient_order_multiset
 
@@ -22,6 +35,14 @@ NAMES = [e.name for e in cg.catalog_entries(60)]
 def backends(request, tableless_copy):
     g = cg.group_from_spec(request.param)
     return g, tableless_copy(g)
+
+
+def test_mul_pairs_broadcasts(backends):
+    g, h = backends
+    x = np.arange(g.order)
+    for grp in backends:
+        assert np.array_equal(grp.mul_pairs(x[:, None], x[None, :]), g.mul_outer(x, x))
+        assert np.array_equal(grp.mul_pairs(x, x[::-1]), g.mul_outer(x, x[::-1]).diagonal())
 
 
 def test_center_and_is_abelian(backends):
@@ -121,3 +142,34 @@ def test_layer_check(backends):
 def test_classify(backends):
     g, h = backends
     assert classify(h) == classify(g)
+
+
+def test_element_set_checks_in_one_row_slices(backends, monkeypatch, tableless_copy):
+    """With CHECK_ENTRIES = 1 every block of the element-set checks is one
+    row of one set; the lattice, the normal subgroups, the pair-condition
+    and commutativity verdicts, the quotients and the layers stay the same
+    on both backends."""
+    g, h = backends
+
+    def results(grp):
+        subs = all_subgroups(grp)
+        normals = grp.normal_subgroups()
+        return (
+            subs,
+            normals,
+            [pair_condition_verdicts(grp, subs, c).tolist() for _, c in PAIR_CONDITIONS],
+            hereditary_check(grp, is_cp2),
+            hereditary_check(grp, is_cp3),
+            abelian_subgroup_scan(grp),
+            [grp.quotient(n).table.tolist() for n in normals],
+            layer_check(grp) if grp.is_p_group() is not None else None,
+        )
+
+    expected = results(g)
+    assert results(h) == expected
+    # fresh groups: the lattice is cached on the instance
+    fresh = cg.FiniteGroup(table=g.table, labels=g.labels, name=g.name, source=g.source)
+    fresh_tableless = tableless_copy(g)
+    monkeypatch.setattr(cg.core, "CHECK_ENTRIES", 1)
+    for grp in (fresh, fresh_tableless):
+        assert results(grp) == expected

@@ -252,7 +252,7 @@ class TestNormalSubgroups:
             raise AssertionError("enumeration started above the cap")
 
         monkeypatch.setattr(cg.subgroups, "_join_closure", refuse)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError, match="order 32 exceeds the subgroup-enumeration cap 10"):
             cg.elementary_abelian(2, 5).normal_subgroups(cap=10)
 
     def test_nonabelian_group_with_many_classes_over_cap_raises(self, monkeypatch):
@@ -267,6 +267,33 @@ class TestNormalSubgroups:
             g.normal_subgroups(cap=100)
         with pytest.raises(CapExceededError):
             cg.quotient_scan(g, cg.is_cp3, cap=100)
+
+    def test_abelian_group_reuses_the_lattice(self, monkeypatch):
+        # every subgroup of an abelian group is normal: the cached lattice
+        g = cg.elementary_abelian(2, 4)
+        subs = cg.all_subgroups(g)
+
+        def refuse(*_):
+            raise AssertionError("the lattice was enumerated again")
+
+        monkeypatch.setattr(cg.subgroups, "_join_closure", refuse)
+        assert g.normal_subgroups() == subs
+
+    def test_check_blocks_stay_bounded(self, monkeypatch):
+        # the closure and normality checks of the whole of PSL(2,13), order
+        # 1092, cut its 1092 x 1092 products into row slices; sizes counts
+        # the products of each call
+        g = cg.psl2(13)
+        mul_pairs = g.mul_pairs
+        sizes = []
+
+        def recording(a, b):
+            sizes.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+            return mul_pairs(a, b)
+
+        monkeypatch.setattr(g, "mul_pairs", recording)
+        assert [s.size for s in g.normal_subgroups()] == [1, 1092]
+        assert max(sizes) <= cg.core.CHECK_ENTRIES
 
     def test_group_with_few_classes_has_no_order_cap(self):
         # A5 has 4 nontrivial classes, so at most 2^4 normal subgroups
@@ -299,8 +326,21 @@ class TestQuotient:
         # the two-element subgroup generated by a transposition is not normal in S3
         transposition = int(np.flatnonzero(s3.order_table().orders == 2)[0])
         sub = cg.SubgroupSet.from_indices([0, transposition])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="subgroup is not normal"):
             s3.quotient(sub)
+
+    def test_non_subgroup_rejected(self, s3):
+        # {e, x} with o(x) = 3 is not closed: x^2 is missing
+        x = int(np.flatnonzero(s3.order_table().orders == 3)[0])
+        with pytest.raises(ValueError, match="index set is not a subgroup"):
+            s3.quotient(cg.SubgroupSet.from_indices([0, x]))
+
+    def test_closure_is_checked_before_normality(self, s3):
+        # {e, t, x} with o(t) = 2 and o(x) = 3 is neither closed nor normal
+        orders = s3.order_table().orders
+        t, x = int(np.flatnonzero(orders == 2)[0]), int(np.flatnonzero(orders == 3)[0])
+        with pytest.raises(ValueError, match="index set is not a subgroup"):
+            s3.quotient(cg.SubgroupSet.from_indices([0, t, x]))
 
 
 class TestDerivedGroupCaps:
@@ -375,6 +415,52 @@ class TestSubgroupSet:
 
     def test_hex(self):
         assert cg.SubgroupSet.from_indices([0, 1]).hex() == "3"
+
+    def test_repeats_count_once(self):
+        s = cg.SubgroupSet.from_indices(np.array([5, 0, 5, 70, 0]))
+        assert (s.mask, s.size) == ((1 << 70) | (1 << 5) | 1, 3)
+
+    def test_empty_and_negative(self):
+        assert cg.SubgroupSet.from_indices([]) == cg.SubgroupSet(mask=0, size=0)
+        with pytest.raises(ValueError):
+            cg.SubgroupSet.from_indices([0, -1])
+
+
+class TestClosureVerdicts:
+    """core.closure_verdicts against brute force, with the default blocks
+    and with one row of one set per block (CHECK_ENTRIES = 1), on sets in
+    no particular order of size."""
+
+    @staticmethod
+    def _expected(g, row):
+        members = set(np.flatnonzero(row).tolist())
+        closed = all(g.mul(a, b) in members for a in members for b in members)
+        normal = closed and all(
+            g.mul(g.mul(int(g.inv[t]), h), t) in members for t in range(g.order) for h in members
+        )
+        return closed, normal
+
+    @pytest.mark.parametrize("check_entries", [cg.core.CHECK_ENTRIES, 1])
+    @pytest.mark.parametrize(
+        "spec, sets",
+        [
+            ("dihedral:8", "every subset with the identity"),
+            ("symmetric:4", "every subgroup"),
+        ],
+    )
+    def test_against_brute_force(self, monkeypatch, spec, sets, check_entries):
+        g = cg.group_from_spec(spec)
+        if sets == "every subgroup":
+            rows = np.array([np.isin(np.arange(g.order), s.indices()) for s in all_subgroups(g)])
+        else:
+            masks = np.arange(1, 1 << g.order, 2)
+            rows = (masks[:, None] >> np.arange(g.order)) & 1 == 1
+        rows = rows[np.random.default_rng(0).permutation(len(rows))]
+        monkeypatch.setattr(cg.core, "CHECK_ENTRIES", check_entries)
+        closed, normal = cg.core.closure_verdicts(
+            g, cg.core._words(rows), rows.sum(axis=1), normal=True
+        )
+        assert list(zip(closed.tolist(), normal.tolist())) == [self._expected(g, r) for r in rows]
 
 
 class TestOrderCommutativityInvariant:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -9,7 +11,6 @@ from cpgroups.metric import (
     check_metric_axioms,
     classify,
     distance,
-    distance_csv_text,
     distance_matrix,
     involution_product_witness,
     is_cp,
@@ -19,6 +20,7 @@ from cpgroups.metric import (
     render_witness,
     scan_pair_order_condition,
     triangle_audit,
+    write_distance_csv,
 )
 
 from oracles import (
@@ -410,12 +412,40 @@ class TestSerialization:
         rendered = render_witness(s3, wit)
         assert "(" in rendered and "order 2" in rendered
 
+    @staticmethod
+    def _csv_text(g):
+        buf = io.StringIO()
+        write_distance_csv(g, distance_matrix(g), buf)
+        return buf.getvalue()
+
     def test_csv_matrix(self):
-        text = distance_csv_text(cg.cyclic(2))
+        text = self._csv_text(cg.cyclic(2))
         assert text.splitlines() == [",e,a", "e,0,1", "a,1,0"]
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cg.group_from_spec("elemab:2^3"),
+            cg.group_from_spec("product:cyclic:2,cyclic:3"),
+            cg.FiniteGroup(
+                table=cg.cyclic(6).table,
+                labels=["", "a,b", 'q"x', "line\nbreak", "cr\rx", " lead"],
+                name="awkward-labels",
+                source="cayley-table",
+            ),
+        ],
+        ids=["elemab", "product", "awkward-labels"],
+    )
+    def test_csv_quotes_labels_as_the_csv_module_does(self, g):
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow([""] + g.labels)
+        for label, row in zip(g.labels, distance_matrix(g).tolist()):
+            writer.writerow([label] + row)
+        assert self._csv_text(g) == expected.getvalue()
+
     def test_csv_symmetric_entries_bounded(self, s3):
-        text = distance_csv_text(s3)
+        text = self._csv_text(s3)
         rows = text.splitlines()
         assert len(rows) == 7
         for row in rows[1:]:
