@@ -19,6 +19,7 @@ from .core import (
     CapExceededError,
     ELEMENT_CAP,
     FiniteGroup,
+    LabelFn,
     check_table_cap,
     direct_product,
     distinct_primes,
@@ -162,20 +163,20 @@ def cyclic(n: int) -> FiniteGroup:
     check_table_cap(n)
     table = np.empty((n, n), dtype=np.int32)
     _fill_mod(table, n, 1)
-    labels = _power_labels(n)
-    return FiniteGroup(table=table, labels=labels, name=f"cyclic:{n}", source="cayley-table")
+    return FiniteGroup(table=table, labels=_power_label, name=f"cyclic:{n}", source="cayley-table")
 
 
-def _power_labels(n: int, suffix: str = "") -> list[str]:
-    out = []
-    for i in range(n):
-        if i == 0:
-            out.append("e" if not suffix else suffix)
-        elif i == 1:
-            out.append("a" + ("*" + suffix if suffix else ""))
-        else:
-            out.append(f"a^{i}" + ("*" + suffix if suffix else ""))
-    return out
+def _power_label(i: int, suffix: str = "") -> str:
+    """a^i, then ``*suffix``: e, a, a^2, ... or b, a*b, a^2*b, ..."""
+    if i == 0:
+        return suffix or "e"
+    power = "a" if i == 1 else f"a^{i}"
+    return f"{power}*{suffix}" if suffix else power
+
+
+def _metacyclic_label(m: int) -> LabelFn:
+    """The label function of a^i (index i) and a^i b (index m + i)."""
+    return lambda i: _power_label(i) if i < m else _power_label(i - m, "b")
 
 
 def _metacyclic_table(m: int, square: int) -> np.ndarray:
@@ -197,8 +198,9 @@ def dihedral(n: int) -> FiniteGroup:
     order = 2 * n
     check_table_cap(order)
     table = _metacyclic_table(n, 0)
-    labels = _power_labels(n) + _power_labels(n, suffix="b")
-    grp = FiniteGroup(table=table, labels=labels, name=f"dihedral:{order}", source="cayley-table")
+    grp = FiniteGroup(
+        table=table, labels=_metacyclic_label(n), name=f"dihedral:{order}", source="cayley-table"
+    )
     if grp.order != order:
         raise RuntimeError("dihedral order formula violated")
     return grp
@@ -216,8 +218,9 @@ def dicyclic(n: int) -> FiniteGroup:
     check_table_cap(order)
     m = 2 * n
     table = _metacyclic_table(m, n)
-    labels = _power_labels(m) + _power_labels(m, suffix="b")
-    grp = FiniteGroup(table=table, labels=labels, name=f"dicyclic:{order}", source="cayley-table")
+    grp = FiniteGroup(
+        table=table, labels=_metacyclic_label(m), name=f"dicyclic:{order}", source="cayley-table"
+    )
     if grp.order != order:
         raise RuntimeError("dicyclic order formula violated")
     return grp
@@ -234,19 +237,19 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     ar = np.arange(n, dtype=np.int32)
     table = np.zeros((n, n), dtype=np.int32)
     digit_sum = np.empty((n, n), dtype=np.int32)
-    digits = []
     for d in range(k):
         digit = (ar // p**d) % p
-        digits.append(digit)
         np.add.outer(digit, digit, out=digit_sum)
         np.remainder(digit_sum, p, out=digit_sum)
         digit_sum *= p**d
         table += digit_sum
     del digit_sum  # freed before the group's validation allocates its own n x n mask
-    rows = np.stack(digits, axis=1).tolist()
-    labels = ["(" + ",".join(str(d) for d in row) + ")" for row in rows]
-    labels[0] = "e"
-    return FiniteGroup(table=table, labels=labels, name=f"elemab:{p}^{k}", source="cayley-table")
+
+    def label(i: int) -> str:
+        """The base-p digits of i, lowest first; e for 0."""
+        return "(" + ",".join(str(i // p**d % p) for d in range(k)) + ")" if i else "e"
+
+    return FiniteGroup(table=table, labels=label, name=f"elemab:{p}^{k}", source="cayley-table")
 
 
 # -- permutation families ----------------------------------------------------

@@ -8,7 +8,7 @@ index 0) or a generator list (first line ``degree: k``, then one 1-based
 cycle word per line).  Products apply the left factor first.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 bad input,
-3 cap exceeded.
+3 cap exceeded, 141 (128 + SIGPIPE) when the reader of stdout closed it.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAP = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by it
 
 
 def load_group_file(path: str, element_cap: int = ELEMENT_CAP) -> FiniteGroup:
@@ -204,7 +205,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading (``| head``): nothing to report, and
+        # the interpreter's flush at exit must not fail on the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from cpgroups import FiniteGroup, Permutation
+from cpgroups import FiniteGroup, Permutation, group_from_spec
 from cpgroups.core import _PermIndex
 
 
@@ -325,3 +325,58 @@ def slow_ultrametric_holds(g: FiniteGroup) -> bool:
                 if d(x, z) > max(d(x, y), d(y, z)):
                     return False
     return True
+
+
+def slow_generate_perms(generators: list[Permutation]) -> np.ndarray:
+    """Breadth-first closure over a Python set of image tuples: the
+    identity, then each level's new elements in lexicographic image order."""
+    identity = tuple(range(generators[0].degree))
+    seen = {identity}
+    elements = [identity]
+    level = [identity]
+    while level:
+        products = {tuple(gen.images[x] for x in row) for row in level for gen in generators}
+        level = sorted(products - seen)
+        seen.update(level)
+        elements += level
+    return np.array(elements)
+
+
+def _power_labels(n: int, suffix: str = "") -> list[str]:
+    out = []
+    for i in range(n):
+        if i == 0:
+            out.append("e" if not suffix else suffix)
+        elif i == 1:
+            out.append("a" + ("*" + suffix if suffix else ""))
+        else:
+            out.append(f"a^{i}" + ("*" + suffix if suffix else ""))
+    return out
+
+
+def eager_labels(spec: str, g: FiniteGroup) -> list[str]:
+    """Every label of the catalog group ``spec`` (built as g), rendered up
+    front by the list formulas of each family."""
+    family, _, arg = spec.partition(":")
+    if family == "product":
+        a, b = arg.split(",")
+        left, right = (eager_labels(part, group_from_spec(part)) for part in (a, b))
+        return [f"({x},{y})" for x in left for y in right]
+    if family == "cyclic":
+        return _power_labels(int(arg))
+    if family in ("dihedral", "dicyclic"):
+        m = g.order // 2
+        return _power_labels(m) + _power_labels(m, suffix="b")
+    if family == "elemab":
+        p, k = (int(t) for t in arg.split("^"))
+        rows = [[(i // p**d) % p for d in range(k)] for i in range(p**k)]
+        return ["e"] + ["(" + ",".join(str(d) for d in row) + ")" for row in rows[1:]]
+    return [Permutation(row).cycle_string() for row in g.perms]
+
+
+def slow_coset_labels(g: FiniteGroup, members: list[int], labels: list[str]) -> list[str]:
+    """Labels of g/N: the cosets N*x as sets of the given element labels,
+    ordered by their smallest members."""
+    rows = g.mul_outer(np.array(members)).T.tolist()  # row x: the products m*x
+    cosets = sorted({frozenset(row) for row in rows}, key=min)
+    return ["{" + ",".join(labels[i] for i in sorted(c)) + "}" for c in cosets]

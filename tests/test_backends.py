@@ -26,6 +26,7 @@ from cpgroups.subgroups import (
     pair_condition_verdicts,
 )
 
+from conftest import random_pairs
 from oracles import slow_center, slow_element_order, slow_quotient_order_multiset
 
 NAMES = [e.name for e in cg.catalog_entries(60)]
@@ -43,6 +44,14 @@ def test_mul_pairs_broadcasts(backends):
     for grp in backends:
         assert np.array_equal(grp.mul_pairs(x[:, None], x[None, :]), g.mul_outer(x, x))
         assert np.array_equal(grp.mul_pairs(x, x[::-1]), g.mul_outer(x, x[::-1]).diagonal())
+
+
+def test_index_variants(backends, index_variants):
+    g, h = backends
+    a, b = random_pairs(h)
+    for lookup, inv in index_variants(h, a, b).values():
+        assert np.array_equal(lookup, g.table[a, b])
+        assert np.array_equal(inv, g.inv)
 
 
 def test_center_and_is_abelian(backends):

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -308,3 +311,24 @@ class TestDistanceMatrix:
         code, out, _ = run_cli(capsys, "distance-matrix", "cyclic:3", "--output", str(target))
         assert code == 0
         assert target.read_text().startswith(",e,a,a^2")
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_exits_141_quietly(self):
+        # about 1 MB of CSV, far more than a pipe buffers, so the writer is
+        # still writing when the reader closes its end after one line
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cpgroups.cli", "distance-matrix", "cyclic:500"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first.startswith(b",e,a,a^2,")
+        assert err == b""

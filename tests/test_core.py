@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +11,12 @@ import cpgroups as cg
 from cpgroups import CapExceededError, Permutation, parse_cycles
 from cpgroups.subgroups import all_subgroups
 
+from conftest import random_pairs
 from oracles import (
     _slow_closure,
+    eager_labels,
+    slow_coset_labels,
+    slow_generate_perms,
     quaternion_unit_order_multiset,
     rowwise_lookup_table,
     slow_conjugacy_sizes,
@@ -63,6 +69,29 @@ class TestGenerateGroup:
             cg.generate_group(
                 [parse_cycles("(1 2)", 8), parse_cycles("(1 2 3 4 5 6 7 8)", 8)], cap=1000
             )
+
+    @pytest.mark.parametrize(
+        "case", ["S5", "A6", "PSL(2,7)", "dihedral on 300 points", "(1 2) on 70000", "(69999 70000)"]
+    )
+    def test_matches_set_based_bfs(self, case):
+        if case == "S5":
+            gens = [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)]
+        elif case == "A6":
+            gens = [parse_cycles("(1 2 3)", 6), parse_cycles("(2 3 4 5 6)", 6)]
+        elif case == "PSL(2,7)":
+            psl = cg.psl2(7)
+            gens = [Permutation(psl.perms[i]) for i in psl._generators()]
+        elif case == "dihedral on 300 points":
+            # rows wider than one byte: 16-bit points, compared big-endian
+            gens = [Permutation(np.roll(np.arange(300), -1)), Permutation(np.arange(300)[::-1])]
+        elif case == "(1 2) on 70000":
+            gens = [parse_cycles("(1 2)", 70000)]
+        else:
+            gens = [parse_cycles("(69999 70000)", 70000)]
+        g = cg.generate_group(gens)
+        expected = slow_generate_perms(gens)
+        assert g.perms.dtype == np.min_scalar_type(gens[0].degree - 1)
+        assert np.array_equal(g.perms, expected)
 
     def test_mul_agrees_with_composition(self, s4):
         rng = np.random.default_rng(7)
@@ -463,6 +492,31 @@ class TestClosureVerdicts:
         assert list(zip(closed.tolist(), normal.tolist())) == [self._expected(g, r) for r in rows]
 
 
+    @pytest.mark.parametrize("spec", ["symmetric:4", "symmetric:7"])
+    def test_whole_group_forms_no_products(self, monkeypatch, spec):
+        g = cg.group_from_spec(spec)
+        subs = [cg.SubgroupSet.from_indices(np.arange(g.order))]
+        if g.order <= 24:
+            subs = all_subgroups(g)
+        rows = np.array([np.isin(np.arange(g.order), s.indices()) for s in subs])
+        g._generators()  # cached before the count
+        formed = []
+        mul_pairs = cg.FiniteGroup.mul_pairs
+
+        def counting(grp, a, b):
+            out = mul_pairs(grp, a, b)
+            formed.append(out.size)
+            return out
+
+        monkeypatch.setattr(cg.FiniteGroup, "mul_pairs", counting)
+        whole = rows[-1:]
+        closed, normal = cg.core.closure_verdicts(g, cg.core._words(whole), np.array([g.order]), normal=True)
+        assert (closed.tolist(), normal.tolist(), formed) == ([True], [True], [])
+        closed, _ = cg.core.closure_verdicts(g, cg.core._words(rows), rows.sum(axis=1))
+        assert closed.all()
+        assert sum(formed) == sum(s.size**2 for s in subs if s.size < g.order)
+
+
 class TestOrderCommutativityInvariant:
     def test_o_ab_equals_o_ba(self, s4):
         orders = s4.order_table().orders
@@ -559,6 +613,27 @@ class TestPermutationTables:
         expected = [slow_perm_order(Permutation(row)) for row in g.perms]
         assert g.order_table().orders.tolist() == expected
 
+    # the entry check takes all 24 rows of S4 in one block, two rows per
+    # block, and one row per block
+    @pytest.mark.parametrize("block_entries", [cg.core.BLOCK_ENTRIES, 48, 1])
+    def test_entry_check_catches_a_wrong_row(self, monkeypatch, block_entries):
+        # two products of the first generator's row s*y are swapped
+        lookup = cg.core._PermIndex.lookup
+        calls = []
+
+        def corrupting(index, rows):
+            idx = lookup(index, rows)
+            calls.append(len(rows))
+            if len(calls) == 1:
+                idx[[1, 2]] = idx[[2, 1]]
+            return idx
+
+        monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(cg.core._PermIndex, "lookup", corrupting)
+        with pytest.raises(RuntimeError, match="table entry does not match the permutations"):
+            cg.symmetric(4)
+        assert calls[0] == 24
+
     def test_set_missing_a_square_is_rejected(self):
         perms = np.array([[0, 1, 2], [1, 2, 0]])
         with pytest.raises(RuntimeError, match="product fell outside the element set"):
@@ -579,6 +654,17 @@ class TestPermutationTables:
             cg.FiniteGroup(perms=perms, labels=["e", "a", "b"], name="repeated", source="test")
 
 
+def _sl2_5():
+    """SL(2,5), order 120, acting on the 24 nonzero vectors of GF(5)^2."""
+    vectors = [(x, y) for x in range(5) for y in range(5) if (x, y) != (0, 0)]
+
+    def matrix(a, b, c, d):
+        images = [vectors.index(((x * a + y * c) % 5, (x * b + y * d) % 5)) for x, y in vectors]
+        return Permutation(images)
+
+    return cg.generate_group([matrix(1, 1, 0, 1), matrix(0, 4, 1, 0)])
+
+
 class TestClosureKernel:
     """span, derived_series and is_simple against the slow oracles, on both backends."""
 
@@ -597,15 +683,8 @@ class TestClosureKernel:
             assert grp.is_simple() == simple
 
     def test_perfect_but_not_simple(self, tableless_copy):
-        # SL(2,5), order 120, acting on the 24 nonzero vectors of GF(5)^2:
         # perfect, so only the class {-I} of its centre shows it is not simple
-        vectors = [(x, y) for x in range(5) for y in range(5) if (x, y) != (0, 0)]
-
-        def matrix(a, b, c, d):
-            images = [vectors.index(((x * a + y * c) % 5, (x * b + y * d) % 5)) for x, y in vectors]
-            return Permutation(images)
-
-        g = cg.generate_group([matrix(1, 1, 0, 1), matrix(0, 4, 1, 0)])
+        g = _sl2_5()
         assert g.order == 120
         assert [s.size for s in g.derived_series()] == slow_derived_series_sizes(g) == [120]
         assert not slow_is_simple(g)
@@ -661,3 +740,125 @@ class TestLargeClosures:
         b, ab = g.labels.index("b"), g.labels.index("a*b")
         assert len(g.span([b, ab])) == 2500
         assert len(g.span([b, g.labels.index("a^2*b")])) == 1250
+
+
+# builders of the permutation groups the tests build, by name
+_PERM_GROUPS = {
+    **{name: lambda name=name: cg.group_from_spec(name) for name in _perm_catalog(5040)},
+    "SL(2,5)": _sl2_5,
+    "klein": lambda: cg.generate_group([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)]),
+    "dihedral on 300 points": lambda: cg.generate_group(
+        [Permutation(np.roll(np.arange(300), -1)), Permutation(np.arange(300)[::-1])]
+    ),
+    "(1 2) on 70000": lambda: cg.generate_group([parse_cycles("(1 2)", 70000)]),
+    "(69999 70000) on 70000": lambda: cg.generate_group([parse_cycles("(69999 70000)", 70000)]),
+}
+
+
+class TestPermIndex:
+    """The three index variants agree on every permutation group of the tests."""
+
+    @pytest.mark.parametrize("name", list(_PERM_GROUPS))
+    def test_variants_agree(self, index_variants, name):
+        g = _PERM_GROUPS[name]()
+        a, b = random_pairs(g)
+        results = index_variants(g, a, b)
+        expected = results["_direct"][0]
+        if g.table is not None:
+            assert np.array_equal(expected, g.table[a, b])
+        for lookup, inv in results.values():
+            assert np.array_equal(lookup, expected)
+            assert np.array_equal(inv, g.inv)
+
+    @pytest.mark.parametrize("name", ["symmetric:7", "alternating:7", "psl2:17"])
+    def test_large_groups_use_the_direct_table(self, name):
+        index = _PERM_GROUPS[name]()._index
+        assert index._direct is not None and index._sorted is None and index._bybytes is None
+        assert index._direct.size <= cg.core.DIRECT_INDEX_ENTRIES
+
+    def test_wide_keys_fall_back(self):
+        # 70000^3 keys are too many for a direct table; with points
+        # 0, 1, 2 fixed no prefix separates the two elements
+        assert _PERM_GROUPS["(1 2) on 70000"]()._index._sorted is not None
+        assert _PERM_GROUPS["(69999 70000) on 70000"]()._index._bybytes is not None
+
+
+_LABEL_NAMES = [e.name for e in cg.catalog_entries(60)]
+
+
+class TestLazyLabels:
+    """Labels rendered one at a time equal the whole list, and both equal
+    the eager formulas each family used to apply to every element."""
+
+    @pytest.mark.parametrize("name", _LABEL_NAMES + ["psl2:17", "alternating:7", "symmetric:7"])
+    def test_label_function_matches_eager_formulas(self, name):
+        g = cg.group_from_spec(name)
+        expected = eager_labels(name, g)
+        assert [g.label(i) for i in range(g.order)] == expected
+        assert g.labels == expected
+
+    @pytest.mark.parametrize("name", _LABEL_NAMES)
+    def test_subgroups_quotients_and_products(self, name):
+        g = cg.group_from_spec(name)
+        labels = eager_labels(name, g)
+        for normal in g.normal_subgroups():
+            members = normal.indices().tolist()
+            sub, q = g.subgroup(normal), g.quotient(normal)
+            assert [sub.label(i) for i in range(sub.order)] == sub.labels == [labels[i] for i in members]
+            expected = slow_coset_labels(g, members, labels)
+            assert [q.label(i) for i in range(q.order)] == q.labels == expected
+            if sub.order * q.order <= 120:
+                prod = cg.direct_product(q, sub)
+                pairs = [f"({x},{y})" for x in expected for y in sub.labels]
+                assert [prod.label(i) for i in range(prod.order)] == prod.labels == pairs
+
+    @pytest.mark.parametrize("name", ["psl2:17", "alternating:7", "symmetric:7"])
+    def test_large_subgroups_quotients_and_products(self, name):
+        g = cg.group_from_spec(name)
+        labels = eager_labels(name, g)
+        # the stabilizer of the last point: a Borel subgroup of order 136, A6 or S6
+        members = np.flatnonzero(g.perms[:, -1] == g.perms.shape[1] - 1).tolist()
+        sub = g.subgroup(members)
+        sub_labels = [labels[i] for i in members]
+        assert [sub.label(i) for i in range(sub.order)] == sub.labels == sub_labels
+        if g.table is not None:
+            # by the trivial subgroup: one element per coset
+            q = g.quotient(cg.SubgroupSet.from_indices([0]))
+            assert [q.label(i) for i in range(q.order)] == q.labels == ["{" + x + "}" for x in labels]
+        # the stabilizer by its derived subgroup (A6 is perfect): orders 8, 1 and 2
+        normal = sub.derived_series()[:2][-1]
+        q = sub.quotient(normal)
+        expected = slow_coset_labels(sub, normal.indices().tolist(), sub_labels)
+        assert [q.label(i) for i in range(q.order)] == q.labels == expected
+        prod = cg.direct_product(q, sub)
+        pairs = [f"({x},{y})" for x in expected for y in sub_labels]
+        assert [prod.label(i) for i in range(prod.order)] == prod.labels == pairs
+
+    def test_building_psl2_17_renders_no_label(self, monkeypatch):
+        render = Permutation.cycle_string
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return render(p)
+
+        monkeypatch.setattr(Permutation, "cycle_string", counting)
+        g = cg.psl2(17)
+        assert calls == []
+        assert g.label(5) == render(Permutation(g.perms[5]))
+        assert len(calls) == 1
+
+    def test_derived_groups_keep_no_parent_alive(self):
+        g = cg.symmetric(4)
+        parent = weakref.ref(g)
+        normal = [s for s in g.normal_subgroups() if s.size == 4][0]
+        sub, q = g.subgroup(normal), g.quotient(normal)
+        prod = cg.direct_product(q, sub)
+        del g
+        gc.collect()
+        assert parent() is None
+        assert prod.label(7) == f"({q.label(1)},{sub.label(3)})"
+
+    def test_label_list_must_match_the_order(self):
+        with pytest.raises(ValueError, match="labels do not match order"):
+            cg.from_cayley([[0, 1], [1, 0]], labels=["e"])
