@@ -410,8 +410,8 @@ def sweep_entries(max_order: int) -> list[CatalogEntry]:
 
     The catalog lists cyclic:n for every n up to its bound, so a sweep is
     refused above TABLE_LIMIT before any group is built.  Listing alone
-    goes up to ELEMENT_CAP, where the permutation families build without
-    a table.
+    goes up to ELEMENT_CAP; the permutation families hold no table at any
+    order.
     """
     check_table_cap(max_order)
     return catalog_entries(max_order)

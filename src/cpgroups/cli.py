@@ -39,6 +39,15 @@ EXIT_CAP = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by it
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1, so a bound below 1 exits
+    2 with a usage error instead of running an empty sweep."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def load_group_file(path: str, element_cap: int = ELEMENT_CAP) -> FiniteGroup:
     """Auto-detect and load a Cayley-table or generator file."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -168,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=_cmd_analyze)
 
     classify_cmd = sub.add_parser("classify", help="tabulate class flags over the catalog")
-    classify_cmd.add_argument("--max-order", type=int, required=True)
+    classify_cmd.add_argument("--max-order", type=positive_int, required=True)
     classify_cmd.add_argument("--format", choices=("text", "records"), default="text")
     classify_cmd.add_argument("--output", default=None)
     classify_cmd.set_defaults(func=_cmd_classify)
@@ -187,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     verify.add_argument("target", choices=TARGETS)
-    verify.add_argument("--max-order", type=int, default=None)
+    verify.add_argument("--max-order", type=positive_int, default=None)
     verify.add_argument("--cap-subgroups", type=int, default=SUBGROUP_CAP)
     verify.add_argument("--output", default=None)
     verify.set_defaults(func=_cmd_verify)

@@ -1,9 +1,10 @@
 """Finite groups on indexed elements, identity at index 0.
 
-A group is a total multiplication over indices 0..n-1.  Groups with at most
-TABLE_LIMIT elements materialize the full Cayley table; larger permutation
-groups compose image arrays on demand, one block of products at a time,
-so pair scans stay vectorized without an n x n table in memory.
+A group is a total multiplication over indices 0..n-1, with exactly the
+backend it was built from: a group built from a Cayley table (at most
+TABLE_LIMIT elements) multiplies by table lookups, and a group built from
+permutations composes their image arrays on demand and finds each product
+in an element index, at every order, so no n x n array is held for it.
 
 Only construction and the three multiplication primitives :meth:`FiniteGroup.mul`,
 :meth:`FiniteGroup.mul_pairs` and :meth:`FiniteGroup.mul_outer` know which
@@ -25,8 +26,9 @@ TABLE_LIMIT = 4096
 ELEMENT_CAP = 10000
 ASSOC_CAP = 512
 SUBGROUP_CAP = 400
-# entries per block of the vectorized row loops (table build, quotient
-# cosets, distance matrix, pair scans), so a block stays near 8 MB of int64
+# entries per block of the vectorized row loops (permutation products,
+# quotient cosets, distance matrix, pair scans), so a block stays near 8 MB
+# of int64
 BLOCK_ENTRIES = 1 << 20
 # products per block of the element-set checks (closure, normality, pair
 # conditions, commutativity; :func:`_size_blocks`); a sixteenth of
@@ -221,8 +223,9 @@ class _PermIndex:
     to element makes a lookup one gather, and an unknown key reads -1:
     S7 and A7 at k = 6 (117,649 entries), PSL(2,17) at k = 3 (5832).  Wider
     keys are found by binary search in the sorted keys; when no prefix
-    separates the elements, whole rows are looked up by their bytes.  Every
-    lookup then compares the found elements' rows with the given ones.
+    separates the elements, whole rows are looked up by their bytes, and
+    repeated rows raise ValueError.  Every lookup then compares the found
+    elements' rows with the given ones.
     """
 
     def __init__(self, perms: np.ndarray):
@@ -249,16 +252,16 @@ class _PermIndex:
                     self._sorted = (keys[order], order)
                     break
         if self._direct is None and self._sorted is None:
+            # repeated rows share a key at every k, so they all end up here
             self._bybytes = {perms[i].tobytes(): i for i in range(n)}
+            if len(self._bybytes) != n:
+                raise ValueError("the permutations are not distinct")
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
-        """Mixed-radix keys of the rows' first k images, by Horner's rule."""
-        deg = self._perms.shape[1]
-        keys = rows[:, self._k - 1].astype(np.int64)
-        for c in range(self._k - 2, -1, -1):
-            keys *= deg
-            keys += rows[:, c]
-        return keys
+        """Mixed-radix keys of the rows' first k images, the image of point
+        k-1 the most significant digit: one call, however few the rows."""
+        digits = rows[:, self._k - 1 :: -1].T
+        return np.ravel_multi_index(digits, (self._perms.shape[1],) * self._k)
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Indices of the given image arrays; raises if any row is unknown."""
@@ -280,7 +283,7 @@ class _PermIndex:
                 )
             except KeyError:
                 raise RuntimeError("product fell outside the element set") from None
-        if not np.array_equal(self._perms[idx], rows):
+        if (self._perms[idx] != rows).any():
             raise RuntimeError("element index lookup mismatch")
         return idx
 
@@ -308,10 +311,10 @@ class FiniteGroup:
         label, called only when :meth:`label` or :attr:`labels` asks for a
         label, or a list, whose ``__getitem__`` is then that function.  A
         label function holds only what it renders from (index arrays, a
-        parent's label function), never a group.  The order is the length
-        of the permutation array or of the table."""
-        if table is None and perms is None:
-            raise ValueError("a Cayley table or a permutation array is required")
+        parent's label function), never a group.  Exactly one of ``table``
+        and ``perms`` gives the multiplication; the order is its length."""
+        if (table is None) == (perms is None):
+            raise ValueError("exactly one of a Cayley table and a permutation array is required")
         self.name = name
         self.source = source
         n = self.order = len(perms if perms is not None else table)
@@ -322,8 +325,7 @@ class FiniteGroup:
             labels = labels.__getitem__
         self._label = labels
         self._cache: dict = {}
-        self._perms = None
-        self._index = None
+        self._perms = self._index = self._table = None
         if perms is not None:
             perms = np.ascontiguousarray(perms, dtype=_perm_dtype(perms.shape[1]))
             if not np.array_equal(perms[0], np.arange(perms.shape[1])):
@@ -331,10 +333,7 @@ class FiniteGroup:
             self._perms = perms
             self._perms.setflags(write=False)
             self._index = _PermIndex(perms)
-        if table is None and n <= TABLE_LIMIT:
-            table = self._build_table_from_perms()
-        self._table = None
-        if table is not None:
+        else:
             table = np.ascontiguousarray(table, dtype=np.int32)
             if table.shape != (n, n):
                 raise ValueError(f"table shape {table.shape} does not match order {n}")
@@ -347,84 +346,38 @@ class FiniteGroup:
 
     # -- construction-time validation ------------------------------------
 
-    def _build_table_from_perms(self) -> np.ndarray:
-        """Cayley table from generator rows along a Schreier tree.
-
-        Generators are picked greedily, each the smallest element not yet
-        reached; only their rows s*y and columns x*s go through the index,
-        so a set that is not closed raises there.  A breadth-first search
-        over right multiplication by the generators reaches each element
-        as e = p*s and gives it the row e*y = p*(s*y), one gather of row p
-        by row s.  The identity reaches every element and the set is closed
-        under each generator, so it is the group they generate.  Every
-        entry is then checked against the permutations, point by point.
-        """
-        P = self._perms
-        n, degree = P.shape
-        block = rows_per_block(n)
-        table = np.empty((n, n), dtype=np.int32)
-        table[0] = np.arange(n)
-        reached = np.zeros(n, dtype=bool)
-        reached[0] = True
-        gens: list[tuple[np.ndarray, np.ndarray]] = []
-
-        def extend(frontier: np.ndarray, steps) -> np.ndarray:
-            """Reach frontier*s for each (row_s, col_s) in steps; the new elements."""
-            found = []
-            for row_s, col_s in steps:
-                children = col_s[frontier]
-                fresh = ~reached[children]
-                parents, children = frontier[fresh], children[fresh]
-                reached[children] = True
-                for lo in range(0, len(children), block):
-                    table[children[lo : lo + block]] = table[parents[lo : lo + block]][:, row_s]
-                found.append(children)
-            return np.concatenate(found)
-
-        while not reached.all():
-            s = int(np.argmin(reached))
-            row_s = self._index.lookup(P[:, P[s]])
-            col_s = self._index.lookup(P[s][P])
-            # s itself is reached as 0*s unless the permutations repeat
-            reached[s] = True
-            table[s] = row_s
-            gens.append((row_s, col_s))
-            frontier = extend(np.flatnonzero(reached), gens[-1:])
-            while len(frontier):
-                frontier = extend(frontier, gens)
-
-        PT = np.ascontiguousarray(P.T)
-        for lo in range(0, n, block):
-            rows = table[lo : lo + block].astype(np.intp)  # one index cast for all points
-            for c in range(degree):
-                if not np.array_equal(PT[c][rows], PT[P[lo : lo + block, c]]):
-                    raise RuntimeError("table entry does not match the permutations")
-        return table
-
     def _validate(self, rigor: str) -> None:
-        n = self.order
-        ar = np.arange(n)
-        if self._table is not None:
-            T = self._table
-            if not np.array_equal(T[0], ar) or not np.array_equal(T[:, 0], ar):
-                raise ValueError("identity is not at index 0")
-            inv = np.argmax(T == 0, axis=1).astype(np.int32)
-            if (T[ar, inv] != 0).any() or (T[inv, ar] != 0).any():
-                raise ValueError("some element has no two-sided inverse")
-            if rigor == "full" and not ((T == 0).sum(axis=1) == 1).all():
-                raise ValueError("some element has more than one right inverse")
-            if np.bincount(inv, minlength=n).max() != 1:
-                raise ValueError("inverse map is not a bijection")
-            self.inv = inv
-        else:
+        """Group axioms at construction.  A table must have the identity at
+        index 0, two-sided inverses and (checked or sampled) associativity.
+        A permutation set must hold every inverse and be closed: the cached
+        greedy pass of :meth:`_generators` finds each product it forms in
+        the element index, which raises on a product outside the set, and
+        it reaches every element, so the set is the group its kept
+        generators span."""
+        if self._table is None:
             P = self._perms
             invp = np.empty_like(P)
             cols = np.arange(P.shape[1], dtype=P.dtype)
             np.put_along_axis(invp, P, np.broadcast_to(cols, P.shape), axis=1)
             self.inv = self._index.lookup(invp).astype(np.int32)
+            self.inv.setflags(write=False)
+            self._generators()
+            return
+        n = self.order
+        ar = np.arange(n)
+        T = self._table
+        if not np.array_equal(T[0], ar) or not np.array_equal(T[:, 0], ar):
+            raise ValueError("identity is not at index 0")
+        inv = np.argmax(T == 0, axis=1).astype(np.int32)
+        if (T[ar, inv] != 0).any() or (T[inv, ar] != 0).any():
+            raise ValueError("some element has no two-sided inverse")
+        if rigor == "full" and not ((T == 0).sum(axis=1) == 1).all():
+            raise ValueError("some element has more than one right inverse")
+        if np.bincount(inv, minlength=n).max() != 1:
+            raise ValueError("inverse map is not a bijection")
+        self.inv = inv
         self.inv.setflags(write=False)
-        if self._table is not None:
-            self._check_associativity(rigor)
+        self._check_associativity(rigor)
 
     def _check_associativity(self, rigor: str) -> None:
         n = self.order
@@ -457,22 +410,27 @@ class FiniteGroup:
         if self._table is not None:
             # one flat gather: about 2.5x faster than table[a, b]
             return self._table.ravel()[a * self.order + b].astype(np.int64)
-        a, b = np.broadcast_arrays(a, b)
         P = self._perms
-        # row x of a*b is b(a(x)): one flat gather, about 2x faster than
-        # take_along_axis of the rows of b by those of a
-        rows = P.ravel()[(b.ravel() * P.shape[1])[:, None] + P[a.ravel()]]
-        return self._index.lookup(rows).reshape(a.shape)
+        # row x of a*b is b(a(x)): one flat gather, broadcast over a and b,
+        # about 2x faster than take_along_axis of the rows of b by those of a
+        rows = P.ravel()[(b * P.shape[1])[..., None] + P[a]]
+        return self._index.lookup(rows.reshape(-1, P.shape[1])).reshape(rows.shape[:-1])
 
     def mul_outer(self, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
         """Products a[i]*b[j] of two index vectors, as an |a| x |b| array;
         without ``b``, the products a[i]*y for every element y (on the table
-        backend, the rows a of the table)."""
+        backend, the rows a of the table).  Permutation products are formed
+        for as many rows of a at a time as keep their image arrays within
+        BLOCK_ENTRIES points."""
         a = np.asarray(a, dtype=np.int64)
         if self._table is not None:
             return self._table[a] if b is None else self._table[a[:, None], b]
         b = np.arange(self.order) if b is None else np.asarray(b, dtype=np.int64)
-        return self.mul_pairs(np.repeat(a, len(b)), np.tile(b, len(a))).reshape(len(a), len(b))
+        out = np.empty((len(a), len(b)), dtype=np.int64)
+        step = rows_per_block(len(b) * self._perms.shape[1])
+        for lo in range(0, len(a), step):
+            out[lo : lo + step] = self.mul_pairs(a[lo : lo + step, None], b[None, :])
+        return out
 
     def powers(self, x: np.ndarray, k: int) -> np.ndarray:
         """x[i]^k for every entry of an index vector, k >= 0, by repeated
@@ -990,14 +948,14 @@ def from_permutation_set(perms: np.ndarray, *, name: str) -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product group with index (a, b) -> a*|H| + b."""
+    """Componentwise product group with index (a, b) -> a*|H| + b, as a
+    Cayley table from both factors' products."""
     n = g.order * h.order
-    if g.table is None or h.table is None or n > TABLE_LIMIT:
+    if n > TABLE_LIMIT:
         raise CapExceededError(f"direct product of order {n} exceeds the table limit {TABLE_LIMIT}")
-    # int32 throughout: the tables are int32 and every index is below n
-    table = (
-        g.table[:, None, :, None] * h.order + h.table[None, :, None, :]
-    ).reshape(n, n)
+    # int32 throughout: every index is below n
+    gt, ht = (f.mul_outer(np.arange(f.order)).astype(np.int32) for f in (g, h))
+    table = (gt[:, None, :, None] * h.order + ht[None, :, None, :]).reshape(n, n)
     return FiniteGroup(
         table=table,
         labels=_pair_labels(g._label, h._label, h.order),

@@ -45,16 +45,13 @@ def a5():
 
 
 @pytest.fixture()
-def tableless_copy(monkeypatch):
+def tableless_copy():
     """g on the permutation backend, same indices: element i acts as x -> x*i
-    (the right regular representation, built with the table limit at 0; the
-    limit is restored afterwards, so the copy's subgroups and quotients are
-    realized as usual)."""
+    (the right regular representation, read from all products of g)."""
 
     def copy(g):
-        with monkeypatch.context() as m:
-            m.setattr(cg.core, "TABLE_LIMIT", 0)
-            h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
+        products = g.mul_outer(np.arange(g.order))
+        h = cg.FiniteGroup(perms=products.T, labels=g.labels, name=g.name, source="regular")
         assert h.table is None
         return h
 
@@ -81,8 +78,8 @@ _INDEX_VARIANTS = {
 @pytest.fixture()
 def index_variants(monkeypatch):
     """Per index variant of a permutation group g: the lookup of the
-    product rows a[i]*b[i] and the inverses g gets with that index (as a
-    copy without a table).  Each variant must find g's own rows and refuse
+    product rows a[i]*b[i] and the inverses a copy of g gets with that
+    index.  Each variant must find g's own rows and refuse
     a row outside g (a constant row on two or more points, and a
     permutation outside g where a swap of two neighbouring points gives
     one)."""
@@ -102,7 +99,6 @@ def index_variants(monkeypatch):
             with monkeypatch.context() as m:
                 for attr, value in settings.items():
                     m.setattr(cg.core, attr, value)
-                m.setattr(cg.core, "TABLE_LIMIT", 0)
                 index = cg.core._PermIndex(g.perms)
                 copy = cg.FiniteGroup(perms=g.perms, labels=g._label, name=g.name, source="test")
             path = [name for name in _INDEX_VARIANTS if getattr(index, name) is not None]

@@ -66,8 +66,8 @@ def rowwise_lookup_table(g: FiniteGroup) -> np.ndarray:
     """Cayley table of a permutation group, one index lookup per row.
 
     Row i holds the indices of the products i*y, found by composing the
-    image arrays and looking each one up in the element index: n lookups of
-    n rows, against which the generator-row construction is checked.
+    image arrays and looking each one up in a fresh element index: n
+    lookups of n rows, against which the group's own products are checked.
     """
     perms = g.perms
     index = _PermIndex(perms)
@@ -224,8 +224,7 @@ def brute_force_subgroup_count(g: FiniteGroup, chunk: int = 8192) -> int:
     this enumeration (no joins, no lattice walking) counts all subgroups.
     """
     n = g.order
-    table = g.table
-    assert table is not None
+    table = g.mul_outer(np.arange(n))
     count = 0
     for d in range(1, n + 1):
         if n % d:

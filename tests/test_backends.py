@@ -1,6 +1,7 @@
-"""The table backend against the permutation backend on every catalog group
-of order <= 60, for the algorithms written once on top of the
-multiplication primitives ``mul``, ``mul_pairs`` and ``mul_outer``.
+"""Every catalog group of order <= 60, on the table backend or on its own
+permutations, against its right regular representation on the permutation
+backend, for the algorithms written once on top of the multiplication
+primitives ``mul``, ``mul_pairs`` and ``mul_outer``.
 
 Each group is compared with its ``tableless_copy`` (same element indices,
 products composed from permutations) and with a slow pure-Python oracle.
@@ -49,8 +50,9 @@ def test_mul_pairs_broadcasts(backends):
 def test_index_variants(backends, index_variants):
     g, h = backends
     a, b = random_pairs(h)
+    products = g.mul_outer(np.arange(g.order))
     for lookup, inv in index_variants(h, a, b).values():
-        assert np.array_equal(lookup, g.table[a, b])
+        assert np.array_equal(lookup, products[a, b])
         assert np.array_equal(inv, g.inv)
 
 
@@ -177,7 +179,9 @@ def test_element_set_checks_in_one_row_slices(backends, monkeypatch, tableless_c
     expected = results(g)
     assert results(h) == expected
     # fresh groups: the lattice is cached on the instance
-    fresh = cg.FiniteGroup(table=g.table, labels=g.labels, name=g.name, source=g.source)
+    fresh = cg.FiniteGroup(
+        table=g.table, perms=g.perms, labels=g.labels, name=g.name, source=g.source
+    )
     fresh_tableless = tableless_copy(g)
     monkeypatch.setattr(cg.core, "CHECK_ENTRIES", 1)
     for grp in (fresh, fresh_tableless):

@@ -216,6 +216,17 @@ class TestClassify:
         assert out == ""
         assert "cap" in err and "TABLE_LIMIT=4096" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    def test_max_order_below_one_exit_2(self, capsys, bound, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--max-order", bound, "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-order: must be at least 1" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert run_cli(capsys, "classify", "--max-order", "16", "--output", str(a))[0] == 0
@@ -237,6 +248,16 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert "cap" in err and "TABLE_LIMIT=4096" in err
+
+    @pytest.mark.parametrize("target", ["theorem1", "theorem4"])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_max_order_below_one_exit_2(self, capsys, target, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", target, "--max-order", bound])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-order: must be at least 1" in captured.err
 
     def test_theorem1_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "theorem1", "--max-order", "60")

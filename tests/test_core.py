@@ -1,5 +1,6 @@
 import gc
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import cpgroups as cg
 from cpgroups import CapExceededError, Permutation, parse_cycles
 from cpgroups.subgroups import all_subgroups
 
-from conftest import random_pairs
+from conftest import _INDEX_VARIANTS, random_pairs
 from oracles import (
     _slow_closure,
     eager_labels,
@@ -525,45 +526,51 @@ class TestOrderCommutativityInvariant:
 
 
 class TestTablelessBackend:
-    """Groups above the table limit compose image arrays on demand."""
+    """Permutation groups compose image arrays on demand, at every order;
+    they agree with a table group of the same products."""
 
     @pytest.fixture()
-    def tableless_s4(self, monkeypatch):
-        monkeypatch.setattr(cg.core, "TABLE_LIMIT", 10)
+    def tableless_s4(self):
         g = cg.generate_group([parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)])
         assert g.table is None
         return g
 
-    def test_mul_matches_table_group(self, tableless_s4, s4):
+    @pytest.fixture()
+    def table_s4(self, s4):
+        g = cg.FiniteGroup(table=slow_perm_table(s4), labels=s4.labels, name=s4.name, source="test")
+        assert g.perms is None
+        return g
+
+    def test_mul_matches_table_group(self, tableless_s4, table_s4):
         ar = np.arange(24)
         for i in range(24):
             # the row i*y and the column x*i
-            assert np.array_equal(tableless_s4.mul_outer([i]), s4.mul_outer([i]))
-            assert np.array_equal(tableless_s4.mul_outer(ar, [i]), s4.mul_outer(ar, [i]))
-        assert tableless_s4.mul(3, 17) == s4.mul(3, 17)
+            assert np.array_equal(tableless_s4.mul_outer([i]), table_s4.mul_outer([i]))
+            assert np.array_equal(tableless_s4.mul_outer(ar, [i]), table_s4.mul_outer(ar, [i]))
+        assert tableless_s4.mul(3, 17) == table_s4.mul(3, 17)
         a, b = np.array([0, 5, 23]), np.array([7, 0, 11, 2])
         outer = tableless_s4.mul_outer(a, b)
         assert outer.shape == (3, 4)
-        assert np.array_equal(outer, s4.mul_outer(a, b))
-        assert outer.tolist() == [[s4.mul(x, y) for y in b] for x in a]
+        assert np.array_equal(outer, table_s4.mul_outer(a, b))
+        assert outer.tolist() == [[table_s4.mul(x, y) for y in b] for x in a]
 
-    def test_structure_ops_agree(self, tableless_s4, s4):
-        assert np.array_equal(tableless_s4.inv, s4.inv)
-        assert np.array_equal(tableless_s4.order_table().orders, s4.order_table().orders)
+    def test_structure_ops_agree(self, tableless_s4, table_s4):
+        assert np.array_equal(tableless_s4.inv, table_s4.inv)
+        assert np.array_equal(tableless_s4.order_table().orders, table_s4.order_table().orders)
         assert [len(c) for c in tableless_s4.conjugacy_classes()] == [
-            len(c) for c in s4.conjugacy_classes()
+            len(c) for c in table_s4.conjugacy_classes()
         ]
         assert [s.size for s in tableless_s4.derived_series()] == [24, 12, 4, 1]
         assert not tableless_s4.is_simple()
 
-    def test_scans_agree(self, tableless_s4, s4):
+    def test_scans_agree(self, tableless_s4, table_s4):
         from cpgroups.metric import is_cp2, is_cp3
 
         ok1, w1 = is_cp3(tableless_s4)
-        ok2, w2 = is_cp3(s4)
+        ok2, w2 = is_cp3(table_s4)
         assert ok1 == ok2
         assert (w1.a_index, w1.b_index) == (w2.a_index, w2.b_index)
-        assert is_cp2(tableless_s4)[0] == is_cp2(s4)[0]
+        assert is_cp2(tableless_s4)[0] == is_cp2(table_s4)[0]
 
 
 _PERM_FAMILIES = ("symmetric", "alternating", "psl2")
@@ -574,65 +581,47 @@ def _perm_catalog(max_order):
 
 
 class TestPermutationTables:
-    """Cayley tables built from generator rows, checked against the slow constructions."""
+    """Products of permutation groups, composed on demand (no permutation
+    group has a table), checked against the slow constructions."""
 
     @pytest.mark.parametrize("name", _perm_catalog(cg.core.TABLE_LIMIT))
     def test_table_matches_rowwise_lookup(self, name):
         g = cg.group_from_spec(name)
-        assert g.table is not None
-        assert np.array_equal(g.table, rowwise_lookup_table(g))
+        assert g.table is None
+        table, ar = rowwise_lookup_table(g), np.arange(g.order)
+        for lo in range(0, g.order, 256):  # a block of rows keeps the products small
+            assert np.array_equal(g.mul_outer(ar[lo : lo + 256]), table[lo : lo + 256])
         if g.order <= 360:
-            assert g.table.tolist() == slow_perm_table(g)
+            assert g.mul_outer(ar).tolist() == slow_perm_table(g)
 
     @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
     def test_right_regular_representation_rebuilds_the_table(self, name):
         g = cg.group_from_spec(name)
-        h = cg.FiniteGroup(perms=g.table.T, labels=g.labels, name=g.name, source="regular")
-        assert h.table is not None
-        assert np.array_equal(h.table, g.table)
+        table = g.mul_outer(np.arange(g.order))
+        h = cg.FiniteGroup(perms=table.T, labels=g.labels, name=g.name, source="regular")
+        assert h.table is None
+        assert np.array_equal(h.mul_outer(np.arange(h.order)), table)
 
-    def test_index_looks_up_generator_rows_only(self, monkeypatch):
-        # a full row-by-row build would look up 2520 rows of 2520 products
-        looked_up = []
-        lookup = cg.core._PermIndex.lookup
-
-        def counting(index, rows):
-            looked_up.append(len(rows))
-            return lookup(index, rows)
-
-        monkeypatch.setattr(cg.core._PermIndex, "lookup", counting)
-        g = cg.alternating(7)
-        assert len(looked_up) <= 8
-        assert sum(looked_up) <= 8 * g.order
+    @pytest.mark.parametrize(
+        "name,limit_mb", [("alternating:7", 8), ("psl2:17", 16), ("symmetric:7", 8)]
+    )
+    def test_building_keeps_no_square_array(self, name, limit_mb):
+        # a 2520 x 2520 int32 table alone is 25.4 MB
+        tracemalloc.start()
+        try:
+            g = cg.group_from_spec(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.table is None
+        assert peak < limit_mb * 2**20
 
     @pytest.mark.parametrize("name", _perm_catalog(5040))
     def test_orders_match_permutation_orders(self, name):
         g = cg.group_from_spec(name)
-        if name == "symmetric:7":
-            assert g.table is None
+        assert g.table is None
         expected = [slow_perm_order(Permutation(row)) for row in g.perms]
         assert g.order_table().orders.tolist() == expected
-
-    # the entry check takes all 24 rows of S4 in one block, two rows per
-    # block, and one row per block
-    @pytest.mark.parametrize("block_entries", [cg.core.BLOCK_ENTRIES, 48, 1])
-    def test_entry_check_catches_a_wrong_row(self, monkeypatch, block_entries):
-        # two products of the first generator's row s*y are swapped
-        lookup = cg.core._PermIndex.lookup
-        calls = []
-
-        def corrupting(index, rows):
-            idx = lookup(index, rows)
-            calls.append(len(rows))
-            if len(calls) == 1:
-                idx[[1, 2]] = idx[[2, 1]]
-            return idx
-
-        monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", block_entries)
-        monkeypatch.setattr(cg.core._PermIndex, "lookup", corrupting)
-        with pytest.raises(RuntimeError, match="table entry does not match the permutations"):
-            cg.symmetric(4)
-        assert calls[0] == 24
 
     def test_set_missing_a_square_is_rejected(self):
         perms = np.array([[0, 1, 2], [1, 2, 0]])
@@ -647,11 +636,32 @@ class TestPermutationTables:
             cg.from_permutation_set(perms, name="not-closed")
 
     def test_repeated_permutation_is_rejected(self):
-        # the index finds one of the two copies of (1 2); the other is never
-        # reached by a product, so it must not stall the search
+        # an index would find only one of the two copies of (1 2); the other
+        # is never reached by a product and would stall the generator pass
         perms = np.array([[0, 1, 2], [1, 0, 2], [1, 0, 2]])
-        with pytest.raises(ValueError, match="identity is not at index 0"):
+        with pytest.raises(ValueError, match="the permutations are not distinct"):
             cg.FiniteGroup(perms=perms, labels=["e", "a", "b"], name="repeated", source="test")
+
+    @pytest.mark.parametrize("variant", sorted(_INDEX_VARIANTS))
+    def test_every_index_refuses_repeated_rows(self, monkeypatch, s4, variant):
+        for attr, value in _INDEX_VARIANTS[variant].items():
+            monkeypatch.setattr(cg.core, attr, value)
+        perms = np.concatenate([s4.perms, s4.perms[5:6]])
+        with pytest.raises(ValueError, match="the permutations are not distinct"):
+            cg.core._PermIndex(perms)
+
+    def test_transpositions_that_do_not_close_are_rejected(self):
+        # {e, (1 2), (2 3)}: the product (1 2)(2 3) is missing
+        perms = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]])
+        with pytest.raises(RuntimeError, match="product fell outside the element set"):
+            cg.from_permutation_set(perms, name="not-closed")
+
+    def test_set_missing_an_involution_is_rejected_above_the_table_limit(self):
+        g = cg.symmetric(7)
+        involution = int(np.flatnonzero(g.order_table().orders == 2)[0])
+        perms = np.delete(g.perms, involution, axis=0)
+        with pytest.raises(RuntimeError, match="product fell outside the element set"):
+            cg.from_permutation_set(perms, name="not-closed")
 
 
 def _sl2_5():
@@ -764,8 +774,8 @@ class TestPermIndex:
         a, b = random_pairs(g)
         results = index_variants(g, a, b)
         expected = results["_direct"][0]
-        if g.table is not None:
-            assert np.array_equal(expected, g.table[a, b])
+        products = np.take_along_axis(g.perms[b], g.perms[a].astype(np.intp), axis=1)
+        assert np.array_equal(g.perms[expected], products)
         for lookup, inv in results.values():
             assert np.array_equal(lookup, expected)
             assert np.array_equal(inv, g.inv)
@@ -821,7 +831,7 @@ class TestLazyLabels:
         sub = g.subgroup(members)
         sub_labels = [labels[i] for i in members]
         assert [sub.label(i) for i in range(sub.order)] == sub.labels == sub_labels
-        if g.table is not None:
+        if g.order <= cg.core.TABLE_LIMIT:
             # by the trivial subgroup: one element per coset
             q = g.quotient(cg.SubgroupSet.from_indices([0]))
             assert [q.label(i) for i in range(q.order)] == q.labels == ["{" + x + "}" for x in labels]
