@@ -1,8 +1,9 @@
 """Constructors for the concrete groups the toolkit ships with.
 
-Cyclic, dihedral and dicyclic groups are built from normal-form Cayley
-tables (a^i b^j with b a = a^-1 b), symmetric and alternating groups from
-standard permutation generators, and PSL(2,q) by exhausting SL(2,q) over a
+Cyclic, dihedral, dicyclic and elementary abelian groups multiply by
+formula on their normal forms (a^i b^s with b a = a^-1 b, digit vectors),
+symmetric and alternating groups are built from standard permutation
+generators, and PSL(2,q) by exhausting SL(2,q) over a
 lookup-table finite field and deduplicating the induced projective-line
 permutations.
 """
@@ -16,11 +17,10 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import (
-    CapExceededError,
-    ELEMENT_CAP,
+    Backend,
     FiniteGroup,
     LabelFn,
-    check_table_cap,
+    check_element_cap,
     direct_product,
     distinct_primes,
     from_permutation_set,
@@ -144,26 +144,62 @@ def make_field(p: int, k: int) -> FieldTable:
     return field
 
 
-# -- table-built families --------------------------------------------------
+# -- formula families --------------------------------------------------------
 
 
-def _fill_mod(out: np.ndarray, m: int, sign: int, shift: int = 0, offset: int = 0) -> None:
-    """out[x, y] = offset + (x + sign * y + shift) mod m on an m x m block, in place."""
-    ar = np.arange(m, dtype=np.int32)
-    np.add.outer(ar + shift, sign * ar, out=out)
-    np.remainder(out, m, out=out)
-    if offset:
-        out += offset
+class _CyclicBackend(Backend):
+    """Z_n, element i the power a^i: (a + b) mod n."""
+
+    def __init__(self, n: int):
+        self.order = n
+        self.inv = (-np.arange(n, dtype=np.int32)) % n
+
+    def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        s = a + b
+        s %= self.order  # in place: a pair scan block holds 2^20 products
+        return s
+
+
+class _MetacyclicBackend(Backend):
+    """The 2m elements a^i b^s at index s*m + i, with a^m = 1, b a = a^-1 b
+    and b^2 = a^square: a^i a^j = a^(i+j), a^i a^j b = a^(i+j) b,
+    a^i b a^j = a^(i-j) b and a^i b a^j b = a^(i-j+square).  The inverse of
+    a^i b is a^(i+square) b."""
+
+    def __init__(self, m: int, square: int):
+        self.order, self._m, self._square = 2 * m, m, square
+        ar = np.arange(m)
+        self.inv = np.concatenate([-ar % m, m + (ar + square) % m]).astype(np.int32)
+
+    def mul_pairs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        m = self._m
+        sx, sy = x // m, y // m
+        # the exponents i of x and y are x and y mod m
+        return (sx ^ sy) * m + (x + (1 - 2 * sx) * y + sx * sy * self._square) % m
+
+
+class _ElemAbBackend(Backend):
+    """(Z_p)^k, element i the vector of its base-p digits: digitwise
+    addition mod p, which for p = 2 is a ^ b."""
+
+    def __init__(self, p: int, k: int):
+        self.order, self._p = p**k, p
+        self._weights = [p**d for d in range(k)]
+        ar = np.arange(self.order)
+        self.inv = sum(-(ar // w) % p * w for w in self._weights).astype(np.int32)
+
+    def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if self._p == 2:
+            return a ^ b
+        return sum((a // w + b // w) % self._p * w for w in self._weights)
 
 
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n."""
     if n < 1:
         raise ValueError("order must be positive")
-    check_table_cap(n)
-    table = np.empty((n, n), dtype=np.int32)
-    _fill_mod(table, n, 1)
-    return FiniteGroup(table=table, labels=_power_label, name=f"cyclic:{n}", source="cayley-table")
+    check_element_cap(n)
+    return FiniteGroup(_CyclicBackend(n), labels=_power_label, name=f"cyclic:{n}")
 
 
 def _power_label(i: int, suffix: str = "") -> str:
@@ -179,31 +215,12 @@ def _metacyclic_label(m: int) -> LabelFn:
     return lambda i: _power_label(i) if i < m else _power_label(i - m, "b")
 
 
-def _metacyclic_table(m: int, square: int) -> np.ndarray:
-    """Table of the 2m elements a^i (index i) and a^i b (index m + i) with
-    a^m = 1, b a = a^-1 b and b^2 = a^square: a^i a^j = a^(i+j),
-    a^i a^j b = a^(i+j) b, a^i b a^j = a^(i-j) b and a^i b a^j b = a^(i-j+square)."""
-    table = np.empty((2 * m, 2 * m), dtype=np.int32)
-    _fill_mod(table[:m, :m], m, 1)
-    _fill_mod(table[:m, m:], m, 1, offset=m)
-    _fill_mod(table[m:, :m], m, -1, offset=m)
-    _fill_mod(table[m:, m:], m, -1, shift=square)
-    return table
-
-
 def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (n rotations, n reflections)."""
     if n < 1:
         raise ValueError("n must be positive")
-    order = 2 * n
-    check_table_cap(order)
-    table = _metacyclic_table(n, 0)
-    grp = FiniteGroup(
-        table=table, labels=_metacyclic_label(n), name=f"dihedral:{order}", source="cayley-table"
-    )
-    if grp.order != order:
-        raise RuntimeError("dihedral order formula violated")
-    return grp
+    check_element_cap(2 * n)
+    return FiniteGroup(_MetacyclicBackend(n, 0), labels=_metacyclic_label(n), name=f"dihedral:{2 * n}")
 
 
 def dicyclic(n: int) -> FiniteGroup:
@@ -214,16 +231,10 @@ def dicyclic(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    order = 4 * n
-    check_table_cap(order)
-    m = 2 * n
-    table = _metacyclic_table(m, n)
-    grp = FiniteGroup(
-        table=table, labels=_metacyclic_label(m), name=f"dicyclic:{order}", source="cayley-table"
+    check_element_cap(4 * n)
+    return FiniteGroup(
+        _MetacyclicBackend(2 * n, n), labels=_metacyclic_label(2 * n), name=f"dicyclic:{4 * n}"
     )
-    if grp.order != order:
-        raise RuntimeError("dicyclic order formula violated")
-    return grp
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -232,24 +243,13 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be positive")
-    n = p**k
-    check_table_cap(n)
-    ar = np.arange(n, dtype=np.int32)
-    table = np.zeros((n, n), dtype=np.int32)
-    digit_sum = np.empty((n, n), dtype=np.int32)
-    for d in range(k):
-        digit = (ar // p**d) % p
-        np.add.outer(digit, digit, out=digit_sum)
-        np.remainder(digit_sum, p, out=digit_sum)
-        digit_sum *= p**d
-        table += digit_sum
-    del digit_sum  # freed before the group's validation allocates its own n x n mask
+    check_element_cap(p**k)
 
     def label(i: int) -> str:
         """The base-p digits of i, lowest first; e for 0."""
         return "(" + ",".join(str(i // p**d % p) for d in range(k)) + ")" if i else "e"
 
-    return FiniteGroup(table=table, labels=label, name=f"elemab:{p}^{k}", source="cayley-table")
+    return FiniteGroup(_ElemAbBackend(p, k), labels=label, name=f"elemab:{p}^{k}")
 
 
 # -- permutation families ----------------------------------------------------
@@ -259,8 +259,7 @@ def symmetric(n: int) -> FiniteGroup:
     """Symmetric group on n points from the standard two generators."""
     if n < 1:
         raise ValueError("n must be positive")
-    if math.factorial(n) > ELEMENT_CAP:
-        raise CapExceededError(f"order {math.factorial(n)} exceeds the element cap")
+    check_element_cap(math.factorial(n))
     if n == 1:
         gens = [Permutation.identity(1)]
     elif n == 2:
@@ -278,8 +277,7 @@ def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be positive")
     order = math.factorial(n) // 2 if n >= 2 else 1
-    if order > ELEMENT_CAP:
-        raise CapExceededError(f"order {order} exceeds the element cap")
+    check_element_cap(order)
     if n <= 2:
         gens = [Permutation.identity(max(n, 1))]
     elif n == 3:
@@ -358,8 +356,7 @@ def catalog_entries(max_order: int) -> list[CatalogEntry]:
     ``abelian`` flag is structural (known from the family), letting sweeps
     skip construction when only nonabelian groups matter.
     """
-    if max_order > ELEMENT_CAP:
-        raise CapExceededError(f"max_order {max_order} exceeds the element cap")
+    check_element_cap(max_order, "max_order")
     entries: list[CatalogEntry] = []
 
     def add(name, order, family, abelian, build):
@@ -405,21 +402,9 @@ def catalog_entries(max_order: int) -> list[CatalogEntry]:
     return entries
 
 
-def sweep_entries(max_order: int) -> list[CatalogEntry]:
-    """Catalog entries for a sweep that builds every listed group.
-
-    The catalog lists cyclic:n for every n up to its bound, so a sweep is
-    refused above TABLE_LIMIT before any group is built.  Listing alone
-    goes up to ELEMENT_CAP; the permutation families hold no table at any
-    order.
-    """
-    check_table_cap(max_order)
-    return catalog_entries(max_order)
-
-
 def catalog_iter(max_order: int) -> Iterator[tuple[str, FiniteGroup]]:
     """Stream of (name, group) over the catalog, in deterministic order."""
-    for entry in sweep_entries(max_order):
+    for entry in catalog_entries(max_order):
         yield entry.name, entry.build()
 
 

@@ -1,15 +1,15 @@
 """Finite groups on indexed elements, identity at index 0.
 
-A group is a total multiplication over indices 0..n-1, with exactly the
-backend it was built from: a group built from a Cayley table (at most
-TABLE_LIMIT elements) multiplies by table lookups, and a group built from
-permutations composes their image arrays on demand and finds each product
-in an element index, at every order, so no n x n array is held for it.
-
-Only construction and the three multiplication primitives :meth:`FiniteGroup.mul`,
-:meth:`FiniteGroup.mul_pairs` and :meth:`FiniteGroup.mul_outer` know which
-of the two backends a group has; every other algorithm is written once on
-top of them.
+A group multiplies through its :class:`Backend`, which holds the inverses
+and one broadcasting ``mul_pairs``; :meth:`FiniteGroup.mul`,
+:meth:`FiniteGroup.mul_pairs` and :meth:`FiniteGroup.mul_outer` are written
+once on top of it, and every other algorithm once on top of them.  Only
+user tables (:func:`from_cayley`), realized subgroups and quotients hold a
+Cayley table, of at most TABLE_LIMIT rows.  Permutation groups compose
+image arrays on demand and look each product up in an element index; the
+cyclic, dihedral, dicyclic and elementary abelian families multiply by
+formula, and direct products through their factors' backends.  These hold
+no n x n array at any order up to ELEMENT_CAP.
 """
 
 from __future__ import annotations
@@ -64,6 +64,12 @@ def check_table_cap(order: int, what: str = "order") -> None:
         raise CapExceededError(
             f"{what} {order} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}"
         )
+
+
+def check_element_cap(order: int, what: str = "order") -> None:
+    """Refuse a group of more than ELEMENT_CAP elements before any array of them is allocated."""
+    if order > ELEMENT_CAP:
+        raise CapExceededError(f"{what} {order} exceeds the element cap ELEMENT_CAP={ELEMENT_CAP}")
 
 
 def rows_per_block(width: int) -> int:
@@ -288,84 +294,41 @@ class _PermIndex:
         return idx
 
 
-class FiniteGroup:
-    """Indexed finite group with total multiplication and identity at index 0.
+class Backend:
+    """How a group multiplies its element indices: the order, the inverse
+    map ``inv`` and one broadcasting :meth:`mul_pairs`.  ``width`` is the
+    number of entries one product takes while it is formed (the degree of a
+    permutation), which sizes the row blocks of :meth:`FiniteGroup.mul_outer`;
+    ``table`` and ``perms`` are the Cayley table and the permutation images
+    where a backend holds them."""
 
-    Construct through the factory functions (:func:`generate_group`,
-    :func:`from_cayley`, :func:`direct_product`, the catalog constructors)
-    rather than directly.  Instances are immutable after construction and
-    safe to share across threads.
-    """
+    width = 1
+    table: Optional[np.ndarray] = None
+    perms: Optional[np.ndarray] = None
+    assoc_checked = "structural"
 
-    def __init__(
-        self,
-        *,
-        labels: Union[Sequence[str], LabelFn],
-        name: str,
-        source: str,
-        table: Optional[np.ndarray] = None,
-        perms: Optional[np.ndarray] = None,
-        rigor: str = "sampled",
-    ):
-        """``labels`` names the elements: a function from element index to
-        label, called only when :meth:`label` or :attr:`labels` asks for a
-        label, or a list, whose ``__getitem__`` is then that function.  A
-        label function holds only what it renders from (index arrays, a
-        parent's label function), never a group.  Exactly one of ``table``
-        and ``perms`` gives the multiplication; the order is its length."""
-        if (table is None) == (perms is None):
-            raise ValueError("exactly one of a Cayley table and a permutation array is required")
-        self.name = name
-        self.source = source
-        n = self.order = len(perms if perms is not None else table)
-        if not callable(labels):
-            labels = list(labels)
-            if len(labels) != n:
-                raise ValueError(f"{len(labels)} labels do not match order {n}")
-            labels = labels.__getitem__
-        self._label = labels
-        self._cache: dict = {}
-        self._perms = self._index = self._table = None
-        if perms is not None:
-            perms = np.ascontiguousarray(perms, dtype=_perm_dtype(perms.shape[1]))
-            if not np.array_equal(perms[0], np.arange(perms.shape[1])):
-                raise ValueError("identity permutation is not at index 0")
-            self._perms = perms
-            self._perms.setflags(write=False)
-            self._index = _PermIndex(perms)
-        else:
-            table = np.ascontiguousarray(table, dtype=np.int32)
-            if table.shape != (n, n):
-                raise ValueError(f"table shape {table.shape} does not match order {n}")
-            if table.min() < 0 or table.max() >= n:
-                raise ValueError("table entry out of range")
-            self._table = table
-            self._table.setflags(write=False)
-        self.assoc_checked = "structural"
-        self._validate(rigor)
+    def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise products of two int64 index arrays broadcast together, or of two ints."""
+        raise NotImplementedError
 
-    # -- construction-time validation ------------------------------------
+    def validate(self, group: "FiniteGroup") -> None:
+        """Group axioms that need the group's own algorithms; a formula needs none."""
 
-    def _validate(self, rigor: str) -> None:
-        """Group axioms at construction.  A table must have the identity at
-        index 0, two-sided inverses and (checked or sampled) associativity.
-        A permutation set must hold every inverse and be closed: the cached
-        greedy pass of :meth:`_generators` finds each product it forms in
-        the element index, which raises on a product outside the set, and
-        it reaches every element, so the set is the group its kept
-        generators span."""
-        if self._table is None:
-            P = self._perms
-            invp = np.empty_like(P)
-            cols = np.arange(P.shape[1], dtype=P.dtype)
-            np.put_along_axis(invp, P, np.broadcast_to(cols, P.shape), axis=1)
-            self.inv = self._index.lookup(invp).astype(np.int32)
-            self.inv.setflags(write=False)
-            self._generators()
-            return
-        n = self.order
+
+class TableBackend(Backend):
+    """A Cayley table, each product one flat gather; it must have the identity
+    at index 0, two-sided inverses and (checked or sampled) associativity."""
+
+    def __init__(self, table: np.ndarray, rigor: str = "sampled"):
+        table = np.ascontiguousarray(table, dtype=np.int32)
+        n = self.order = len(table)
+        if table.shape != (n, n):
+            raise ValueError(f"table shape {table.shape} does not match order {n}")
+        if table.min() < 0 or table.max() >= n:
+            raise ValueError("table entry out of range")
+        table.setflags(write=False)
+        self.table = T = table
         ar = np.arange(n)
-        T = self._table
         if not np.array_equal(T[0], ar) or not np.array_equal(T[:, 0], ar):
             raise ValueError("identity is not at index 0")
         inv = np.argmax(T == 0, axis=1).astype(np.int32)
@@ -376,12 +339,11 @@ class FiniteGroup:
         if np.bincount(inv, minlength=n).max() != 1:
             raise ValueError("inverse map is not a bijection")
         self.inv = inv
-        self.inv.setflags(write=False)
         self._check_associativity(rigor)
 
     def _check_associativity(self, rigor: str) -> None:
         n = self.order
-        T = self._table
+        T = self.table
         if rigor == "full" or n**3 <= _ASSOC_SAMPLES:
             for i in range(n):
                 if not np.array_equal(T[T[i], :], T[i][T]):
@@ -395,39 +357,108 @@ class FiniteGroup:
                 raise ValueError("multiplication is not associative (sampled triple failed)")
             self.assoc_checked = "sampled"
 
+    def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # one flat gather: about 2.5x faster than table[a, b]
+        return self.table.ravel()[a * self.order + b].astype(np.int64)
+
+
+class PermBackend(Backend):
+    """Permutations, identity first: each product composes image arrays on
+    demand and finds the result in an element index (:class:`_PermIndex`),
+    so no n x n array is held at any order."""
+
+    def __init__(self, perms: np.ndarray):
+        perms = np.ascontiguousarray(perms, dtype=_perm_dtype(perms.shape[1]))
+        if not np.array_equal(perms[0], np.arange(perms.shape[1])):
+            raise ValueError("identity permutation is not at index 0")
+        perms.setflags(write=False)
+        self.perms = perms
+        self.order, self.width = perms.shape
+        self._index = _PermIndex(perms)
+        invp = np.empty_like(perms)
+        cols = np.arange(self.width, dtype=perms.dtype)
+        np.put_along_axis(invp, perms, np.broadcast_to(cols, perms.shape), axis=1)
+        self.inv = self._index.lookup(invp).astype(np.int32)
+
+    def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        P = self.perms
+        # row x of a*b is b(a(x)): one flat gather, broadcast over a and b,
+        # about 2x faster than take_along_axis of the rows of b by those of a
+        rows = P.ravel()[np.multiply(b, self.width)[..., None] + P[a]]
+        return self._index.lookup(rows.reshape(-1, self.width)).reshape(rows.shape[:-1])
+
+    def validate(self, group: "FiniteGroup") -> None:
+        """Closure: the cached greedy pass of :meth:`FiniteGroup._generators`
+        looks up each product it forms, which raises on one outside the set,
+        and reaches every element, so the set is the group it spans."""
+        group._generators()
+
+
+class ProductBackend(Backend):
+    """G x H with (a, b) at index a*|H| + b, each product taken from the
+    factors' backends."""
+
+    def __init__(self, g: Backend, h: Backend):
+        self._g, self._h = g, h
+        self.order = g.order * h.order
+        self.width = max(g.width, h.width)
+        self.inv = (g.inv[:, None] * h.order + h.inv[None, :]).ravel().astype(np.int32)
+
+    def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        m = self._h.order
+        return self._g.mul_pairs(a // m, b // m) * m + self._h.mul_pairs(a % m, b % m)
+
+
+class FiniteGroup:
+    """Indexed finite group with total multiplication and identity at index 0.
+
+    Construct through the factory functions (:func:`generate_group`,
+    :func:`from_cayley`, :func:`direct_product`, the catalog constructors)
+    rather than directly.  Instances are immutable after construction and
+    safe to share across threads.
+    """
+
+    def __init__(self, backend: Backend, *, labels: Union[Sequence[str], LabelFn], name: str):
+        """``backend`` gives the order and the multiplication.  ``labels`` names
+        the elements: a function from element index to label, called only
+        when :meth:`label` or :attr:`labels` asks for a label, or a list,
+        whose ``__getitem__`` is then that function.  A label function holds
+        only what it renders from (index arrays, a parent's label function),
+        never a group."""
+        self.backend = backend
+        self.name = name
+        n = self.order = backend.order
+        if not callable(labels):
+            labels = list(labels)
+            if len(labels) != n:
+                raise ValueError(f"{len(labels)} labels do not match order {n}")
+            labels = labels.__getitem__
+        self._label = labels
+        self._cache: dict = {}
+        self.inv = backend.inv
+        self.inv.setflags(write=False)
+        backend.validate(self)
+
     # -- multiplication primitives ----------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        return int(self._index.lookup(self._perms[j][self._perms[i]][None, :])[0])
+        # Python ints, not 0-d arrays: the formulas are several times faster on them
+        return int(self.backend.mul_pairs(int(i), int(j)))
 
     def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise products of two index arrays, broadcast against each
         other (two equal-length vectors, or a column and a row)."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self._table is not None:
-            # one flat gather: about 2.5x faster than table[a, b]
-            return self._table.ravel()[a * self.order + b].astype(np.int64)
-        P = self._perms
-        # row x of a*b is b(a(x)): one flat gather, broadcast over a and b,
-        # about 2x faster than take_along_axis of the rows of b by those of a
-        rows = P.ravel()[(b * P.shape[1])[..., None] + P[a]]
-        return self._index.lookup(rows.reshape(-1, P.shape[1])).reshape(rows.shape[:-1])
+        return self.backend.mul_pairs(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def mul_outer(self, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
         """Products a[i]*b[j] of two index vectors, as an |a| x |b| array;
-        without ``b``, the products a[i]*y for every element y (on the table
-        backend, the rows a of the table).  Permutation products are formed
-        for as many rows of a at a time as keep their image arrays within
-        BLOCK_ENTRIES points."""
+        without ``b``, the products a[i]*y for every element y.  Products
+        are formed for as many rows of a at a time as keep them within
+        BLOCK_ENTRIES entries of the backend's width."""
         a = np.asarray(a, dtype=np.int64)
-        if self._table is not None:
-            return self._table[a] if b is None else self._table[a[:, None], b]
         b = np.arange(self.order) if b is None else np.asarray(b, dtype=np.int64)
         out = np.empty((len(a), len(b)), dtype=np.int64)
-        step = rows_per_block(len(b) * self._perms.shape[1])
+        step = rows_per_block(len(b) * self.backend.width)
         for lo in range(0, len(a), step):
             out[lo : lo + step] = self.mul_pairs(a[lo : lo + step, None], b[None, :])
         return out
@@ -467,11 +498,11 @@ class FiniteGroup:
 
     @property
     def table(self) -> Optional[np.ndarray]:
-        return self._table
+        return self.backend.table
 
     @property
     def perms(self) -> Optional[np.ndarray]:
-        return self._perms
+        return self.backend.perms
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -763,10 +794,7 @@ class FiniteGroup:
         if (prods < 0).any():
             raise ValueError("index set is not closed under multiplication")
         return FiniteGroup(
-            table=prods,
-            labels=_relabel(self._label, idx),
-            name=f"{self.name}[sub:{m}]",
-            source="cayley-table",
+            TableBackend(prods), labels=_relabel(self._label, idx), name=f"{self.name}[sub:{m}]"
         )
 
     def quotient(self, sub: SubgroupSet) -> "FiniteGroup":
@@ -803,10 +831,9 @@ class FiniteGroup:
         # row c: the members of coset c in ascending order, each coset of size |N|
         cosets = np.argsort(coset_of, kind="stable").reshape(qn, sub.size)
         q = FiniteGroup(
-            table=qtable,
+            TableBackend(qtable),
             labels=_coset_labels(self._label, cosets),
             name=f"{self.name}/N{sub.size}",
-            source="quotient",
         )
         if q.order * sub.size != self.order:
             raise RuntimeError("quotient order invariant violated")
@@ -878,11 +905,9 @@ def from_cayley(
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError("table entry out of range")
     return FiniteGroup(
-        table=arr,
+        TableBackend(arr, rigor="full"),
         labels=_generic_label if labels is None else labels,
         name=name,
-        source="cayley-table",
-        rigor="full",
     )
 
 
@@ -922,9 +947,7 @@ def generate_group(
         if count > cap:
             raise CapExceededError(f"closure exceeded the element cap {cap}")
     perms = np.concatenate(levels)
-    return FiniteGroup(
-        perms=perms, labels=_cycle_labels(perms), name=name, source="generated-permutation"
-    )
+    return FiniteGroup(PermBackend(perms), labels=_cycle_labels(perms), name=name)
 
 
 def from_permutation_set(perms: np.ndarray, *, name: str) -> FiniteGroup:
@@ -942,23 +965,15 @@ def from_permutation_set(perms: np.ndarray, *, name: str) -> FiniteGroup:
         raise ValueError("element set must contain the identity")
     rest = np.delete(perms, pos[0], axis=0)
     perms = np.concatenate([identity[None, :], rest], axis=0)
-    return FiniteGroup(
-        perms=perms, labels=_cycle_labels(perms), name=name, source="generated-permutation"
-    )
+    return FiniteGroup(PermBackend(perms), labels=_cycle_labels(perms), name=name)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """Componentwise product group with index (a, b) -> a*|H| + b, as a
-    Cayley table from both factors' products."""
-    n = g.order * h.order
-    if n > TABLE_LIMIT:
-        raise CapExceededError(f"direct product of order {n} exceeds the table limit {TABLE_LIMIT}")
-    # int32 throughout: every index is below n
-    gt, ht = (f.mul_outer(np.arange(f.order)).astype(np.int32) for f in (g, h))
-    table = (gt[:, None, :, None] * h.order + ht[None, :, None, :]).reshape(n, n)
+    """Componentwise product group with index (a, b) -> a*|H| + b, its
+    products taken from both factors (:class:`ProductBackend`)."""
+    check_element_cap(g.order * h.order, "direct product order")
     return FiniteGroup(
-        table=table,
+        ProductBackend(g.backend, h.backend),
         labels=_pair_labels(g._label, h._label, h.order),
         name=f"product:{g.name},{h.name}",
-        source="product",
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import sweep_entries, symmetric
+from .catalog import catalog_entries, symmetric
 from .core import distinct_primes
 from .metric import (
     involution_product_witness,
@@ -75,7 +75,7 @@ def _theorem1(bound: int) -> tuple[bool, list[str]]:
     lines = []
     failures = 0
     checked = 0
-    for entry in sweep_entries(bound):
+    for entry in catalog_entries(bound):
         g = entry.build()
         cp3_ok, _ = is_cp3(g)
         if not cp3_ok:
@@ -101,7 +101,7 @@ def _theorem1(bound: int) -> tuple[bool, list[str]]:
 
 
 def _cp3_groups(bound: int):
-    for entry in sweep_entries(bound):
+    for entry in catalog_entries(bound):
         g = entry.build()
         if is_cp3(g)[0]:
             yield entry.name, g
@@ -129,7 +129,7 @@ def _theorem3(bound: int) -> tuple[bool, list[str]]:
     failures = 0
     checked = 0
     layered = 0
-    for entry in sweep_entries(bound):
+    for entry in catalog_entries(bound):
         if len(distinct_primes(entry.order)) != 1:
             continue
         g = entry.build()
@@ -158,7 +158,7 @@ def _theorem4(bound: int) -> tuple[bool, list[str]]:
     lines = []
     ok = True
     simple_names = []
-    for entry in sweep_entries(bound):
+    for entry in catalog_entries(bound):
         if entry.abelian:
             continue
         g = entry.build()

@@ -51,7 +51,7 @@ def tableless_copy():
 
     def copy(g):
         products = g.mul_outer(np.arange(g.order))
-        h = cg.FiniteGroup(perms=products.T, labels=g.labels, name=g.name, source="regular")
+        h = cg.FiniteGroup(cg.core.PermBackend(products.T), labels=g.labels, name=g.name)
         assert h.table is None
         return h
 
@@ -79,7 +79,7 @@ _INDEX_VARIANTS = {
 def index_variants(monkeypatch):
     """Per index variant of a permutation group g: the lookup of the
     product rows a[i]*b[i] and the inverses a copy of g gets with that
-    index.  Each variant must find g's own rows and refuse
+    index, built from g's permutations.  Each variant must find g's own rows and refuse
     a row outside g (a constant row on two or more points, and a
     permutation outside g where a swap of two neighbouring points gives
     one)."""
@@ -100,7 +100,7 @@ def index_variants(monkeypatch):
                 for attr, value in settings.items():
                     m.setattr(cg.core, attr, value)
                 index = cg.core._PermIndex(g.perms)
-                copy = cg.FiniteGroup(perms=g.perms, labels=g._label, name=g.name, source="test")
+                copy = cg.FiniteGroup(cg.core.PermBackend(g.perms), labels=g._label, name=g.name)
             path = [name for name in _INDEX_VARIANTS if getattr(index, name) is not None]
             # where no key prefix separates the elements, every variant uses bytes
             assert variant == "_direct" or path in ([variant], ["_bybytes"])

@@ -84,6 +84,65 @@ def slow_perm_table(g: FiniteGroup) -> list[list[int]]:
     return [[index[p * q] for q in perms] for p in perms]
 
 
+def _fill_mod(out: np.ndarray, m: int, sign: int, shift: int = 0, offset: int = 0) -> None:
+    """out[x, y] = offset + (x + sign * y + shift) mod m on an m x m block, in place."""
+    ar = np.arange(m, dtype=np.int32)
+    np.add.outer(ar + shift, sign * ar, out=out)
+    np.remainder(out, m, out=out)
+    if offset:
+        out += offset
+
+
+def _metacyclic_table(m: int, square: int) -> np.ndarray:
+    """Table of the 2m elements a^i (index i) and a^i b (index m + i) with
+    a^m = 1, b a = a^-1 b and b^2 = a^square, filled block by block:
+    a^i a^j = a^(i+j), a^i a^j b = a^(i+j) b, a^i b a^j = a^(i-j) b and
+    a^i b a^j b = a^(i-j+square)."""
+    table = np.empty((2 * m, 2 * m), dtype=np.int32)
+    _fill_mod(table[:m, :m], m, 1)
+    _fill_mod(table[:m, m:], m, 1, offset=m)
+    _fill_mod(table[m:, :m], m, -1, offset=m)
+    _fill_mod(table[m:, m:], m, -1, shift=square)
+    return table
+
+
+def _elemab_table(p: int, k: int) -> np.ndarray:
+    """Table of (Z_p)^k, element i the vector of its base-p digits, one
+    digit at a time."""
+    n = p**k
+    ar = np.arange(n, dtype=np.int32)
+    table = np.zeros((n, n), dtype=np.int32)
+    for d in range(k):
+        digit = (ar // p**d) % p
+        table += np.add.outer(digit, digit) % p * p**d
+    return table
+
+
+def reference_table(spec: str) -> np.ndarray:
+    """The int32 Cayley table of a group identifier, filled entry block by
+    entry block from the defining relations of its family, independently
+    of the group's own products; a permutation group's by composition
+    (:func:`slow_perm_table`), and a direct product's from its factors'
+    tables with (a, b) at index a*|H| + b."""
+    if spec.startswith("product:"):
+        gt, ht = (reference_table(part) for part in spec[len("product:") :].split(","))
+        n = len(gt) * len(ht)
+        return (gt[:, None, :, None] * len(ht) + ht[None, :, None, :]).reshape(n, n)
+    family, _, arg = spec.partition(":")
+    if family == "cyclic":
+        table = np.empty((int(arg), int(arg)), dtype=np.int32)
+        _fill_mod(table, int(arg), 1)
+        return table
+    if family == "dihedral":
+        return _metacyclic_table(int(arg) // 2, 0)
+    if family == "dicyclic":
+        return _metacyclic_table(int(arg) // 2, int(arg) // 4)
+    if family == "elemab":
+        p, k = arg.split("^")
+        return _elemab_table(int(p), int(k))
+    return np.array(slow_perm_table(group_from_spec(spec)), dtype=np.int32)
+
+
 def slow_conjugacy_sizes(g: FiniteGroup) -> list[int]:
     """Brute-force conjugation orbit sizes, sorted ascending."""
     remaining = set(range(g.order))

@@ -1,10 +1,10 @@
-"""Every catalog group of order <= 60, on the table backend or on its own
-permutations, against its right regular representation on the permutation
-backend, for the algorithms written once on top of the multiplication
-primitives ``mul``, ``mul_pairs`` and ``mul_outer``.
-
-Each group is compared with its ``tableless_copy`` (same element indices,
-products composed from permutations) and with a slow pure-Python oracle.
+"""Every catalog group of order <= 60 three ways, for the algorithms
+written once on top of the multiplication primitives ``mul``,
+``mul_pairs`` and ``mul_outer``: on its own backend (a formula or its
+permutations), on a table backend built from its products, and as its
+right regular representation on the permutation backend
+(``tableless_copy``), all with the same element indices.  Each is also
+compared with a slow pure-Python oracle.
 """
 
 import numpy as np
@@ -33,14 +33,22 @@ from oracles import slow_center, slow_element_order, slow_quotient_order_multise
 NAMES = [e.name for e in cg.catalog_entries(60)]
 
 
+def table_copy(g):
+    """g on the table backend, same indices: the table of all its products."""
+    table = g.mul_outer(np.arange(g.order))
+    h = cg.FiniteGroup(cg.core.TableBackend(table), labels=g.labels, name=g.name)
+    assert h.perms is None
+    return h
+
+
 @pytest.fixture(params=NAMES)
 def backends(request, tableless_copy):
     g = cg.group_from_spec(request.param)
-    return g, tableless_copy(g)
+    return g, table_copy(g), tableless_copy(g)
 
 
 def test_mul_pairs_broadcasts(backends):
-    g, h = backends
+    g = backends[0]
     x = np.arange(g.order)
     for grp in backends:
         assert np.array_equal(grp.mul_pairs(x[:, None], x[None, :]), g.mul_outer(x, x))
@@ -48,7 +56,7 @@ def test_mul_pairs_broadcasts(backends):
 
 
 def test_index_variants(backends, index_variants):
-    g, h = backends
+    g, _, h = backends
     a, b = random_pairs(h)
     products = g.mul_outer(np.arange(g.order))
     for lookup, inv in index_variants(h, a, b).values():
@@ -57,7 +65,7 @@ def test_index_variants(backends, index_variants):
 
 
 def test_center_and_is_abelian(backends):
-    g, h = backends
+    g = backends[0]
     center = slow_center(g)
     for grp in backends:
         assert grp.center().tolist() == center
@@ -65,16 +73,16 @@ def test_center_and_is_abelian(backends):
 
 
 def test_quotients(backends, monkeypatch):
-    g, h = backends
+    g = backends[0]
     quotients = {}
     for normal in g.normal_subgroups():
         q = quotients[normal] = g.quotient(normal)
         assert sorted(q.order_table().orders.tolist()) == slow_quotient_order_multiset(
             g, normal.indices().tolist()
         )
-        other = h.quotient(normal)
-        assert np.array_equal(other.table, q.table)
-        assert other.labels == q.labels
+        for other in (grp.quotient(normal) for grp in backends[1:]):
+            assert np.array_equal(other.table, q.table)
+            assert other.labels == q.labels
     # one row per block in the coset and well-definedness loops
     monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", 1)
     for normal, q in quotients.items():
@@ -83,9 +91,9 @@ def test_quotients(backends, monkeypatch):
 
 
 def test_abelian_subgroup_scan(backends):
-    g, h = backends
+    g = backends[0]
     report = abelian_subgroup_scan(g)
-    assert abelian_subgroup_scan(h) == report
+    assert all(abelian_subgroup_scan(grp) == report for grp in backends[1:])
     abelian = [
         s
         for s in all_subgroups(g)
@@ -96,7 +104,7 @@ def test_abelian_subgroup_scan(backends):
 
 @pytest.mark.parametrize("threshold", [2, 3])
 def test_involution_product_witness(backends, threshold):
-    g, h = backends
+    g = backends[0]
     invol = [x for x in range(g.order) if slow_element_order(g, x) == 2]
     expected = next(
         (
@@ -119,7 +127,7 @@ def test_involution_product_witness(backends, threshold):
 
 
 def test_distance_matrix(backends, monkeypatch):
-    g, h = backends
+    g = backends[0]
     orders = [slow_element_order(g, x) for x in range(g.order)]
     expected = [
         [orders[g.mul(x, int(g.inv[y]))] - 1 for y in range(g.order)] for x in range(g.order)
@@ -132,14 +140,14 @@ def test_distance_matrix(backends, monkeypatch):
 
 
 def test_layer_check(backends):
-    g, h = backends
+    g = backends[0]
     if g.is_p_group() is None:
         for grp in backends:
             with pytest.raises(ValueError):
                 layer_check(grp)
         return
     report = layer_check(g)
-    assert layer_check(h) == report
+    assert all(layer_check(grp) == report for grp in backends[1:])
     orders = [slow_element_order(g, x) for x in range(g.order)]
     for row in report.rows:
         members = {x for x in range(g.order) if orders[x] <= row.threshold}
@@ -151,16 +159,16 @@ def test_layer_check(backends):
 
 
 def test_classify(backends):
-    g, h = backends
-    assert classify(h) == classify(g)
+    report = classify(backends[0])
+    assert all(classify(grp) == report for grp in backends[1:])
 
 
-def test_element_set_checks_in_one_row_slices(backends, monkeypatch, tableless_copy):
+def test_element_set_checks_in_one_row_slices(backends, monkeypatch):
     """With CHECK_ENTRIES = 1 every block of the element-set checks is one
     row of one set; the lattice, the normal subgroups, the pair-condition
     and commutativity verdicts, the quotients and the layers stay the same
-    on both backends."""
-    g, h = backends
+    on all three backends."""
+    g = backends[0]
 
     def results(grp):
         subs = all_subgroups(grp)
@@ -177,12 +185,9 @@ def test_element_set_checks_in_one_row_slices(backends, monkeypatch, tableless_c
         )
 
     expected = results(g)
-    assert results(h) == expected
-    # fresh groups: the lattice is cached on the instance
-    fresh = cg.FiniteGroup(
-        table=g.table, perms=g.perms, labels=g.labels, name=g.name, source=g.source
-    )
-    fresh_tableless = tableless_copy(g)
+    assert all(results(grp) == expected for grp in backends[1:])
+    # fresh groups from the same backends: the lattice is cached on the instance
+    fresh = [cg.FiniteGroup(grp.backend, labels=g.labels, name=g.name) for grp in backends]
     monkeypatch.setattr(cg.core, "CHECK_ENTRIES", 1)
-    for grp in (fresh, fresh_tableless):
+    for grp in fresh:
         assert results(grp) == expected

@@ -9,6 +9,8 @@ from cpgroups import CapExceededError
 from cpgroups.catalog import SUPPORTED_PSL_Q, _REDUCTION_POLYS
 from cpgroups.metric import involution_product_witness
 
+from oracles import reference_table
+
 
 class TestMakeField:
     def test_gf2_is_xor_and_and(self):
@@ -82,45 +84,102 @@ class TestConstructors:
         assert conj == int(g.inv[a])
 
     def test_element_cap(self):
-        with pytest.raises(CapExceededError):
-            cg.cyclic(20000)
-        with pytest.raises(CapExceededError):
-            cg.symmetric(8)
+        for build in (
+            lambda: cg.cyclic(10001),
+            lambda: cg.dihedral(5001),
+            lambda: cg.dicyclic(2501),
+            lambda: cg.elementary_abelian(2, 14),
+            lambda: cg.direct_product(cg.cyclic(101), cg.cyclic(100)),
+            lambda: cg.symmetric(8),
+            lambda: cg.alternating(8),
+        ):
+            with pytest.raises(CapExceededError, match="ELEMENT_CAP=10000"):
+                build()
+        assert [g.order for g in (cg.cyclic(10000), cg.dihedral(5000), cg.dicyclic(2500))] == [10000] * 3
 
 
-class TestTableCap:
-    """The table families stop at TABLE_LIMIT before allocating and build int32 directly."""
-
-    TABLE_BYTES = cg.core.TABLE_LIMIT**2 * 4  # the int32 table of order 4096
+class TestElementCap:
+    """The formula families and direct products stop at ELEMENT_CAP before
+    allocating anything, and below it hold no n x n array."""
 
     @pytest.mark.parametrize(
         "spec",
-        ["cyclic:4097", "cyclic:10000", "dihedral:4098", "dicyclic:4100", "elemab:2^13", "elemab:17^3"],
+        [
+            "cyclic:10001",
+            "cyclic:1000000000000",
+            "dihedral:10002",
+            "dicyclic:10004",
+            "elemab:2^14",
+            "elemab:17^4",
+            "product:cyclic:9999,cyclic:9999",
+        ],
     )
     def test_over_the_cap_raises_before_allocating(self, spec):
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceededError, match="TABLE_LIMIT=4096"):
+            with pytest.raises(CapExceededError, match="ELEMENT_CAP=10000"):
                 cg.group_from_spec(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("spec", ["cyclic:4096", "elemab:2^12"])
-    def test_build_peak_is_bounded_by_three_tables(self, spec):
+    @pytest.mark.parametrize(
+        "spec", ["cyclic:10000", "dihedral:10000", "dicyclic:4096", "elemab:2^12", "elemab:17^3"]
+    )
+    def test_building_keeps_no_square_array(self, spec):
         tracemalloc.start()
         try:
             g = cg.group_from_spec(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert g.order == 4096 and g.table.dtype == np.int32
-        assert peak <= 3 * self.TABLE_BYTES
+        assert g.table is None and g.perms is None
+        # one int32 table of order 4096 is 64 MB, of order 10000 400 MB
+        assert peak < 64 * g.order
 
     def test_catalog_iter_over_the_cap_raises_before_building(self):
-        with pytest.raises(CapExceededError, match="TABLE_LIMIT=4096"):
-            next(cg.catalog_iter(5000))
+        with pytest.raises(CapExceededError, match="ELEMENT_CAP=10000"):
+            next(cg.catalog_iter(10001))
+
+
+_FORMULA_FAMILIES = ("cyclic", "dihedral", "dicyclic", "elemab", "product")
+_FORMULA_SPECS = [e.name for e in cg.catalog_entries(200) if e.family in _FORMULA_FAMILIES] + [
+    "product:symmetric:3,cyclic:4",
+    "product:dicyclic:8,elemab:3^2",
+    "product:cyclic:5,dihedral:10",
+]
+_LARGE_FORMULA_SPECS = [
+    *(f"{family}:{n}" for family in ("cyclic", "dihedral", "dicyclic") for n in (1024, 2500, 4096)),
+    "elemab:2^10",
+    "elemab:7^4",
+    "elemab:2^12",
+    "product:cyclic:32,cyclic:32",
+    "product:cyclic:50,cyclic:50",
+    "product:cyclic:64,cyclic:64",
+]
+
+
+class TestFormulaProducts:
+    """The formula families multiply and invert as the tables filled from
+    their defining relations (:func:`oracles.reference_table`) say."""
+
+    @staticmethod
+    def _check(spec):
+        g, table = cg.group_from_spec(spec), reference_table(spec)
+        assert g.table is None and g.order == len(table)
+        ar = np.arange(g.order)
+        for lo in range(0, g.order, 512):  # a block of rows keeps the products small
+            assert np.array_equal(g.mul_outer(ar[lo : lo + 512]), table[lo : lo + 512])
+        assert np.array_equal(g.inv, np.argmax(table == 0, axis=1))
+
+    @pytest.mark.parametrize("spec", _FORMULA_SPECS)
+    def test_up_to_order_200(self, spec):
+        self._check(spec)
+
+    @pytest.mark.parametrize("spec", _LARGE_FORMULA_SPECS)
+    def test_large_orders(self, spec):
+        self._check(spec)
 
 
 class TestPsl2:

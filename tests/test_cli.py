@@ -53,13 +53,28 @@ class TestAnalyze:
         assert "cap" in err
 
     @pytest.mark.parametrize(
-        "spec", ["cyclic:4097", "dihedral:4098", "dicyclic:4100", "elemab:2^13", "elemab:17^3"]
+        "spec",
+        [
+            "cyclic:10001",
+            "cyclic:1000000000000",
+            "dihedral:10002",
+            "dicyclic:10004",
+            "elemab:2^14",
+            "elemab:17^4",
+            "product:cyclic:9999,cyclic:9999",
+        ],
     )
-    def test_table_families_over_the_table_cap_exit_3(self, capsys, spec):
+    def test_formula_families_over_the_element_cap_exit_3(self, capsys, spec):
         code, out, err = run_cli(capsys, "analyze", spec)
         assert code == 3
         assert out == ""
-        assert "cap" in err and "TABLE_LIMIT=4096" in err
+        assert "cap" in err and "ELEMENT_CAP=10000" in err
+
+    @pytest.mark.parametrize("spec", ["cyclic:10000", "dihedral:10000", "dicyclic:4100"])
+    def test_formula_families_above_the_table_cap_run(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "analyze", spec, "--format", "records")
+        assert code == 0
+        assert out.splitlines()[:2] == [f"name={spec}", f"order={spec.split(':')[1]}"]
 
     def test_symmetric_7_on_the_permutation_backend(self, capsys):
         # order 5040, above the table and distance-matrix caps: classified
@@ -204,17 +219,17 @@ class TestClassify:
         for flag in ("cp=true", "cp2=true", "cp3=true", "solvable=true"):
             assert flag in lines[0]
 
-    def test_max_order_over_the_table_cap_exit_3_before_building(self, capsys, monkeypatch):
+    def test_max_order_over_the_element_cap_exit_3_before_building(self, capsys, monkeypatch):
         from cpgroups import catalog
 
         def refuse(*args, **kwargs):
             raise AssertionError("a group was built")
 
         monkeypatch.setattr(catalog, "cyclic", refuse)
-        code, out, err = run_cli(capsys, "classify", "--max-order", "5000")
+        code, out, err = run_cli(capsys, "classify", "--max-order", "10001")
         assert code == 3
         assert out == ""
-        assert "cap" in err and "TABLE_LIMIT=4096" in err
+        assert "cap" in err and "ELEMENT_CAP=10000" in err
 
     @pytest.mark.parametrize("bound", ["0", "-5"])
     @pytest.mark.parametrize("fmt", ["text", "records"])
@@ -236,7 +251,7 @@ class TestClassify:
 
 class TestVerify:
     @pytest.mark.parametrize("target", ["theorem1", "theorem4", "subgroup-closure"])
-    def test_max_order_over_the_table_cap_exit_3_before_building(self, target, capsys, monkeypatch):
+    def test_max_order_over_the_element_cap_exit_3_before_building(self, target, capsys, monkeypatch):
         from cpgroups import catalog
 
         def refuse(*args, **kwargs):
@@ -244,10 +259,10 @@ class TestVerify:
 
         for family in ("cyclic", "dihedral", "dicyclic", "symmetric", "alternating"):
             monkeypatch.setattr(catalog, family, refuse)
-        code, out, err = run_cli(capsys, "verify", target, "--max-order", "5000")
+        code, out, err = run_cli(capsys, "verify", target, "--max-order", "10001")
         assert code == 3
         assert out == ""
-        assert "cap" in err and "TABLE_LIMIT=4096" in err
+        assert "cap" in err and "ELEMENT_CAP=10000" in err
 
     @pytest.mark.parametrize("target", ["theorem1", "theorem4"])
     @pytest.mark.parametrize("bound", ["0", "-1"])

@@ -411,9 +411,9 @@ class TestDirectProduct:
         for i in range(g.order):
             assert g.mul(i, int(g.inv[i])) == 0
 
-    def test_table_limit(self):
-        with pytest.raises(CapExceededError):
-            cg.direct_product(cg.cyclic(70), cg.cyclic(70))
+    def test_element_cap(self):
+        with pytest.raises(CapExceededError, match="ELEMENT_CAP=10000"):
+            cg.direct_product(cg.cyclic(101), cg.cyclic(100))
 
 
 class TestSubgroupRealization:
@@ -537,7 +537,7 @@ class TestTablelessBackend:
 
     @pytest.fixture()
     def table_s4(self, s4):
-        g = cg.FiniteGroup(table=slow_perm_table(s4), labels=s4.labels, name=s4.name, source="test")
+        g = cg.FiniteGroup(cg.core.TableBackend(slow_perm_table(s4)), labels=s4.labels, name=s4.name)
         assert g.perms is None
         return g
 
@@ -598,7 +598,7 @@ class TestPermutationTables:
     def test_right_regular_representation_rebuilds_the_table(self, name):
         g = cg.group_from_spec(name)
         table = g.mul_outer(np.arange(g.order))
-        h = cg.FiniteGroup(perms=table.T, labels=g.labels, name=g.name, source="regular")
+        h = cg.FiniteGroup(cg.core.PermBackend(table.T), labels=g.labels, name=g.name)
         assert h.table is None
         assert np.array_equal(h.mul_outer(np.arange(h.order)), table)
 
@@ -640,7 +640,7 @@ class TestPermutationTables:
         # is never reached by a product and would stall the generator pass
         perms = np.array([[0, 1, 2], [1, 0, 2], [1, 0, 2]])
         with pytest.raises(ValueError, match="the permutations are not distinct"):
-            cg.FiniteGroup(perms=perms, labels=["e", "a", "b"], name="repeated", source="test")
+            cg.FiniteGroup(cg.core.PermBackend(perms), labels=["e", "a", "b"], name="repeated")
 
     @pytest.mark.parametrize("variant", sorted(_INDEX_VARIANTS))
     def test_every_index_refuses_repeated_rows(self, monkeypatch, s4, variant):
@@ -782,15 +782,15 @@ class TestPermIndex:
 
     @pytest.mark.parametrize("name", ["symmetric:7", "alternating:7", "psl2:17"])
     def test_large_groups_use_the_direct_table(self, name):
-        index = _PERM_GROUPS[name]()._index
+        index = _PERM_GROUPS[name]().backend._index
         assert index._direct is not None and index._sorted is None and index._bybytes is None
         assert index._direct.size <= cg.core.DIRECT_INDEX_ENTRIES
 
     def test_wide_keys_fall_back(self):
         # 70000^3 keys are too many for a direct table; with points
         # 0, 1, 2 fixed no prefix separates the two elements
-        assert _PERM_GROUPS["(1 2) on 70000"]()._index._sorted is not None
-        assert _PERM_GROUPS["(69999 70000) on 70000"]()._index._bybytes is not None
+        assert _PERM_GROUPS["(1 2) on 70000"]().backend._index._sorted is not None
+        assert _PERM_GROUPS["(69999 70000) on 70000"]().backend._index._bybytes is not None
 
 
 _LABEL_NAMES = [e.name for e in cg.catalog_entries(60)]

@@ -427,11 +427,10 @@ class TestSerialization:
         [
             cg.group_from_spec("elemab:2^3"),
             cg.group_from_spec("product:cyclic:2,cyclic:3"),
-            cg.FiniteGroup(
-                table=cg.cyclic(6).table,
+            cg.from_cayley(
+                cg.cyclic(6).mul_outer(np.arange(6)).tolist(),
                 labels=["", "a,b", 'q"x', "line\nbreak", "cr\rx", " lead"],
                 name="awkward-labels",
-                source="cayley-table",
             ),
         ],
         ids=["elemab", "product", "awkward-labels"],
