@@ -204,6 +204,31 @@ def closure_verdicts(
     return closed, (closed & stable if normal else None)
 
 
+def _orbit_roots(maps: np.ndarray) -> np.ndarray:
+    """The smallest point of each point's orbit under the permutations in the
+    rows of ``maps``.
+
+    Hooking and pointer jumping: every point holds a root, a point of its
+    orbit no larger than itself.  Each round hooks, for every edge
+    x -> map(x) whose ends hold different roots, the larger root onto the
+    smaller, then jumps each point to its root's root until every point
+    holds a root of its own.  The rounds stop when every edge joins equal
+    roots; the smallest point of an orbit is never hooked, so it is then
+    the root of the whole orbit.
+    """
+    root = np.arange(maps.shape[1])
+    while True:
+        ends = root[maps]
+        lo, hi = np.minimum(root, ends), np.maximum(root, ends)
+        moved = lo != hi
+        if not moved.any():
+            return root
+        np.minimum.at(root, hi[moved], lo[moved])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+
+
 @dataclass(frozen=True, eq=False)
 class OrderTable:
     """Element orders of a group: orders[i] = least k >= 1 with i^k = identity."""
@@ -339,6 +364,7 @@ class TableBackend(Backend):
         if np.bincount(inv, minlength=n).max() != 1:
             raise ValueError("inverse map is not a bijection")
         self.inv = inv
+        self._flat = T.ravel()
         self._check_associativity(rigor)
 
     def _check_associativity(self, rigor: str) -> None:
@@ -358,8 +384,10 @@ class TableBackend(Backend):
             self.assoc_checked = "sampled"
 
     def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # one flat gather: about 2.5x faster than table[a, b]
-        return self.table.ravel()[a * self.order + b].astype(np.int64)
+        # one flat gather: about 2.5x faster than table[a, b]; only arrays are
+        # widened, since a scalar's astype costs more than its gather
+        out = self._flat[a * self.order + b]
+        return out.astype(np.int64) if isinstance(out, np.ndarray) else out
 
 
 class PermBackend(Backend):
@@ -553,30 +581,48 @@ class FiniteGroup:
         return result
 
     def conjugacy_classes(self) -> list[np.ndarray]:
-        """Conjugation-orbit partition, classes listed by smallest member."""
+        """Conjugation-orbit partition, classes listed by smallest member,
+        members ascending; cached.
+
+        The classes are the orbits of the maps x -> t^-1 x t for the
+        generators t of :meth:`_generators`, since the generators'
+        conjugations generate all the others: 2 * |gens| * |G| products for
+        the maps, then :func:`_orbit_roots` on them with no further product.
+        """
         cached = self._cache.get("classes")
-        if cached is not None:
-            return cached
-        n = self.order
-        ar = np.arange(n)
-        assigned = np.zeros(n, dtype=bool)
-        classes = []
-        for i in range(n):
-            if assigned[i]:
-                continue
-            t = self.mul_pairs(self.inv.astype(np.int64), np.full(n, i))
-            orbit = np.unique(self.mul_pairs(t, ar))
-            assigned[orbit] = True
-            classes.append(orbit)
-        self._cache["classes"] = classes
-        return classes
+        if cached is None:
+            ids = self._class_ids()
+            members = np.argsort(ids, kind="stable")
+            cached = np.split(members, np.flatnonzero(np.diff(ids[members])) + 1)
+            self._cache["classes"] = cached
+        return cached
+
+    def _class_ids(self) -> np.ndarray:
+        """Per element, the position of its class in :meth:`conjugacy_classes`; cached."""
+        cached = self._cache.get("class_ids")
+        if cached is None:
+            n = self.order
+            gens = np.array(self._generators(), dtype=np.int64)
+            inv_gens = self.inv[gens].astype(np.int64)
+            maps = np.empty((len(gens), n), dtype=np.int64)
+            step = rows_per_block(len(gens) * self.backend.width)
+            for lo in range(0, n, step):
+                x = np.arange(lo, min(n, lo + step))
+                left = self.mul_pairs(inv_gens[:, None], x[None, :])
+                maps[:, lo : lo + len(x)] = self.mul_pairs(left, gens[:, None])
+            # each orbit's root is its smallest member, so the roots number
+            # the classes in the order of their smallest members
+            cached = np.unique(_orbit_roots(maps), return_inverse=True)[1]
+            cached.setflags(write=False)
+            self._cache["class_ids"] = cached
+        return cached
 
     def center(self) -> np.ndarray:
-        """Indices of elements commuting with everything: z is central iff it
-        commutes with each generator (:meth:`_generators`)."""
-        gens = np.array(self._generators(), dtype=np.int64)
-        zg = self.mul_outer(np.arange(self.order), gens)
-        return np.flatnonzero((zg == self.mul_outer(gens).T).all(axis=1))
+        """Indices of elements commuting with everything, ascending: the
+        singleton classes of the cached :meth:`conjugacy_classes`, with no
+        product beyond those of the classes."""
+        ids = self._class_ids()
+        return np.flatnonzero(np.bincount(ids)[ids] == 1)
 
     @property
     def is_abelian(self) -> bool:
@@ -759,16 +805,22 @@ class FiniteGroup:
         return _checked_subgroups(self, _join_closure(self, atoms), normal=True)
 
     def is_simple(self) -> bool:
-        """Exactly two normal subgroups (equivalently order > 1 and every
-        nontrivial conjugacy class generates the whole group).
+        """Exactly two normal subgroups (equivalently order > 1 and the normal
+        closure of every nontrivial conjugacy class is the whole group).
 
         A nonabelian group with G' < G is not simple, since G' is then a
         proper nontrivial normal subgroup; :meth:`derived_series` settles
         that in about |G| * |gens| * log2|G| products.  A perfect group is
-        simple iff each nontrivial class of the cached
-        :meth:`conjugacy_classes` spans G (the span of a class is normal):
-        one :meth:`span` per class, each about |G| * |gens| * log2|G|
-        products.
+        decided on its k classes of the cached :meth:`conjugacy_classes`
+        with one block of products: the smallest member x_i of each
+        nontrivial class times every element, (k - 1) * |G| products read
+        as class ids.  They give, for each pair of classes K_i and K_j, the
+        classes that x_i K_j meets, and those are the classes that K_i K_j
+        meets, since (g x g^-1) y = g (x g^-1 y g) g^-1.  A union of classes
+        closed under this relation is a normal subgroup, so the normal
+        closure of a class K is the fixed point of the relation from {1, K},
+        held as k-bit masks; G is simple iff every such closure holds all k
+        classes.
         """
         if self.order == 1:
             return False
@@ -776,7 +828,28 @@ class FiniteGroup:
             return is_prime(self.order)
         if len(self.derived_series()) > 1:
             return False
-        return all(len(self.span(cls)) == self.order for cls in self.conjugacy_classes()[1:])
+        ids = self._class_ids()
+        k = int(ids.max()) + 1
+        reps = np.array([int(c[0]) for c in self.conjugacy_classes()[1:]], dtype=np.int64)
+        met = ids[self.mul_outer(reps)]
+        # key (i, j, l): the rep of class i times a member of class j lies in class l
+        keys = np.unique((np.arange(1, k)[:, None] * k + ids) * k + met)
+        meets = [[0] * k for _ in range(k)]  # meets[i][j]: mask of the classes l
+        for key in keys.tolist():
+            ij, l = divmod(key, k)
+            meets[ij // k][ij % k] |= 1 << l
+        full = (1 << k) - 1
+        for c in range(1, k):
+            reached, grown = 0, 1 | 1 << c
+            while grown != reached:
+                reached = grown
+                members = [i for i in range(k) if reached >> i & 1]
+                for i in members:
+                    for j in members:
+                        grown |= meets[i][j]
+            if reached != full:
+                return False
+        return True
 
     # -- derived groups ------------------------------------------------------
 

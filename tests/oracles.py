@@ -7,6 +7,7 @@ plain Python loops, sets, and raw subset enumeration.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 import numpy as np
 
@@ -143,16 +144,25 @@ def reference_table(spec: str) -> np.ndarray:
     return np.array(slow_perm_table(group_from_spec(spec)), dtype=np.int32)
 
 
-def slow_conjugacy_sizes(g: FiniteGroup) -> list[int]:
-    """Brute-force conjugation orbit sizes, sorted ascending."""
+def _slow_classes(g: FiniteGroup) -> Iterator[list[int]]:
+    """Brute-force conjugation orbits t^-1 x t over every t, each sorted,
+    one at a time by smallest member."""
     remaining = set(range(g.order))
-    sizes = []
     while remaining:
         x = min(remaining)
         cls = {g.mul(g.mul(int(g.inv[t]), x), t) for t in range(g.order)}
-        sizes.append(len(cls))
+        yield sorted(cls)
         remaining -= cls
-    return sorted(sizes)
+
+
+def slow_conjugacy_classes(g: FiniteGroup) -> list[list[int]]:
+    """Brute-force conjugacy classes, each sorted, listed by smallest member."""
+    return list(_slow_classes(g))
+
+
+def slow_conjugacy_sizes(g: FiniteGroup) -> list[int]:
+    """Brute-force conjugation orbit sizes, sorted ascending."""
+    return sorted(len(cls) for cls in _slow_classes(g))
 
 
 def slow_center(g: FiniteGroup) -> list[int]:
@@ -196,14 +206,8 @@ def slow_is_simple(g: FiniteGroup) -> bool:
     """Order > 1 and every nontrivial brute-force class closes to the whole group."""
     if g.order == 1:
         return False
-    remaining = set(range(1, g.order))
-    while remaining:
-        x = min(remaining)
-        cls = {g.mul(g.mul(int(g.inv[t]), x), t) for t in range(g.order)}
-        if len(_slow_closure(g, cls)) < g.order:
-            return False
-        remaining -= cls
-    return True
+    classes = itertools.islice(_slow_classes(g), 1, None)
+    return all(len(_slow_closure(g, set(cls))) == g.order for cls in classes)
 
 
 def slow_subgroups(g: FiniteGroup) -> list[tuple[int, ...]]:

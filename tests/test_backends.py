@@ -28,7 +28,12 @@ from cpgroups.subgroups import (
 )
 
 from conftest import random_pairs
-from oracles import slow_center, slow_element_order, slow_quotient_order_multiset
+from oracles import (
+    slow_center,
+    slow_conjugacy_classes,
+    slow_element_order,
+    slow_quotient_order_multiset,
+)
 
 NAMES = [e.name for e in cg.catalog_entries(60)]
 
@@ -55,6 +60,17 @@ def test_mul_pairs_broadcasts(backends):
         assert np.array_equal(grp.mul_pairs(x, x[::-1]), g.mul_outer(x, x[::-1]).diagonal())
 
 
+def test_table_mul_matches_mul_pairs(backends):
+    # a scalar product is a plain gather; arrays of products come back as int64
+    table = backends[1]
+    x = np.arange(table.order)
+    products = table.mul_pairs(x[:, None], x[None, :])
+    assert products.dtype == np.int64
+    assert table.mul_outer(x).dtype == np.int64
+    assert [[table.mul(a, b) for b in x.tolist()] for a in x.tolist()] == products.tolist()
+    assert all(type(table.mul(a, a)) is int for a in x.tolist())
+
+
 def test_index_variants(backends, index_variants):
     g, _, h = backends
     a, b = random_pairs(h)
@@ -70,6 +86,14 @@ def test_center_and_is_abelian(backends):
     for grp in backends:
         assert grp.center().tolist() == center
         assert grp.is_abelian == (len(center) == g.order)
+
+
+def test_conjugacy_classes(backends):
+    classes = slow_conjugacy_classes(backends[0])
+    for grp in backends:
+        found = grp.conjugacy_classes()
+        assert [c.tolist() for c in found] == classes
+        assert all(c.dtype == np.int64 for c in found)
 
 
 def test_quotients(backends, monkeypatch):

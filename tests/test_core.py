@@ -20,6 +20,7 @@ from oracles import (
     slow_generate_perms,
     quaternion_unit_order_multiset,
     rowwise_lookup_table,
+    slow_center,
     slow_conjugacy_sizes,
     slow_derived_series,
     slow_derived_series_sizes,
@@ -218,6 +219,44 @@ class TestConjugacyClasses:
         firsts = [int(c[0]) for c in s4.conjugacy_classes()]
         assert firsts == sorted(firsts)
 
+    @pytest.mark.parametrize(
+        "spec, count",
+        [
+            ("psl2:17", 11),
+            ("alternating:7", 9),
+            ("symmetric:7", 15),
+            ("dihedral:2500", 628),
+            ("cyclic:4096", 4096),
+        ],
+    )
+    def test_class_counts(self, spec, count):
+        g = cg.group_from_spec(spec)
+        classes = g.conjugacy_classes()
+        assert len(classes) == count
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(g.order))
+
+    def test_s7_classes_form_two_products_per_generator_and_element(self, monkeypatch):
+        g = cg.symmetric(7)
+        gens = g._generators()
+        products = _count_products(monkeypatch, g)
+        assert [len(c) for c in g.conjugacy_classes()] == [
+            1, 21, 720, 840, 420, 280, 504, 210, 105, 504, 70, 105, 210, 420, 630
+        ]
+        assert 0 < sum(products) <= 2 * len(gens) * g.order
+
+
+def _count_products(monkeypatch, g) -> list[int]:
+    """Wrap g's backend so that each mul_pairs call appends its product count."""
+    mul_pairs = g.backend.mul_pairs
+    products: list[int] = []
+
+    def counting(a, b):
+        products.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+        return mul_pairs(a, b)
+
+    monkeypatch.setattr(g.backend, "mul_pairs", counting)
+    return products
+
 
 class TestStructureFlags:
     def test_is_p_group(self, q8, z6):
@@ -232,6 +271,14 @@ class TestStructureFlags:
     def test_center(self, q8, s3):
         assert q8.center().tolist() == [0, 2]  # identity and a^2
         assert s3.center().tolist() == [0]
+
+    def test_center_comes_from_the_cached_classes(self, monkeypatch):
+        g = cg.dicyclic(6)
+        center = slow_center(g)
+        g.conjugacy_classes()
+        products = _count_products(monkeypatch, g)
+        assert g.center().tolist() == center
+        assert sum(products) == 0
 
 
 class TestDerivedSeries:
@@ -691,6 +738,33 @@ class TestClosureKernel:
             assert [s.indices().tolist() for s in grp.derived_series()] == slow_series
             assert [s.size for s in grp.derived_series()] == [len(m) for m in slow_series]
             assert grp.is_simple() == simple
+
+    def test_perfect_product_is_not_simple(self):
+        # A5 x A5 is perfect, and each factor is a proper normal subgroup
+        g = cg.direct_product(cg.alternating(5), cg.alternating(5))
+        assert isinstance(g.backend, cg.core.ProductBackend)
+        assert [s.size for s in g.derived_series()] == [3600]
+        assert not g.is_simple()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "alternating:5", "psl2:4", "psl2:5", "psl2:7", "alternating:6",
+            "psl2:9", "psl2:8", "psl2:11", "psl2:13", "psl2:17", "alternating:7",
+        ],
+    )
+    def test_theorem4_groups_are_simple(self, spec):
+        assert cg.group_from_spec(spec).is_simple()
+
+    def test_simplicity_forms_one_product_per_class_and_element(self, monkeypatch):
+        # with the classes and the derived series cached, one block of
+        # products: a representative per nontrivial class times every element
+        g = cg.psl2(17)
+        k = len(g.conjugacy_classes())
+        assert [s.size for s in g.derived_series()] == [g.order]
+        products = _count_products(monkeypatch, g)
+        assert g.is_simple()
+        assert 0 < sum(products) <= k * g.order
 
     def test_perfect_but_not_simple(self, tableless_copy):
         # perfect, so only the class {-I} of its centre shows it is not simple
