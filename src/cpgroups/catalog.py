@@ -322,7 +322,7 @@ def psl2(q: int) -> FiniteGroup:
         finite = mul[num, finv[den]]
         images[:, z] = np.where(den != 0, finite, q)
     images[:, q] = np.where(c != 0, mul[a, finv[c]], q)
-    expected = q * (q * q - 1) // math.gcd(2, q - 1)
+    expected = _psl2_order(q)
     grp = from_permutation_set(images, name=f"psl2:{q}")
     if grp.order != expected:
         raise RuntimeError(

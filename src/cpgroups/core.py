@@ -27,11 +27,10 @@ ELEMENT_CAP = 10000
 ASSOC_CAP = 512
 SUBGROUP_CAP = 400
 # entries per block of the vectorized row loops (permutation products,
-# quotient cosets, distance matrix, pair scans), so a block stays near 8 MB
-# of int64
+# distance matrix, pair scans), so a block stays near 8 MB of int64
 BLOCK_ENTRIES = 1 << 20
-# products per block of the element-set checks (closure, normality, pair
-# conditions, commutativity; :func:`_size_blocks`); a sixteenth of
+# products per block of the element-set checks (closure, pair conditions,
+# commutativity; :func:`_size_blocks`); a sixteenth of
 # BLOCK_ENTRIES keeps a block's int64 temporaries near 512 KB each, so
 # checking sets in batches needs no more memory than checking them one at
 # a time
@@ -172,36 +171,24 @@ def _size_blocks(
                 yield block, members, x, y, g.mul_pairs(x, y)
 
 
-def closure_verdicts(
-    g: "FiniteGroup", words: np.ndarray, sizes: np.ndarray, *, normal: bool = False
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def closure_verdicts(g: "FiniteGroup", words: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per element set, one row of words each (:func:`_words`) with its
-    size: whether it is closed under multiplication, and with ``normal``
-    whether it is closed and normal (else None).
+    size: whether it is closed under multiplication.
 
-    This is the one check of element sets: the subgroup lattice, the normal
-    subgroups, quotients and the order layers all go through it.  Closure
-    looks up the products of :func:`_size_blocks` in the members.  A closed
-    set H is normal iff t^-1 h t lies in H for every member h and every
-    generator t of g (:meth:`FiniteGroup._generators`), since the
-    generators' conjugations generate all the others; those conjugates are
-    formed for the members x of each slice, |gens| per member.  A set of
-    all |G| elements is closed and normal as it stands, so only the proper
-    sets are multiplied.
+    This is the check of sets that come in batches with no generators, the
+    rows of the subgroup lattice; a single set is certified from its
+    generators instead (:meth:`FiniteGroup._certify`).  The products of
+    :func:`_size_blocks` are looked up in the members.  A set of all |G|
+    elements is closed as it stands, so only the proper sets are multiplied.
     """
     closed = np.ones(len(sizes), dtype=bool)
-    stable = np.ones(len(sizes), dtype=bool)
     proper = np.flatnonzero(sizes != g.order)
-    gens = np.array(g._generators() if normal and proper.size else [], dtype=np.int64)
-    for block, members, x, _, prods in _size_blocks(g, words[proper], sizes[proper]):
-        k, rows = len(members), proper[block]
+    for block, members, _, _, prods in _size_blocks(g, words[proper], sizes[proper]):
+        k = len(members)
         # row r of members, flattened, starts at r * |G|
         starts = np.arange(k)[:, None, None] * g.order
-        closed[rows] &= members.ravel()[prods + starts].reshape(k, -1).all(axis=1)
-        if normal:
-            conj = g.mul_pairs(g.inv[gens], g.mul_pairs(x, gens))
-            stable[rows] &= members.ravel()[conj + starts].reshape(k, -1).all(axis=1)
-    return closed, (closed & stable if normal else None)
+        closed[proper[block]] &= members.ravel()[prods + starts].reshape(k, -1).all(axis=1)
+    return closed
 
 
 def _orbit_roots(maps: np.ndarray) -> np.ndarray:
@@ -722,6 +709,30 @@ class FiniteGroup:
             self._cache["generators"] = cached
         return cached
 
+    def _certify(self, members: np.ndarray) -> tuple[bool, bool, np.ndarray]:
+        """Whether the element set with the given member mask is a subgroup
+        H, whether a normal one, and per element x the smallest member of x<S>.
+
+        S, the greedy pass of :meth:`_grow` over the members, lies in the set.
+        The orbit of x under right multiplication by S is x<S>, and
+        :func:`_orbit_roots` of those maps (|G| * |S| products) gives its
+        smallest member; the set is a subgroup iff it is the orbit of the
+        identity, <S>.  H is then normal iff t^-1 s t lies in H for every s in
+        S and generator t of g (:meth:`_generators`).  The whole group is a
+        normal subgroup as it stands, with no product formed.
+        """
+        if members.all():
+            return True, True, np.zeros(self.order, dtype=np.int64)
+        grown = np.zeros(self.order, dtype=bool)
+        grown[0] = True
+        gens = np.array(self._grow(grown, [], np.flatnonzero(members)), dtype=np.int64)
+        roots = _orbit_roots(self.mul_outer(np.arange(self.order), gens).T)
+        if not np.array_equal(roots == 0, members):
+            return False, False, roots
+        t = np.array(self._generators(), dtype=np.int64)
+        conj = self.mul_pairs(self.mul_pairs(self.inv[t][:, None], gens[None, :]), t[:, None])
+        return True, bool((roots[conj] == 0).all()), roots
+
     def _normal_closure(self, elements: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Member mask and generators of the smallest normal subgroup holding
         the elements.
@@ -784,8 +795,8 @@ class FiniteGroup:
         Otherwise a normal subgroup is the join of the normal closures of
         its elements, so this is :func:`subgroups._join_closure` over the
         distinct normal closures of one representative per conjugacy class
-        (:meth:`_normal_closure`); each result is validated as closed and
-        normal (:func:`closure_verdicts`).
+        (:meth:`_normal_closure`); each result is certified a normal
+        subgroup from its generators (:meth:`_certify`).
 
         Cap: a nonabelian group of order above ``cap`` raises
         CapExceededError before any enumeration when it has more than
@@ -793,7 +804,7 @@ class FiniteGroup:
         most 20 has at most 2^20 normal subgroups, since each is a union of
         classes, and no order cap.
         """
-        from .subgroups import _checked_subgroups, _join_closure, all_subgroups
+        from .subgroups import _join_closure, _sorted_subgroups, all_subgroups
 
         if self.is_abelian:
             return all_subgroups(self, cap)
@@ -802,7 +813,10 @@ class FiniteGroup:
                 f"order {self.order} exceeds the subgroup-enumeration cap {cap}"
             )
         atoms = [self._normal_closure(cls[:1]) for cls in self.conjugacy_classes()[1:]]
-        return _checked_subgroups(self, _join_closure(self, atoms), normal=True)
+        rows = _join_closure(self, atoms)
+        if not all(self._certify(row)[1] for row in rows):
+            raise RuntimeError("enumerated normal subgroup failed validation")
+        return _sorted_subgroups(rows)[0]
 
     def is_simple(self) -> bool:
         """Exactly two normal subgroups (equivalently order > 1 and the normal
@@ -871,36 +885,28 @@ class FiniteGroup:
         )
 
     def quotient(self, sub: SubgroupSet) -> "FiniteGroup":
-        """Quotient by a normal subgroup; identity coset lands at index 0."""
+        """Quotient by a normal subgroup; identity coset lands at index 0.
+
+        The orbit roots of :meth:`_certify` number the cosets by their smallest
+        members, and the table multiplies those |G/N| representatives."""
         idx = sub.indices()
         if idx.size == 0 or idx[0] != 0:
             raise ValueError("normal subgroup must contain the identity")
         n = self.order
         qn = n // sub.size
         check_table_cap(qn, "quotient order")
-        members = np.zeros((1, n), dtype=bool)
-        members[0, idx] = True
-        closed, normal = closure_verdicts(self, _words(members), np.array([idx.size]), normal=True)
-        if not closed[0]:
+        members = np.zeros(n, dtype=bool)
+        members[idx] = True
+        closed, normal, roots = self._certify(members)
+        if not closed:
             raise ValueError("index set is not a subgroup")
-        if not normal[0]:
+        if not normal:
             raise ValueError("subgroup is not normal")
-        # the coset N*x is represented by its smallest member, min over m of m*x
-        block = rows_per_block(n)
-        rep = np.full(n, n, dtype=np.int64)
-        for lo in range(0, len(idx), block):
-            rep = np.minimum(rep, self.mul_outer(idx[lo : lo + block]).min(axis=0))
-        reps = np.unique(rep)
+        # the roots are the smallest members of the cosets xN = Nx
+        reps, coset_of = np.unique(roots, return_inverse=True)
         if len(reps) != qn:
             raise RuntimeError("coset count mismatch")
-        coset_of = np.searchsorted(reps, rep)
         qtable = coset_of[self.mul_outer(reps, reps)]
-        # well-definedness: the product coset cannot depend on representatives
-        for lo in range(0, n, block):
-            hi = min(n, lo + block)
-            rows = self.mul_outer(np.arange(lo, hi))
-            if not np.array_equal(coset_of[rows], qtable[coset_of[lo:hi]][:, coset_of]):
-                raise RuntimeError("coset multiplication is not well defined")
         # row c: the members of coset c in ascending order, each coset of size |N|
         cosets = np.argsort(coset_of, kind="stable").reshape(qn, sub.size)
         q = FiniteGroup(

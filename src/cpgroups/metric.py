@@ -23,8 +23,6 @@ from .core import (
     TABLE_LIMIT,
     CapExceededError,
     FiniteGroup,
-    _words,
-    closure_verdicts,
     distinct_primes,
     rows_per_block,
 )
@@ -313,8 +311,8 @@ def layer_check(g: FiniteGroup) -> LayerReport:
     """For a p-group of order p^n, test each order layer {x : o(x) <= p^i}.
 
     Every layer of a CP3 p-group must be a normal subgroup; the report says
-    which layers are subgroups and which are normal, all layers decided by
-    one :func:`core.closure_verdicts`.
+    which layers are subgroups and which are normal, each layer certified
+    from its generators (:meth:`FiniteGroup._certify`).
     """
     p = g.is_p_group()
     if p is None:
@@ -327,14 +325,12 @@ def layer_check(g: FiniteGroup) -> LayerReport:
     while p**k < g.order:
         k += 1
     thresholds = [p**i for i in range(k + 1)]
-    members = orders[None, :] <= np.array(thresholds)[:, None]
-    sizes = members.sum(axis=1)
-    closed, normal = closure_verdicts(g, _words(members), sizes, normal=True)
-    rows = tuple(
-        LayerRow(i=i, threshold=t, size=int(sizes[i]), is_subgroup=bool(closed[i]), is_normal=bool(normal[i]))
-        for i, t in enumerate(thresholds)
-    )
-    return LayerReport(p=p, rows=rows, all_normal=bool(normal.all()))
+    rows = []
+    for i, t in enumerate(thresholds):
+        members = orders <= t
+        closed, normal, _ = g._certify(members)
+        rows.append(LayerRow(i, t, int(members.sum()), is_subgroup=closed, is_normal=normal))
+    return LayerReport(p=p, rows=tuple(rows), all_normal=all(r.is_normal for r in rows))
 
 
 # -- aggregated classification ------------------------------------------------

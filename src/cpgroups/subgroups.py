@@ -168,26 +168,20 @@ def _subgroup_words(subs: list[SubgroupSet], n: int) -> tuple[np.ndarray, np.nda
     return words, np.fromiter((s.size for s in subs), dtype=np.int64, count=len(subs))
 
 
-def _checked_subgroups(g: FiniteGroup, rows: np.ndarray, *, normal: bool = False) -> list[SubgroupSet]:
+def _sorted_subgroups(rows: np.ndarray) -> tuple[list[SubgroupSet], np.ndarray, np.ndarray]:
     """The subgroups with the given member rows, sorted by (size, bitset),
-    each checked to be closed under multiplication and, with ``normal``,
-    normal in g (:func:`core.closure_verdicts`).
-
-    Raises RuntimeError naming the failed validation if any row fails.
-    """
+    with their rows packed to words (:func:`_words`) and their sizes in the
+    same order."""
     sizes = rows.sum(axis=1)
     words = _words(rows)
     # (size, bitset) order: the last word holds the highest bits
     order = np.lexsort([*words.T, sizes])
     words, sizes = words[order], sizes[order]
-    closed, is_normal = closure_verdicts(g, words, sizes, normal=normal)
-    if not (is_normal if normal else closed).all():
-        what = "normal subgroup failed validation" if normal else "subgroup failed closure validation"
-        raise RuntimeError(f"enumerated {what}")
-    return [
+    subs = [
         SubgroupSet(mask=int.from_bytes(w.tobytes(), "little"), size=s)
         for w, s in zip(words, sizes.tolist())
     ]
+    return subs, words, sizes
 
 
 def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
@@ -197,9 +191,9 @@ def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     :func:`_join_closure` over the cyclic subgroups <x>, whose members come
     from one vectorized pass of max_order products x^k * x over all x at
     once.  Groups of order above ``cap`` raise CapExceededError before any
-    work, and each subgroup found is validated as closed under
-    multiplication (:func:`_checked_subgroups`).  Results are cached on the
-    group instance.
+    work, and the subgroups found are validated as closed under
+    multiplication in one batch (:func:`core.closure_verdicts`).  Results
+    are cached on the group instance.
     """
     n = g.order
     if n > cap:
@@ -213,7 +207,9 @@ def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     for _ in range(g.order_table().max_order):
         cyclic[ar, power] = True
         power = g.mul_pairs(power, ar)
-    out = _checked_subgroups(g, _join_closure(g, [(cyclic[x], [x]) for x in range(1, n)]))
+    out, words, sizes = _sorted_subgroups(_join_closure(g, [(cyclic[x], [x]) for x in range(1, n)]))
+    if not closure_verdicts(g, words, sizes).all():
+        raise RuntimeError("enumerated subgroup failed closure validation")
     g._cache["subgroups"] = tuple(out)
     return out
 

@@ -63,6 +63,19 @@ def slow_perm_order(p: Permutation) -> int:
     return k
 
 
+def slow_perm_parity(images) -> int:
+    """0 for an even permutation, 1 for an odd one, from its cycle count."""
+    seen, cycles = set(), 0
+    for start in range(len(images)):
+        if start not in seen:
+            cycles += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = int(images[x])
+    return (len(images) - cycles) % 2
+
+
 def rowwise_lookup_table(g: FiniteGroup) -> np.ndarray:
     """Cayley table of a permutation group, one index lookup per row.
 

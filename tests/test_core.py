@@ -28,6 +28,7 @@ from oracles import (
     slow_is_simple,
     slow_normal_subgroups,
     slow_perm_order,
+    slow_perm_parity,
     slow_perm_table,
     slow_quotient_order_multiset,
     slow_subgroups,
@@ -357,9 +358,10 @@ class TestNormalSubgroups:
         assert g.normal_subgroups() == subs
 
     def test_check_blocks_stay_bounded(self, monkeypatch):
-        # the closure and normality checks of the whole of PSL(2,13), order
-        # 1092, cut its 1092 x 1092 products into row slices; sizes counts
-        # the products of each call
+        # the normal subgroups of PSL(2,13), order 1092, come from its
+        # conjugacy classes, normal closures and generator certificates,
+        # none of which forms the 1092 x 1092 square in one call; sizes
+        # counts the products of each call
         g = cg.psl2(13)
         mul_pairs = g.mul_pairs
         sizes = []
@@ -398,6 +400,25 @@ class TestQuotient:
     def test_order_product_invariant(self, s4):
         for n in s4.normal_subgroups():
             assert s4.quotient(n).order * n.size == s4.order
+
+    def test_s7_by_a7_forms_few_products(self, monkeypatch):
+        # A7 is certified from its generators and the cosets come from their
+        # orbits, not from 2520 x 5040 products and a 5040-row re-check
+        g = cg.symmetric(7)
+        a7 = g.derived_series()[1]
+        g._generators(), g.conjugacy_classes()  # cached before the count
+        formed = []
+        mul_pairs = g.backend.mul_pairs
+
+        def counting(a, b):
+            out = mul_pairs(a, b)
+            formed.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(g.backend, "mul_pairs", counting)
+        q = g.quotient(a7)
+        assert (q.order, a7.size) == (2, 2520)
+        assert 0 < sum(formed) < 100_000
 
     def test_non_normal_rejected(self, s3):
         # the two-element subgroup generated by a transposition is not normal in S3
@@ -505,8 +526,9 @@ class TestSubgroupSet:
 
 class TestClosureVerdicts:
     """core.closure_verdicts against brute force, with the default blocks
-    and with one row of one set per block (CHECK_ENTRIES = 1), on sets in
-    no particular order of size."""
+    and with one row of one set per block (CHECK_ENTRIES = 1), and the
+    certificate FiniteGroup._certify on the same sets, in no particular
+    order of size."""
 
     @staticmethod
     def _expected(g, row):
@@ -517,28 +539,43 @@ class TestClosureVerdicts:
         )
         return closed, normal
 
-    @pytest.mark.parametrize("check_entries", [cg.core.CHECK_ENTRIES, 1])
-    @pytest.mark.parametrize(
+    @staticmethod
+    def _rows(g, sets):
+        if sets == "every subgroup":
+            rows = np.array([np.isin(np.arange(g.order), s.indices()) for s in all_subgroups(g)])
+        else:
+            masks = np.arange(1, 1 << g.order, 2)
+            rows = (masks[:, None] >> np.arange(g.order)) & 1 == 1
+        return rows[np.random.default_rng(0).permutation(len(rows))]
+
+    _SETS = pytest.mark.parametrize(
         "spec, sets",
         [
             ("dihedral:8", "every subset with the identity"),
             ("symmetric:4", "every subgroup"),
         ],
     )
+
+    @pytest.mark.parametrize("check_entries", [cg.core.CHECK_ENTRIES, 1])
+    @_SETS
     def test_against_brute_force(self, monkeypatch, spec, sets, check_entries):
         g = cg.group_from_spec(spec)
-        if sets == "every subgroup":
-            rows = np.array([np.isin(np.arange(g.order), s.indices()) for s in all_subgroups(g)])
-        else:
-            masks = np.arange(1, 1 << g.order, 2)
-            rows = (masks[:, None] >> np.arange(g.order)) & 1 == 1
-        rows = rows[np.random.default_rng(0).permutation(len(rows))]
+        rows = self._rows(g, sets)
         monkeypatch.setattr(cg.core, "CHECK_ENTRIES", check_entries)
-        closed, normal = cg.core.closure_verdicts(
-            g, cg.core._words(rows), rows.sum(axis=1), normal=True
-        )
-        assert list(zip(closed.tolist(), normal.tolist())) == [self._expected(g, r) for r in rows]
+        closed = cg.core.closure_verdicts(g, cg.core._words(rows), rows.sum(axis=1))
+        assert closed.tolist() == [self._expected(g, r)[0] for r in rows]
 
+    @_SETS
+    def test_certificate_against_brute_force(self, spec, sets):
+        g = cg.group_from_spec(spec)
+        rows = self._rows(g, sets)
+        got = [g._certify(r) for r in rows]
+        assert [(closed, normal) for closed, normal, _ in got] == [self._expected(g, r) for r in rows]
+        # the roots of a subgroup H: each element's smallest member of xH
+        for row, (closed, _, roots) in zip(rows, got):
+            if closed:
+                coset_min = g.mul_outer(np.arange(g.order), np.flatnonzero(row)).min(axis=1)
+                assert roots.tolist() == coset_min.tolist()
 
     @pytest.mark.parametrize("spec", ["symmetric:4", "symmetric:7"])
     def test_whole_group_forms_no_products(self, monkeypatch, spec):
@@ -557,10 +594,9 @@ class TestClosureVerdicts:
             return out
 
         monkeypatch.setattr(cg.FiniteGroup, "mul_pairs", counting)
-        whole = rows[-1:]
-        closed, normal = cg.core.closure_verdicts(g, cg.core._words(whole), np.array([g.order]), normal=True)
-        assert (closed.tolist(), normal.tolist(), formed) == ([True], [True], [])
-        closed, _ = cg.core.closure_verdicts(g, cg.core._words(rows), rows.sum(axis=1))
+        closed, normal, roots = g._certify(rows[-1])
+        assert (closed, normal, roots.tolist(), formed) == (True, True, [0] * g.order, [])
+        closed = cg.core.closure_verdicts(g, cg.core._words(rows), rows.sum(axis=1))
         assert closed.all()
         assert sum(formed) == sum(s.size**2 for s in subs if s.size < g.order)
 
@@ -917,6 +953,14 @@ class TestLazyLabels:
         prod = cg.direct_product(q, sub)
         pairs = [f"({x},{y})" for x in expected for y in sub_labels]
         assert [prod.label(i) for i in range(prod.order)] == prod.labels == pairs
+        # G by G' (A7 in S7), or by G itself for a perfect group: the cosets
+        # are the even and the odd permutations that occur
+        q = g.quotient(g.derived_series()[:2][-1])
+        parity = np.array([slow_perm_parity(p) for p in g.perms])
+        cosets = [np.flatnonzero(parity == odd) for odd in (0, 1)]
+        expected = ["{" + ",".join(labels[i] for i in c) + "}" for c in cosets if c.size]
+        assert q.order == {"symmetric:7": 2}.get(name, 1)
+        assert [q.label(i) for i in range(q.order)] == q.labels == expected
 
     def test_building_psl2_17_renders_no_label(self, monkeypatch):
         render = Permutation.cycle_string
