@@ -40,8 +40,9 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by 
 
 
 def positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1, so a bound below 1 exits
-    2 with a usage error instead of running an empty sweep."""
+    """An argparse type: an integer of at least 1, so a bound or cap below 1
+    exits 2 with a usage error instead of running an empty sweep or
+    refusing every group as over the cap."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the raw all-triples triangle check (order <= 60)",
     )
-    analyze.add_argument("--cap-elements", type=int, default=ELEMENT_CAP)
+    analyze.add_argument("--cap-elements", type=positive_int, default=ELEMENT_CAP)
     analyze.set_defaults(func=_cmd_analyze)
 
     classify_cmd = sub.add_parser("classify", help="tabulate class flags over the catalog")
@@ -197,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("target", choices=TARGETS)
     verify.add_argument("--max-order", type=positive_int, default=None)
-    verify.add_argument("--cap-subgroups", type=int, default=SUBGROUP_CAP)
+    verify.add_argument("--cap-subgroups", type=positive_int, default=SUBGROUP_CAP)
     verify.add_argument("--output", default=None)
     verify.set_defaults(func=_cmd_verify)
 
     dm = sub.add_parser("distance-matrix", help="export the order-distance matrix as CSV")
     dm.add_argument("spec", help="group identifier or input file path")
     dm.add_argument("--output", default=None)
-    dm.add_argument("--cap-elements", type=int, default=ELEMENT_CAP)
+    dm.add_argument("--cap-elements", type=positive_int, default=ELEMENT_CAP)
     dm.set_defaults(func=_cmd_distance_matrix)
 
     return parser

@@ -8,6 +8,12 @@ normal subgroups of a nonabelian group
 (:meth:`FiniteGroup.normal_subgroups`).  Exceeding the enumeration cap
 raises instead of truncating: a partial list would break every closure
 claim downstream.
+
+The pair-order predicates CP2 and CP3 are decided on every subgroup and on
+every quotient from the parent's own elements, with no subgroup or
+quotient group built: a subgroup's elements keep their orders
+(:func:`pair_condition_verdicts`), and a coset xN has the order of the
+least power of x that lies in N (:func:`quotient_condition_verdicts`).
 """
 
 from __future__ import annotations
@@ -19,12 +25,14 @@ from typing import Callable, Union
 import numpy as np
 
 from .core import (
+    CHECK_ENTRIES,
     SUBGROUP_CAP,
     CapExceededError,
     FiniteGroup,
     SubgroupSet,
     _size_blocks,
     _words,
+    check_table_cap,
     closure_verdicts,
     distinct_primes,
 )
@@ -227,6 +235,12 @@ def _predicate_holds(predicate: GroupPredicate, grp: FiniteGroup) -> bool:
     return bool(result)
 
 
+def _pair_condition(predicate: GroupPredicate) -> PairCondition | None:
+    """The pair condition that decides a pair-order predicate
+    (:data:`metric.PAIR_CONDITIONS`), or None for any other predicate."""
+    return next((c for p, c in PAIR_CONDITIONS if p is predicate), None)
+
+
 @dataclass(frozen=True)
 class HereditaryReport:
     """Outcome of checking a predicate on every subgroup of one group."""
@@ -261,6 +275,67 @@ def pair_condition_verdicts(
     return verdicts
 
 
+def _coset_orders(g: FiniteGroup, normals: list[SubgroupSet]) -> np.ndarray:
+    """Per normal subgroup N of ``normals`` and element x, the order o_N(x)
+    of the coset xN in G/N, one row per N.
+
+    o_N(x) is the least k >= 1 with x^k in N.  It divides o(x), so it is
+    the least divisor d of the exponent of g with x^d in N: the first row
+    of the table of powers x^d, one row per divisor d, whose entry lies in
+    N.  The table is read for as many N at a time as keep the lookups
+    within CHECK_ENTRIES.
+    """
+    n = g.order
+    exponent = int(np.lcm.reduce(np.unique(g.order_table().orders)))
+    divs = np.array([d for d in range(1, exponent + 1) if exponent % d == 0], dtype=np.int64)
+    elements = np.arange(n)
+    powers = np.stack([g.powers(elements, int(d)) for d in divs])
+    words, _ = _subgroup_words(normals, n)
+    out = np.empty((len(normals), n), dtype=np.int64)
+    step = max(1, CHECK_ENTRIES // powers.size)
+    for lo in range(0, len(normals), step):
+        bits = words[lo : lo + step].view(np.uint8)
+        masks = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
+        out[lo : lo + step] = divs[masks[:, powers].argmax(axis=1)]
+    return out
+
+
+def quotient_condition_verdicts(
+    g: FiniteGroup, normals: list[SubgroupSet], condition: PairCondition
+) -> np.ndarray:
+    """Whether a pair-order condition holds on all pairs of G/N, for each
+    normal subgroup N of ``normals``.
+
+    Decided on g's own elements and the orders of their cosets
+    (:func:`_coset_orders`), with no quotient built: since (xN)(yN) = xyN,
+    the condition holds on G/N iff ``condition(o_N(x), o_N(y), o_N(xy))``
+    holds for all x, y in g.  The products come once per block of rows x
+    (:meth:`FiniteGroup.mul_outer`) and are read against a chunk of the N
+    not yet refuted at a time; each block holds at most CHECK_ENTRIES
+    entries, as in :func:`core._size_blocks`.  Every quotient order is
+    checked against TABLE_LIMIT before any power or product is formed, so
+    the verdicts refuse exactly where :meth:`FiniteGroup.quotient` refuses.
+    """
+    n = g.order
+    for normal in normals:
+        check_table_cap(n // normal.size, "quotient order")
+    verdicts = np.ones(len(normals), dtype=bool)
+    coset_orders = _coset_orders(g, normals)
+    rows = max(1, CHECK_ENTRIES // n)
+    for lo in range(0, n, rows):
+        x = np.arange(lo, min(n, lo + rows))
+        prods = g.mul_outer(x)
+        live = np.flatnonzero(verdicts)
+        step = max(1, CHECK_ENTRIES // prods.size)
+        for at in range(0, len(live), step):
+            chunk = live[at : at + step]
+            o = coset_orders[chunk]
+            oab = o[:, prods]
+            ok = condition(o[:, x, None], o[:, None, :], oab)
+            verdicts[chunk] = np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape).all(axis=(1, 2))
+    return verdicts
+
+
 def hereditary_check(
     g: FiniteGroup, predicate: GroupPredicate, cap: int = SUBGROUP_CAP
 ) -> HereditaryReport:
@@ -277,7 +352,7 @@ def hereditary_check(
     """
     if not _predicate_holds(predicate, g):
         return HereditaryReport(applicable=False, subgroups_checked=0, violations=())
-    condition = next((c for p, c in PAIR_CONDITIONS if p is predicate), None)
+    condition = _pair_condition(predicate)
     subs = all_subgroups(g, cap=cap)
     if condition is not None:
         holds = pair_condition_verdicts(g, subs, condition).tolist()
@@ -355,15 +430,25 @@ class QuotientScanReport:
 def quotient_scan(
     g: FiniteGroup, predicate: GroupPredicate, cap: int = SUBGROUP_CAP
 ) -> QuotientScanReport:
-    """Evaluate a predicate on g/N for every normal subgroup N."""
-    rows = []
-    for normal in g.normal_subgroups(cap=cap):
-        quotient = g.quotient(normal)
-        rows.append(
-            QuotientScanRow(
-                normal=normal,
-                quotient_order=quotient.order,
-                holds=_predicate_holds(predicate, quotient),
-            )
-        )
-    return QuotientScanReport(parent_holds=_predicate_holds(predicate, g), rows=tuple(rows))
+    """Evaluate a predicate on G/N for every normal subgroup N.
+
+    Every N comes certified a normal subgroup by
+    :meth:`FiniteGroup.normal_subgroups`.  The pair-order predicates
+    :func:`is_cp2` and :func:`is_cp3` are decided on all the quotients at
+    once from g's own elements and the cosets' orders
+    (:func:`quotient_condition_verdicts`), with no quotient group built;
+    any other predicate runs on G/N realized as a standalone group by
+    :meth:`FiniteGroup.quotient`.  Either way a quotient of order above
+    TABLE_LIMIT raises CapExceededError.
+    """
+    normals = g.normal_subgroups(cap=cap)
+    condition = _pair_condition(predicate)
+    if condition is not None:
+        holds = quotient_condition_verdicts(g, normals, condition).tolist()
+    else:
+        holds = [_predicate_holds(predicate, g.quotient(normal)) for normal in normals]
+    rows = tuple(
+        QuotientScanRow(normal=normal, quotient_order=g.order // normal.size, holds=ok)
+        for normal, ok in zip(normals, holds)
+    )
+    return QuotientScanReport(parent_holds=_predicate_holds(predicate, g), rows=rows)

@@ -27,6 +27,26 @@ def slow_element_order(g: FiniteGroup, i: int) -> int:
     return k
 
 
+def slow_element_orders(g: FiniteGroup) -> list[int]:
+    """:func:`slow_element_order` of every element at once: each step
+    multiplies every element's current power by the element again, in one
+    :meth:`FiniteGroup.mul_pairs` round, until each power reaches the
+    identity."""
+    pending = np.arange(g.order)
+    power = pending.copy()
+    orders = np.zeros(g.order, dtype=np.int64)
+    k = 1
+    while pending.size:
+        done = power == 0
+        orders[pending[done]] = k
+        pending, power = pending[~done], power[~done]
+        power = g.mul_pairs(power, pending)
+        k += 1
+        if k > g.order + 1:
+            raise AssertionError("order loop ran past the group order")
+    return orders.tolist()
+
+
 def slow_pair_witness(g: FiniteGroup, holds) -> tuple[int, int] | None:
     """First pair (a, b) in row-major order with not holds(o(a), o(b), o(ab)).
 

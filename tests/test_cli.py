@@ -312,6 +312,24 @@ class TestVerify:
             main(["verify", "theorem9"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            (["verify", "problem1"], "--cap-subgroups"),
+            (["analyze", "cyclic:6"], "--cap-elements"),
+            (["distance-matrix", "cyclic:6"], "--cap-elements"),
+        ],
+    )
+    def test_cap_below_one_exit_2(self, capsys, command, option, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [option, cap])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option}: must be at least 1, got {cap}" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_failed_target_exit_1(self, capsys, monkeypatch):
         from cpgroups import cli
         from cpgroups.verify import VerifyResult

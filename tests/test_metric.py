@@ -124,10 +124,45 @@ class TestCpPredicates:
                 break
         assert (wit.a_index, wit.b_index) == found
 
-    def test_witness_deterministic_across_runs(self, s4):
-        first = is_cp3(s4)[1]
-        second = is_cp3(s4)[1]
+    def test_witness_deterministic_across_runs(self):
+        # two builds of S4: is_cp3 caches its scan on each group
+        first = is_cp3(cg.symmetric(4))[1]
+        second = is_cp3(cg.symmetric(4))[1]
         assert (first.a_index, first.b_index) == (second.a_index, second.b_index)
+
+    @pytest.mark.parametrize("predicate", [is_cp2, is_cp3])
+    def test_second_scan_forms_no_product(self, predicate, monkeypatch):
+        g = cg.symmetric(4)
+        first = predicate(g)
+        products = []
+        mul_pairs = g.backend.mul_pairs
+        monkeypatch.setattr(g.backend, "mul_pairs", lambda a, b: products.append(1) or mul_pairs(a, b))
+        assert predicate(g) == first
+        assert products == []
+
+    def test_custom_scans_stay_uncached(self, monkeypatch):
+        g = cg.symmetric(4)
+        assert not is_cp3(g)[0]
+        products = []
+        mul_pairs = g.backend.mul_pairs
+        monkeypatch.setattr(g.backend, "mul_pairs", lambda a, b: products.append(1) or mul_pairs(a, b))
+        for _ in range(2):
+            count = len(products)
+            assert scan_pair_order_condition(g, lambda oa, ob, oab: oab < oa + ob)[0] is False
+            assert len(products) > count
+
+    def test_parent_scanned_once_by_the_lattice_checks(self, monkeypatch):
+        from cpgroups import metric
+        from cpgroups.subgroups import hereditary_check, quotient_scan
+
+        g = cg.alternating(4)
+        scans = []
+        scan = metric.scan_pair_order_condition
+        monkeypatch.setattr(metric, "scan_pair_order_condition", lambda *a, **k: scans.append(1) or scan(*a, **k))
+        assert is_cp3(g)[0]
+        assert hereditary_check(g, is_cp3).ok
+        assert quotient_scan(g, is_cp3).parent_holds
+        assert scans == [1]
 
 
 class TestWitnessInvariants:

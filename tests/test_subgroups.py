@@ -12,11 +12,12 @@ from cpgroups.subgroups import (
     all_subgroups,
     hereditary_check,
     pair_condition_verdicts,
+    quotient_condition_verdicts,
     quotient_scan,
     write_subgroup_list,
 )
 
-from oracles import brute_force_subgroup_count
+from oracles import brute_force_subgroup_count, slow_quotient_order_multiset
 
 
 class TestAllSubgroups:
@@ -259,3 +260,97 @@ class TestQuotientScan:
         report = quotient_scan(z6, is_cp3)
         assert not report.parent_holds
         assert report.counterexamples == ()
+
+
+def _realized_rows(g, predicate):
+    """The rows of quotient_scan with every quotient realized as a group."""
+    rows = []
+    for normal in g.normal_subgroups():
+        q = g.quotient(normal)
+        result = predicate(q)
+        rows.append((normal, q.order, bool(result[0] if isinstance(result, tuple) else result)))
+    return rows
+
+
+def _scan_rows(report):
+    return [(row.normal, row.quotient_order, row.holds) for row in report.rows]
+
+
+class TestQuotientVerdicts:
+    """The coset-order verdicts of quotient_scan against realized quotients."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [e.name for e in cg.catalog_entries(60)] + ["psl2:7", "alternating:5", "dicyclic:96"],
+    )
+    def test_rows_match_realized_quotients(self, name, tableless_copy):
+        g = cg.group_from_spec(name)
+        for predicate in (is_cp2, is_cp3):
+            expected = _realized_rows(g, predicate)
+            for grp in (g, tableless_copy(g)):
+                assert _scan_rows(quotient_scan(grp, predicate)) == expected, predicate.__name__
+
+    @pytest.mark.parametrize(
+        "spec,size",
+        [("symmetric:4", 4), ("alternating:4", 4), ("dicyclic:8", 2)],
+    )
+    def test_coset_orders_match_the_coset_oracle(self, spec, size):
+        # S4/V4 ~ S3, A4/V4 ~ Z3 and Q8/Z(Q8) ~ V4; each coset's order
+        # appears once per member of the coset
+        g = cg.group_from_spec(spec)
+        (normal,) = [s for s in g.normal_subgroups() if s.size == size]
+        coset_orders = subgroups_module._coset_orders(g, [normal])[0]
+        expected = slow_quotient_order_multiset(g, normal.indices().tolist())
+        assert sorted(coset_orders.tolist()) == np.repeat(expected, size).tolist()
+
+    def test_pair_predicates_build_no_quotient(self, a4, q8, s4, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("quotient realized for a pair-order predicate")
+
+        monkeypatch.setattr(cg.FiniteGroup, "quotient", refuse)
+        for g in (a4, q8, s4, cg.elementary_abelian(2, 4)):
+            for predicate in (is_cp2, is_cp3):
+                report = quotient_scan(g, predicate)
+                assert [r.normal for r in report.rows] == g.normal_subgroups()
+
+    def test_other_predicates_realize_every_quotient(self, s4, monkeypatch):
+        def is_abelian(q):
+            return q.is_abelian
+
+        expected = _realized_rows(s4, is_abelian)
+        assert [holds for _, _, holds in expected] == [False, False, True, True]
+        quotients = []
+        quotient = cg.FiniteGroup.quotient
+
+        def counting(g, normal):
+            quotients.append(normal)
+            return quotient(g, normal)
+
+        monkeypatch.setattr(cg.FiniteGroup, "quotient", counting)
+        assert _scan_rows(quotient_scan(s4, is_abelian)) == expected
+        assert quotients == s4.normal_subgroups()
+
+    def test_every_normal_subgroup_is_still_certified(self, monkeypatch):
+        g = cg.symmetric(3)
+        t = int(np.flatnonzero(g.order_table().orders == 2)[0])
+        TestAllSubgroups._add_row(monkeypatch, g, [0, t])
+        with pytest.raises(RuntimeError, match="normal subgroup failed validation"):
+            quotient_scan(g, is_cp3)
+
+    @pytest.mark.parametrize("predicate", [is_cp2, is_cp3, lambda q: q.order > 0])
+    def test_quotient_over_the_table_cap_refused(self, predicate):
+        with pytest.raises(
+            CapExceededError, match="quotient order 5040 exceeds the Cayley-table cap TABLE_LIMIT=4096"
+        ):
+            quotient_scan(cg.symmetric(7), predicate, cap=100000)
+
+    def test_cap_refused_before_any_product(self, monkeypatch):
+        g = cg.symmetric(7)
+        normals = g.normal_subgroups(cap=100000)
+
+        def refuse(*_):
+            raise AssertionError("a product was formed before the cap check")
+
+        monkeypatch.setattr(g.backend, "mul_pairs", refuse)
+        with pytest.raises(CapExceededError, match="quotient order 5040"):
+            quotient_condition_verdicts(g, normals, cp3_pair_holds)
