@@ -20,6 +20,7 @@ from .core import (
     Backend,
     FiniteGroup,
     LabelFn,
+    capped_product,
     check_element_cap,
     direct_product,
     distinct_primes,
@@ -243,7 +244,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("k must be positive")
-    check_element_cap(p**k)
+    capped_product(p for _ in range(k))
 
     def label(i: int) -> str:
         """The base-p digits of i, lowest first; e for 0."""
@@ -259,7 +260,7 @@ def symmetric(n: int) -> FiniteGroup:
     """Symmetric group on n points from the standard two generators."""
     if n < 1:
         raise ValueError("n must be positive")
-    check_element_cap(math.factorial(n))
+    order = capped_product(range(2, n + 1))
     if n == 1:
         gens = [Permutation.identity(1)]
     elif n == 2:
@@ -267,7 +268,7 @@ def symmetric(n: int) -> FiniteGroup:
     else:
         gens = [parse_cycles("(1 2)", n), parse_cycles("(" + " ".join(str(i) for i in range(1, n + 1)) + ")", n)]
     grp = generate_group(gens, name=f"symmetric:{n}")
-    if grp.order != math.factorial(n):
+    if grp.order != order:
         raise RuntimeError("symmetric group order formula violated")
     return grp
 
@@ -276,8 +277,7 @@ def alternating(n: int) -> FiniteGroup:
     """Alternating group on n points (even permutations)."""
     if n < 1:
         raise ValueError("n must be positive")
-    order = math.factorial(n) // 2 if n >= 2 else 1
-    check_element_cap(order)
+    order = capped_product(range(3, n + 1))  # n!/2 for n >= 2
     if n <= 2:
         gens = [Permutation.identity(max(n, 1))]
     elif n == 3:

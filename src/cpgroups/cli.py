@@ -21,6 +21,7 @@ from typing import Iterator, Optional, TextIO
 
 from .catalog import catalog_iter, group_from_spec
 from .core import (
+    BLOCK_ENTRIES,
     ELEMENT_CAP,
     SUBGROUP_CAP,
     CapExceededError,
@@ -58,6 +59,8 @@ def load_group_file(path: str, element_cap: int = ELEMENT_CAP) -> FiniteGroup:
     name = os.path.splitext(os.path.basename(path))[0]
     if lines[0].lower().startswith("degree:"):
         degree = int(lines[0].split(":", 1)[1])
+        if degree > BLOCK_ENTRIES:
+            raise CapExceededError(f"{path}: degree {degree} exceeds BLOCK_ENTRIES={BLOCK_ENTRIES}, the width of one block")
         gens = [parse_cycles(word, degree) for word in lines[1:]]
         if not gens:
             raise ValueError(f"{path}: generator file lists no generators")

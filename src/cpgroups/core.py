@@ -15,6 +15,7 @@ no n x n array at any order up to ELEMENT_CAP.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -69,6 +70,20 @@ def check_element_cap(order: int, what: str = "order") -> None:
     """Refuse a group of more than ELEMENT_CAP elements before any array of them is allocated."""
     if order > ELEMENT_CAP:
         raise CapExceededError(f"{what} {order} exceeds the element cap ELEMENT_CAP={ELEMENT_CAP}")
+
+
+def capped_product(factors: Iterable[int], what: str = "order") -> int:
+    """The product of the factors (each at least 1), an order checked by
+    :func:`check_element_cap`.  It is refused as soon as it has more digits
+    than Python converts to a string, so 3000000! is never formed in full."""
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    bound, product = 10**digits, 1
+    for factor in factors:
+        product *= factor
+        if product >= bound:
+            raise CapExceededError(f"{what} of more than {digits} digits exceeds the element cap ELEMENT_CAP={ELEMENT_CAP}")
+    check_element_cap(product, what)
+    return product
 
 
 def rows_per_block(width: int) -> int:
@@ -191,9 +206,11 @@ def closure_verdicts(g: "FiniteGroup", words: np.ndarray, sizes: np.ndarray) -> 
     return closed
 
 
-def _orbit_roots(maps: np.ndarray) -> np.ndarray:
+def _orbit_roots(maps: np.ndarray, starts: Optional[np.ndarray] = None) -> np.ndarray:
     """The smallest point of each point's orbit under the permutations in the
-    rows of ``maps``.
+    rows of ``maps``; with ``starts``, of each point's component in the
+    graph of the edges starts[e] -- maps[e], whose points 0, 1, ... each
+    start an edge.
 
     Hooking and pointer jumping: every point holds a root, a point of its
     orbit no larger than itself.  Each round hooks, for every edge
@@ -203,10 +220,10 @@ def _orbit_roots(maps: np.ndarray) -> np.ndarray:
     roots; the smallest point of an orbit is never hooked, so it is then
     the root of the whole orbit.
     """
-    root = np.arange(maps.shape[1])
+    root = np.arange(maps.shape[1] if starts is None else int(starts.max()) + 1)
     while True:
-        ends = root[maps]
-        lo, hi = np.minimum(root, ends), np.maximum(root, ends)
+        ends, begins = root[maps], root if starts is None else root[starts]
+        lo, hi = np.minimum(begins, ends), np.maximum(begins, ends)
         moved = lo != hi
         if not moved.any():
             return root
@@ -733,50 +750,35 @@ class FiniteGroup:
         conj = self.mul_pairs(self.mul_pairs(self.inv[t][:, None], gens[None, :]), t[:, None])
         return True, bool((roots[conj] == 0).all()), roots
 
-    def _normal_closure(self, elements: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Member mask and generators of the smallest normal subgroup holding
-        the elements.
-
-        Grows the span of the elements and adds each conjugate g^-1 h g of a
-        subgroup generator h by a group generator g that is missing; a
-        subgroup whose generators' conjugates all lie in it is normal.
-        """
-        members = np.zeros(self.order, dtype=bool)
-        members[0] = True
-        steps: list[int] = []
-        gens = np.array(self._generators(), dtype=np.int64)
-        inv_gens = self.inv[gens].astype(np.int64)
-        kept = self._grow(members, steps, elements)
-        done = 0
-        while done < len(kept):
-            h = np.array(kept[done:], dtype=np.int64)
-            done = len(kept)
-            left = self.mul_outer(inv_gens, h).ravel()
-            conj = self.mul_pairs(left, np.repeat(gens, len(h)))
-            kept += self._grow(members, steps, conj)
-        return members, kept
-
     def derived_series(self) -> list[SubgroupSet]:
         """G >= G' >= G'' ... down to stabilization (trivial iff solvable).
 
         G^(i+1) is the normal closure in G of the commutators a^-1 b^-1 a b
-        of the generator pairs of G^(i); it is normal in G, so conjugating by
-        the generators of G suffices.  The generators of G come from the
-        greedy pass of :meth:`_grow` over all elements, those of G^(i+1) from
-        its normal closure.  Each term costs about |G^(i+1)| * |gens| *
-        log2|G| products, and the generators of G about |G| * |gens| *
-        log2|G|, rather than |G^(i)|^2 commutators per term.
+        of the generator pairs of G^(i): :meth:`_grow` spans them and adds
+        each missing conjugate t^-1 h t of a new generator h by a generator
+        t of G, since a span holding those is normal.  The generators of G
+        come from the greedy pass of :meth:`_grow` over all elements.  Each
+        term costs about |G^(i+1)| * |gens| * log2|G| products, and the
+        generators of G about |G| * |gens| * log2|G|, rather than |G^(i)|^2
+        commutators per term.
         """
         cached = self._cache.get("derived")
         if cached is not None:
             return cached
         members = np.ones(self.order, dtype=bool)
         series = [SubgroupSet.from_indices(np.arange(self.order))]
-        gens = np.array(self._generators(), dtype=np.int64)
+        gens = t = np.array(self._generators(), dtype=np.int64)
         while len(gens):
             a, b = (gens[k] for k in np.triu_indices(len(gens), 1))
             comms = self.mul_pairs(self.mul_pairs(self.inv[a], self.inv[b]), self.mul_pairs(a, b))
-            nxt, kept = self._normal_closure(comms)
+            nxt = np.zeros(self.order, dtype=bool)
+            nxt[0] = True
+            steps: list[int] = []
+            kept = new = self._grow(nxt, steps, comms)
+            while new:
+                conj = self.mul_pairs(self.mul_pairs(self.inv[t][:, None], new), t[:, None])
+                new = self._grow(nxt, steps, conj.ravel())
+                kept += new
             if nxt.sum() == members.sum():
                 break
             series.append(SubgroupSet.from_indices(np.flatnonzero(nxt)))
@@ -787,16 +789,66 @@ class FiniteGroup:
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].size == 1
 
+    def _class_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The class triples (i, j, l) with K_i K_j meeting K_l, over the
+        classes of :meth:`conjugacy_classes`, as three index arrays; cached.
+
+        The smallest member x_i of each nontrivial class times every element,
+        one :meth:`mul_outer` of (k - 1) * |G| products read as class ids,
+        gives for each pair of classes K_i and K_j the classes that x_i K_j
+        meets, and those are the classes that K_i K_j meets, since
+        (g x g^-1) y = g (x g^-1 y g) g^-1.  The identity adds (0, j, j).
+        """
+        cached = self._cache.get("class_products")
+        if cached is None:
+            ids = self._class_ids()
+            k = int(ids.max()) + 1
+            reps = np.array([int(c[0]) for c in self.conjugacy_classes()[1:]], dtype=np.int64)
+            met = ids[self.mul_outer(reps)]
+            keys = (np.arange(1, k)[:, None] * k + ids) * k + met
+            # sorted, repeats dropped: faster than np.unique, which hashes
+            keys = np.sort(np.concatenate([keys.ravel(), np.arange(k) * (k + 1)]))
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            cached = self._cache["class_products"] = np.unravel_index(keys, (k, k, k))
+        return cached
+
+    def _normal_rows(self) -> np.ndarray:
+        """Member masks of every normal subgroup, one row each, unsorted.
+
+        A normal subgroup N is a union of classes and the join of the normal
+        closures <K> of its classes.  <K_j> is the set of classes reached
+        from {1} by multiplying by K_j along the triples (i, j, l) of
+        :meth:`_class_products`; it is a subgroup, so every class of it
+        leads back to 1, and it is the component of 1 in row j of the graph
+        of the edges (j, i) -- (j, l) (:func:`_orbit_roots`).  N<K> is a
+        product of normal subgroups, the classes l of the triples with i in
+        N and j in <K>, so one boolean matrix product per closure joins a
+        whole frontier of class sets, breadth first until nothing is new.
+        """
+        i, j, l = self._class_products()
+        k = len(self.conjugacy_classes())
+        roots = _orbit_roots(j * k + l, j * k + i).reshape(k, k)
+        atoms = np.unique(roots == roots[:, :1], axis=0)
+        a, t = np.nonzero(atoms[:, j])
+        joins = np.zeros((len(atoms), k, k), dtype=bool)
+        joins[a, i[t], l[t]] = True
+        known = {row.tobytes() for row in atoms}
+        levels = frontier = atoms
+        while len(frontier):
+            joined = np.unique((frontier @ joins).reshape(-1, k), axis=0)
+            frontier = joined[[row.tobytes() not in known for row in joined]]
+            known.update(row.tobytes() for row in frontier)
+            levels = np.concatenate([levels, frontier])
+        return levels[:, self._class_ids()]
+
     def normal_subgroups(self, *, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
         """All normal subgroups, sorted by (size, bitset).
 
         Every subgroup of an abelian group is normal, so there this is the
         cached :func:`subgroups.all_subgroups`, under the same cap.
-        Otherwise a normal subgroup is the join of the normal closures of
-        its elements, so this is :func:`subgroups._join_closure` over the
-        distinct normal closures of one representative per conjugacy class
-        (:meth:`_normal_closure`); each result is certified a normal
-        subgroup from its generators (:meth:`_certify`).
+        Otherwise they are the unions of classes closed under the class
+        products (:meth:`_normal_rows`); each is certified a normal subgroup
+        from its generators (:meth:`_certify`).
 
         Cap: a nonabelian group of order above ``cap`` raises
         CapExceededError before any enumeration when it has more than
@@ -804,7 +856,7 @@ class FiniteGroup:
         most 20 has at most 2^20 normal subgroups, since each is a union of
         classes, and no order cap.
         """
-        from .subgroups import _join_closure, _sorted_subgroups, all_subgroups
+        from .subgroups import _sorted_subgroups, all_subgroups
 
         if self.is_abelian:
             return all_subgroups(self, cap)
@@ -812,8 +864,7 @@ class FiniteGroup:
             raise CapExceededError(
                 f"order {self.order} exceeds the subgroup-enumeration cap {cap}"
             )
-        atoms = [self._normal_closure(cls[:1]) for cls in self.conjugacy_classes()[1:]]
-        rows = _join_closure(self, atoms)
+        rows = self._normal_rows()
         if not all(self._certify(row)[1] for row in rows):
             raise RuntimeError("enumerated normal subgroup failed validation")
         return _sorted_subgroups(rows)[0]
@@ -825,45 +876,14 @@ class FiniteGroup:
         A nonabelian group with G' < G is not simple, since G' is then a
         proper nontrivial normal subgroup; :meth:`derived_series` settles
         that in about |G| * |gens| * log2|G| products.  A perfect group is
-        decided on its k classes of the cached :meth:`conjugacy_classes`
-        with one block of products: the smallest member x_i of each
-        nontrivial class times every element, (k - 1) * |G| products read
-        as class ids.  They give, for each pair of classes K_i and K_j, the
-        classes that x_i K_j meets, and those are the classes that K_i K_j
-        meets, since (g x g^-1) y = g (x g^-1 y g) g^-1.  A union of classes
-        closed under this relation is a normal subgroup, so the normal
-        closure of a class K is the fixed point of the relation from {1, K},
-        held as k-bit masks; G is simple iff every such closure holds all k
-        classes.
+        simple iff :meth:`_normal_rows`, from the normal closures of its
+        classes, finds only the trivial group and G.
         """
-        if self.order == 1:
-            return False
-        if self.is_abelian:
+        if self.is_abelian:  # the trivial group too: 1 is not prime
             return is_prime(self.order)
         if len(self.derived_series()) > 1:
             return False
-        ids = self._class_ids()
-        k = int(ids.max()) + 1
-        reps = np.array([int(c[0]) for c in self.conjugacy_classes()[1:]], dtype=np.int64)
-        met = ids[self.mul_outer(reps)]
-        # key (i, j, l): the rep of class i times a member of class j lies in class l
-        keys = np.unique((np.arange(1, k)[:, None] * k + ids) * k + met)
-        meets = [[0] * k for _ in range(k)]  # meets[i][j]: mask of the classes l
-        for key in keys.tolist():
-            ij, l = divmod(key, k)
-            meets[ij // k][ij % k] |= 1 << l
-        full = (1 << k) - 1
-        for c in range(1, k):
-            reached, grown = 0, 1 | 1 << c
-            while grown != reached:
-                reached = grown
-                members = [i for i in range(k) if reached >> i & 1]
-                for i in members:
-                    for j in members:
-                        grown |= meets[i][j]
-            if reached != full:
-                return False
-        return True
+        return len(self._normal_rows()) == 2
 
     # -- derived groups ------------------------------------------------------
 

@@ -2,18 +2,18 @@
 
 Enumeration seeds with all cyclic subgroups and closes the set under joins
 with those cyclic atoms until nothing new appears; every subgroup is a join
-of its cyclic subgroups, so the fixed point is the full lattice.  The same
-join closure over the normal closures of the conjugacy classes gives the
-normal subgroups of a nonabelian group
-(:meth:`FiniteGroup.normal_subgroups`).  Exceeding the enumeration cap
-raises instead of truncating: a partial list would break every closure
+of its cyclic subgroups, so the fixed point is the full lattice.  The
+normal subgroups of a nonabelian group come from its class products
+instead (:meth:`FiniteGroup.normal_subgroups`).  Exceeding the enumeration
+cap raises instead of truncating: a partial list would break every closure
 claim downstream.
 
 The pair-order predicates CP2 and CP3 are decided on every subgroup and on
 every quotient from the parent's own elements, with no subgroup or
 quotient group built: a subgroup's elements keep their orders
 (:func:`pair_condition_verdicts`), and a coset xN has the order of the
-least power of x that lies in N (:func:`quotient_condition_verdicts`).
+least power of x that lies in N, a class function read on the class
+products (:func:`quotient_condition_verdicts`).
 """
 
 from __future__ import annotations
@@ -57,82 +57,64 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(order[first]), words
 
 
-def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> np.ndarray:
-    """Member masks of the trivial subgroup and every join of the atoms, one row each.
+def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> np.ndarray:
+    """Member masks of every subgroup of g, one row each, from the member
+    masks ``cyclic[x]`` of its cyclic subgroups <x>.
 
-    ``atoms`` are subgroups of g as (member mask, generators); repeated
-    masks are dropped.  Breadth first from the trivial subgroup and the
-    atoms, every subgroup H of a frontier is joined with atoms it does not
-    contain, one batch per atom, until a frontier brings nothing new; the
-    fixed point holds the subgroup generated by every set of atoms.
+    Every subgroup is the join of its cyclic subgroups.  Repeated masks are
+    dropped, so each atom <a> keeps its smallest generator a, and row 0,
+    <e>, is the trivial subgroup.  Breadth first from the distinct masks,
+    every subgroup H of a frontier is joined with the atoms it does not
+    contain, one batch per atom, until a frontier brings nothing new.
 
-    One join per coset: for an atom <a> with the single generator a, the
-    join <H, a> depends only on the coset aH, since b = a*h with h in H puts
-    each of a and b in the subgroup generated by H and the other.  So H is
-    joined with <a> only when a is the smallest single generator of an atom
-    in aH: each such atom carries the h with a*h a smaller one (``below``),
-    and a frontier row meeting them is left out of its batch.  Atoms with
-    more than one generator are joined with every row that lacks them.
+    One join per coset: the join <H, a> depends only on the coset aH, since
+    b = a*h with h in H puts each of a and b in the subgroup generated by H
+    and the other.  So H is joined with <a> only when a is the smallest
+    atom generator in aH: each atom carries the h with a*h a smaller one
+    (``below``), and a frontier row meeting them is left out of its batch.
 
-    In an abelian group the join of H and A is the product HA: for each
-    generator a of A the batch is closed under the right shifts by a, a^2,
-    a^4, ... (a^(2^k) for 2^k < o(a)), one vectorized pass each.
-    Otherwise :meth:`FiniteGroup._grow` grows each row of the batch from H
-    by the generators of A, with the generators of H as its steps and as the
-    partners of the new generators (two reflections of a dihedral group,
-    one from H and one from A, would otherwise walk the cycle of their
+    In an abelian group the join of H and <a> is the product H<a>: the batch
+    is closed under the right shifts by a, a^2, a^4, ... (a^(2^k) for 2^k <
+    o(a)), one vectorized pass each.  Otherwise :meth:`FiniteGroup._grow`
+    grows each row of the batch from H by a, with the generators of H as
+    its steps and as the partners of a (two reflections of a dihedral group,
+    one from H and one from <a>, would otherwise walk the cycle of their
     product one step per round); the closure carries every subgroup's
     generators along.  Each batch is deduplicated exactly
     (:func:`_distinct_rows`) before its rows are looked up among the
     subgroups already found.
     """
-    n = g.order
     orders = g.order_table().orders
     abelian = g.is_abelian
-    trivial = np.zeros((1, n), dtype=bool)
-    trivial[0, 0] = True
-    seeds = np.concatenate([trivial] + [members[None, :] for members, _ in atoms])
-    first, words = _distinct_rows(seeds)
+    first, words = _distinct_rows(cyclic)
     known = {words[j].tobytes() for j in first.tolist()}
-    seed_gens = [[]] + [list(gens) for _, gens in atoms]
-    frontier, frontier_words = seeds[first], words[first]
-    frontier_gens = [seed_gens[j] for j in first.tolist()]
-    atom_gens = [seed_gens[j] for j in first[1:].tolist()]
-    single = np.zeros(n, dtype=bool)
-    single[[gens[0] for gens in atom_gens if len(gens) == 1]] = True
-    gens_masks = np.zeros((len(atom_gens), n), dtype=bool)
-    below_masks = np.zeros((len(atom_gens), n), dtype=bool)
-    for gens, gens_mask, below in zip(atom_gens, gens_masks, below_masks):
-        gens_mask[gens] = True
-        if len(gens) == 1:
-            row = g.mul_outer(np.array(gens))[0]
-            below[:] = single[row] & (row < gens[0])
+    frontier, frontier_words = cyclic[first], words[first]
+    frontier_gens = [[j] if j else [] for j in first.tolist()]
+    atoms = first[1:].tolist()
+    single = np.zeros(g.order, dtype=bool)
+    single[atoms] = True
     joins = []
-    for gens, gens_word, below_word in zip(atom_gens, _words(gens_masks), _words(below_masks)):
-        shifts = []
-        if abelian:
-            for a in gens:
-                power, reach = int(a), 1
-                while reach < orders[a]:
-                    # x*c for every x: in an abelian group that is the row c*x
-                    shifts.append(g.mul_outer(g.inv[[power]])[0])
-                    power, reach = g.mul(power, power), 2 * reach
-        joins.append((np.array(gens, dtype=np.int64), shifts, gens_word, below_word))
+    for a in atoms:
+        row = g.mul_outer(np.array([a]))[0]
+        shifts, power, reach = [], a, 1
+        while abelian and reach < orders[a]:
+            # x*c for every x: in an abelian group that is the row c*x
+            shifts.append(g.mul_outer(g.inv[[power]])[0])
+            power, reach = g.mul(power, power), 2 * reach
+        joins.append((a, shifts, _words((single[row] & (row < a))[None])[0]))
     levels = [frontier]
     while True:
         new_rows: list[np.ndarray] = []
         new_words: list[np.ndarray] = []
         new_gens: list[list[int]] = []
         columns = np.ascontiguousarray(frontier_words.T)
-        for gens, shifts, gens_word, below_word in joins:
-            # the rows that lack a generator of the atom and meet none of its
-            # ``below``, one 64-bit word of every row at a time
-            lacks = np.zeros(len(frontier), dtype=bool)
+        for a, shifts, below_word in joins:
+            # the rows that lack a and meet none of its ``below``, one 64-bit
+            # word of every row at a time
             meets = np.zeros(len(frontier), dtype=bool)
-            for column, gw, bw in zip(columns, gens_word, below_word):
-                lacks |= (column & gw) != gw
+            for column, bw in zip(columns, below_word):
                 meets |= (column & bw) != 0
-            sel = np.flatnonzero(lacks & ~meets)
+            sel = np.flatnonzero(~frontier[:, a] & ~meets)
             if not sel.size:
                 continue
             joined = frontier[sel]
@@ -142,7 +124,7 @@ def _join_closure(g: FiniteGroup, atoms: list[tuple[np.ndarray, list[int]]]) -> 
             else:
                 joined_gens = [
                     frontier_gens[i]
-                    + g._grow(row, list(frontier_gens[i]), gens, partners=frontier_gens[i])
+                    + g._grow(row, list(frontier_gens[i]), np.array([a]), partners=frontier_gens[i])
                     for row, i in zip(joined, sel.tolist())
                 ]
             first, words = _distinct_rows(joined)
@@ -215,7 +197,7 @@ def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     for _ in range(g.order_table().max_order):
         cyclic[ar, power] = True
         power = g.mul_pairs(power, ar)
-    out, words, sizes = _sorted_subgroups(_join_closure(g, [(cyclic[x], [x]) for x in range(1, n)]))
+    out, words, sizes = _sorted_subgroups(_join_closure(g, cyclic))
     if not closure_verdicts(g, words, sizes).all():
         raise RuntimeError("enumerated subgroup failed closure validation")
     g._cache["subgroups"] = tuple(out)
@@ -276,27 +258,29 @@ def pair_condition_verdicts(
 
 
 def _coset_orders(g: FiniteGroup, normals: list[SubgroupSet]) -> np.ndarray:
-    """Per normal subgroup N of ``normals`` and element x, the order o_N(x)
-    of the coset xN in G/N, one row per N.
+    """Per conjugacy class K and normal subgroup N of ``normals``, the order
+    o_N(x) of the coset xN in G/N for the members x of K: one row per class
+    and one column per N, as int32 (an order is at most ELEMENT_CAP).
 
-    o_N(x) is the least k >= 1 with x^k in N.  It divides o(x), so it is
-    the least divisor d of the exponent of g with x^d in N: the first row
-    of the table of powers x^d, one row per divisor d, whose entry lies in
-    N.  The table is read for as many N at a time as keep the lookups
-    within CHECK_ENTRIES.
+    o_N(x) is the least k >= 1 with x^k in N, and it is a class function,
+    since N is normal.  It divides o(x), so it is the least divisor d of
+    the exponent of g with x^d in N: the first row of the table of powers
+    x^d of the class representatives, one row per divisor d, whose entry
+    lies in N.  The table is read for as many N at a time as keep the
+    lookups within CHECK_ENTRIES.
     """
     n = g.order
     exponent = int(np.lcm.reduce(np.unique(g.order_table().orders)))
-    divs = np.array([d for d in range(1, exponent + 1) if exponent % d == 0], dtype=np.int64)
-    elements = np.arange(n)
-    powers = np.stack([g.powers(elements, int(d)) for d in divs])
+    divs = np.array([d for d in range(1, exponent + 1) if exponent % d == 0], dtype=np.int32)
+    reps = np.array([int(c[0]) for c in g.conjugacy_classes()], dtype=np.int64)
+    powers = np.stack([g.powers(reps, int(d)) for d in divs])
     words, _ = _subgroup_words(normals, n)
-    out = np.empty((len(normals), n), dtype=np.int64)
+    out = np.empty((len(reps), len(normals)), dtype=np.int32)
     step = max(1, CHECK_ENTRIES // powers.size)
     for lo in range(0, len(normals), step):
         bits = words[lo : lo + step].view(np.uint8)
         masks = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
-        out[lo : lo + step] = divs[masks[:, powers].argmax(axis=1)]
+        out[:, lo : lo + step] = divs[masks[:, powers].argmax(axis=1)].T
     return out
 
 
@@ -306,33 +290,25 @@ def quotient_condition_verdicts(
     """Whether a pair-order condition holds on all pairs of G/N, for each
     normal subgroup N of ``normals``.
 
-    Decided on g's own elements and the orders of their cosets
-    (:func:`_coset_orders`), with no quotient built: since (xN)(yN) = xyN,
-    the condition holds on G/N iff ``condition(o_N(x), o_N(y), o_N(xy))``
-    holds for all x, y in g.  The products come once per block of rows x
-    (:meth:`FiniteGroup.mul_outer`) and are read against a chunk of the N
-    not yet refuted at a time; each block holds at most CHECK_ENTRIES
-    entries, as in :func:`core._size_blocks`.  Every quotient order is
+    Decided on g's class products and the orders of the cosets
+    (:func:`_coset_orders`), with no quotient built: since (xN)(yN) = xyN
+    and o_N is a class function, the condition holds on G/N iff
+    ``condition(o_N[i], o_N[j], o_N[l])`` holds for every class triple
+    (i, j, l) of :meth:`FiniteGroup._class_products`.  The triples are read
+    in slices, each gathering the rows of coset orders of its classes for
+    all N at once, at most CHECK_ENTRIES entries a gather.  Every quotient order is
     checked against TABLE_LIMIT before any power or product is formed, so
     the verdicts refuse exactly where :meth:`FiniteGroup.quotient` refuses.
     """
-    n = g.order
     for normal in normals:
-        check_table_cap(n // normal.size, "quotient order")
-    verdicts = np.ones(len(normals), dtype=bool)
+        check_table_cap(g.order // normal.size, "quotient order")
     coset_orders = _coset_orders(g, normals)
-    rows = max(1, CHECK_ENTRIES // n)
-    for lo in range(0, n, rows):
-        x = np.arange(lo, min(n, lo + rows))
-        prods = g.mul_outer(x)
-        live = np.flatnonzero(verdicts)
-        step = max(1, CHECK_ENTRIES // prods.size)
-        for at in range(0, len(live), step):
-            chunk = live[at : at + step]
-            o = coset_orders[chunk]
-            oab = o[:, prods]
-            ok = condition(o[:, x, None], o[:, None, :], oab)
-            verdicts[chunk] = np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape).all(axis=(1, 2))
+    i, j, l = g._class_products()
+    verdicts = np.ones(len(normals), dtype=bool)
+    step = max(1, CHECK_ENTRIES // max(len(normals), 1))
+    for lo in range(0, len(i), step):
+        oa, ob, oab = (coset_orders[c[lo : lo + step]] for c in (i, j, l))
+        verdicts &= np.broadcast_to(np.asarray(condition(oa, ob, oab), dtype=bool), oab.shape).all(axis=0)
     return verdicts
 
 

@@ -318,9 +318,13 @@ def brute_force_subgroup_count(g: FiniteGroup, chunk: int = 8192) -> int:
 
     In a finite group any nonempty product-closed subset is a subgroup, so
     this enumeration (no joins, no lattice walking) counts all subgroups.
+    By Lagrange's theorem the members of a subgroup of size d have orders
+    dividing d, so the subsets of size d are drawn from those elements only
+    (orders from :func:`slow_element_order`).
     """
     n = g.order
     table = g.mul_outer(np.arange(n))
+    orders = [slow_element_order(g, x) for x in range(n)]
     count = 0
     for d in range(1, n + 1):
         if n % d:
@@ -328,7 +332,8 @@ def brute_force_subgroup_count(g: FiniteGroup, chunk: int = 8192) -> int:
         if d == 1:
             count += 1
             continue
-        combos = itertools.combinations(range(1, n), d - 1)
+        pool = [x for x in range(1, n) if d % orders[x] == 0]
+        combos = itertools.combinations(pool, d - 1)
         while True:
             block = list(itertools.islice(combos, chunk))
             if not block:

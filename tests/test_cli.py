@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpgroups.cli import main
+from cpgroups.core import BLOCK_ENTRIES
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +71,23 @@ class TestAnalyze:
         assert code == 3
         assert out == ""
         assert "cap" in err and "ELEMENT_CAP=10000" in err
+
+    @pytest.mark.parametrize("spec", ["alternating:3000000", "symmetric:100000", "elemab:2^100000"])
+    def test_orders_too_long_to_print_exit_3_at_once(self, capsys, spec):
+        # the cap is decided without forming the whole order, and an order
+        # with more digits than Python converts to a string is not printed
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert time.monotonic() - start < 5
+        assert (code, out) == (3, "")
+        digits = sys.get_int_max_str_digits()
+        assert err == f"error: order of more than {digits} digits exceeds the element cap ELEMENT_CAP=10000\n"
+
+    @pytest.mark.parametrize("spec,order", [("symmetric:8", 40320), ("elemab:99991^5", 99991**5)])
+    def test_printable_orders_over_the_element_cap_are_printed(self, capsys, spec, order):
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert (code, out) == (3, "")
+        assert err == f"error: order {order} exceeds the element cap ELEMENT_CAP=10000\n"
 
     @pytest.mark.parametrize("spec", ["cyclic:10000", "dihedral:10000", "dicyclic:4100"])
     def test_formula_families_above_the_table_cap_run(self, capsys, spec):
@@ -131,6 +150,17 @@ class TestFileInputs:
         code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "records")
         assert code == 0
         assert "order=2" in out.splitlines()
+
+    @pytest.mark.parametrize("degree", [BLOCK_ENTRIES + 1, 99999999999])
+    def test_generator_file_wider_than_a_block_exit_3_at_once(self, capsys, tmp_path, degree):
+        # refused before a permutation of that many points is built
+        path = tmp_path / "transposition.gens"
+        path.write_text(f"degree: {degree}\n(1 2)\n")
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert time.monotonic() - start < 5
+        assert (code, out) == (3, "")
+        assert f"degree {degree} exceeds BLOCK_ENTRIES={BLOCK_ENTRIES}, the width of one block" in err
 
     def test_malformed_table_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.table"

@@ -340,7 +340,8 @@ class TestNormalSubgroups:
             raise AssertionError("enumeration started above the cap")
 
         g = cg.direct_product(cg.elementary_abelian(2, 5), cg.symmetric(3))
-        monkeypatch.setattr(cg.subgroups, "_join_closure", refuse)
+        monkeypatch.setattr(cg.FiniteGroup, "_class_products", refuse)
+        monkeypatch.setattr(cg.FiniteGroup, "_normal_rows", refuse)
         with pytest.raises(CapExceededError):
             g.normal_subgroups(cap=100)
         with pytest.raises(CapExceededError):
@@ -822,6 +823,16 @@ class TestJoinClosure:
         normal = slow_normal_subgroups(g)
         for grp in (g, tableless_copy(g)):
             assert sorted(tuple(s.indices().tolist()) for s in all_subgroups(grp)) == subgroups
+            assert sorted(tuple(s.indices().tolist()) for s in grp.normal_subgroups()) == normal
+
+    def test_normal_subgroups_that_join_three_class_closures(self, tableless_copy):
+        # the central (Z_2)^3 of (Z_2)^2 x D8 is the join of the normal
+        # closures of three central classes and of no fewer, so the class-set
+        # fixed point must go on past the joins of two closures
+        g = cg.direct_product(cg.elementary_abelian(2, 2), cg.dihedral(4))
+        normal = slow_normal_subgroups(g)
+        assert len(normal) == 78
+        for grp in (g, tableless_copy(g)):
             assert sorted(tuple(s.indices().tolist()) for s in grp.normal_subgroups()) == normal
 
 

@@ -108,27 +108,33 @@ class TestAllSubgroups:
         # three subgroups of order 2 in S3
         g = cg.symmetric(3)
         x = int(np.flatnonzero(g.order_table().orders == 3)[0])
-        self._add_row(monkeypatch, g, [0, x])
+        self._add_row(monkeypatch, g, [0, x], normal)
         with pytest.raises(RuntimeError, match="failed"):
             g.normal_subgroups() if normal else all_subgroups(g)
 
     def test_a_row_that_is_not_normal_is_refused(self, monkeypatch):
         g = cg.symmetric(3)
         t = int(np.flatnonzero(g.order_table().orders == 2)[0])
-        self._add_row(monkeypatch, g, [0, t])
+        self._add_row(monkeypatch, g, [0, t], normal=True)
         with pytest.raises(RuntimeError, match="normal subgroup failed validation"):
             g.normal_subgroups()
 
     @staticmethod
-    def _add_row(monkeypatch, g, members):
-        join_closure = subgroups_module._join_closure
+    def _add_row(monkeypatch, g, members, normal):
+        # one more row from the enumeration: the class-set fixed point of a
+        # nonabelian group's normal subgroups, or the lattice's join closure
         extra = np.zeros((1, g.order), dtype=bool)
         extra[0, members] = True
+        if normal:
+            owner, name = cg.FiniteGroup, "_normal_rows"
+        else:
+            owner, name = subgroups_module, "_join_closure"
+        enumerate_rows = getattr(owner, name)
 
-        def with_extra_row(grp, atoms):
-            return np.concatenate([join_closure(grp, atoms), extra])
+        def with_extra_row(*args):
+            return np.concatenate([enumerate_rows(*args), extra])
 
-        monkeypatch.setattr(subgroups_module, "_join_closure", with_extra_row)
+        monkeypatch.setattr(owner, name, with_extra_row)
 
     def test_cap_is_structured_error(self):
         with pytest.raises(CapExceededError):
@@ -299,7 +305,7 @@ class TestQuotientVerdicts:
         # appears once per member of the coset
         g = cg.group_from_spec(spec)
         (normal,) = [s for s in g.normal_subgroups() if s.size == size]
-        coset_orders = subgroups_module._coset_orders(g, [normal])[0]
+        coset_orders = subgroups_module._coset_orders(g, [normal])[g._class_ids(), 0]
         expected = slow_quotient_order_multiset(g, normal.indices().tolist())
         assert sorted(coset_orders.tolist()) == np.repeat(expected, size).tolist()
 
@@ -333,7 +339,7 @@ class TestQuotientVerdicts:
     def test_every_normal_subgroup_is_still_certified(self, monkeypatch):
         g = cg.symmetric(3)
         t = int(np.flatnonzero(g.order_table().orders == 2)[0])
-        TestAllSubgroups._add_row(monkeypatch, g, [0, t])
+        TestAllSubgroups._add_row(monkeypatch, g, [0, t], normal=True)
         with pytest.raises(RuntimeError, match="normal subgroup failed validation"):
             quotient_scan(g, is_cp3)
 
@@ -343,6 +349,26 @@ class TestQuotientVerdicts:
             CapExceededError, match="quotient order 5040 exceeds the Cayley-table cap TABLE_LIMIT=4096"
         ):
             quotient_scan(cg.symmetric(7), predicate, cap=100000)
+
+    def test_verdicts_form_at_most_k_products_per_element(self, monkeypatch):
+        # S7/A7 and S7/S7 come from the products of the 14 nontrivial class
+        # representatives with every element and the powers of the 15
+        # representatives: at most k * |G| = 15 * 5040 products, not the
+        # 5040^2 pairs of S7
+        normals = cg.symmetric(7).normal_subgroups(cap=100000)[1:]
+        g = cg.symmetric(7)
+        g.conjugacy_classes(), g.order_table()  # cached before the count
+        formed = []
+        mul_pairs = g.backend.mul_pairs
+
+        def counting(a, b):
+            out = mul_pairs(a, b)
+            formed.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(g.backend, "mul_pairs", counting)
+        assert quotient_condition_verdicts(g, normals, cp3_pair_holds).tolist() == [True, True]
+        assert sum(formed) <= len(g.conjugacy_classes()) * g.order
 
     def test_cap_refused_before_any_product(self, monkeypatch):
         g = cg.symmetric(7)
