@@ -72,17 +72,17 @@ def check_element_cap(order: int, what: str = "order") -> None:
         raise CapExceededError(f"{what} {order} exceeds the element cap ELEMENT_CAP={ELEMENT_CAP}")
 
 
-def capped_product(factors: Iterable[int], what: str = "order") -> int:
+def capped_product(factors: Iterable[int]) -> int:
     """The product of the factors (each at least 1), an order checked by
     :func:`check_element_cap`.  It is refused as soon as it has more digits
     than Python converts to a string, so 3000000! is never formed in full."""
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     bound, product = 10**digits, 1
     for factor in factors:
         product *= factor
         if product >= bound:
-            raise CapExceededError(f"{what} of more than {digits} digits exceeds the element cap ELEMENT_CAP={ELEMENT_CAP}")
-    check_element_cap(product, what)
+            raise CapExceededError(f"order of more than {digits} digits exceeds the element cap ELEMENT_CAP={ELEMENT_CAP}")
+    check_element_cap(product)
     return product
 
 
@@ -206,23 +206,23 @@ def closure_verdicts(g: "FiniteGroup", words: np.ndarray, sizes: np.ndarray) -> 
     return closed
 
 
-def _orbit_roots(maps: np.ndarray, starts: Optional[np.ndarray] = None) -> np.ndarray:
-    """The smallest point of each point's orbit under the permutations in the
-    rows of ``maps``; with ``starts``, of each point's component in the
-    graph of the edges starts[e] -- maps[e], whose points 0, 1, ... each
-    start an edge.
+def _orbit_roots(maps: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The smallest point of each point's component in the graph of the
+    edges starts[e] -- maps[e], whose points 0, 1, ... each start an edge.
+    With permutations of n points in the rows of ``maps`` and starts =
+    arange(n), the components are the orbits of the permutations.
 
     Hooking and pointer jumping: every point holds a root, a point of its
-    orbit no larger than itself.  Each round hooks, for every edge
-    x -> map(x) whose ends hold different roots, the larger root onto the
-    smaller, then jumps each point to its root's root until every point
-    holds a root of its own.  The rounds stop when every edge joins equal
-    roots; the smallest point of an orbit is never hooked, so it is then
-    the root of the whole orbit.
+    component no larger than itself.  Each round hooks, for every edge
+    whose ends hold different roots, the larger root onto the smaller,
+    then jumps each point to its root's root until every point holds a
+    root of its own.  The rounds stop when every edge joins equal roots;
+    the smallest point of a component is never hooked, so it is then the
+    root of the whole component.
     """
-    root = np.arange(maps.shape[1] if starts is None else int(starts.max()) + 1)
+    root = np.arange(int(starts.max()) + 1)
     while True:
-        ends, begins = root[maps], root if starts is None else root[starts]
+        ends, begins = root[maps], root[starts]
         lo, hi = np.minimum(begins, ends), np.maximum(begins, ends)
         moved = lo != hi
         if not moved.any():
@@ -616,7 +616,7 @@ class FiniteGroup:
                 maps[:, lo : lo + len(x)] = self.mul_pairs(left, gens[:, None])
             # each orbit's root is its smallest member, so the roots number
             # the classes in the order of their smallest members
-            cached = np.unique(_orbit_roots(maps), return_inverse=True)[1]
+            cached = np.unique(_orbit_roots(maps, np.arange(n)), return_inverse=True)[1]
             cached.setflags(write=False)
             self._cache["class_ids"] = cached
         return cached
@@ -743,7 +743,7 @@ class FiniteGroup:
         grown = np.zeros(self.order, dtype=bool)
         grown[0] = True
         gens = np.array(self._grow(grown, [], np.flatnonzero(members)), dtype=np.int64)
-        roots = _orbit_roots(self.mul_outer(np.arange(self.order), gens).T)
+        roots = _orbit_roots(self.mul_outer(np.arange(self.order), gens).T, np.arange(self.order))
         if not np.array_equal(roots == 0, members):
             return False, False, roots
         t = np.array(self._generators(), dtype=np.int64)
@@ -789,28 +789,29 @@ class FiniteGroup:
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].size == 1
 
-    def _class_products(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _class_products(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The class triples (i, j, l) with K_i K_j meeting K_l, over the
-        classes of :meth:`conjugacy_classes`, as three index arrays; cached.
+        classes of :meth:`conjugacy_classes`, as three index arrays a block,
+        sorted and without repeats; the identity gives (0, j, j).
 
         The smallest member x_i of each nontrivial class times every element,
-        one :meth:`mul_outer` of (k - 1) * |G| products read as class ids,
-        gives for each pair of classes K_i and K_j the classes that x_i K_j
-        meets, and those are the classes that K_i K_j meets, since
-        (g x g^-1) y = g (x g^-1 y g) g^-1.  The identity adds (0, j, j).
+        read as class ids, gives for each pair of classes K_i and K_j the
+        classes that x_i K_j meets, and those are the classes that K_i K_j
+        meets, since (g x g^-1) y = g (x g^-1 y g) g^-1.  A block holds the
+        products of as many classes as fit in CHECK_ENTRIES, so the |G|^2
+        triples of an abelian group are never held at once.
         """
-        cached = self._cache.get("class_products")
-        if cached is None:
-            ids = self._class_ids()
-            k = int(ids.max()) + 1
-            reps = np.array([int(c[0]) for c in self.conjugacy_classes()[1:]], dtype=np.int64)
-            met = ids[self.mul_outer(reps)]
-            keys = (np.arange(1, k)[:, None] * k + ids) * k + met
+        ids = self._class_ids()
+        k = int(ids.max()) + 1
+        yield np.zeros(k, dtype=np.int64), np.arange(k), np.arange(k)
+        reps = np.array([int(c[0]) for c in self.conjugacy_classes()], dtype=np.int64)
+        step = max(1, CHECK_ENTRIES // self.order)
+        for lo in range(1, k, step):
+            met = ids[self.mul_outer(reps[lo : lo + step])]
+            keys = (np.arange(lo, lo + len(met))[:, None] * k + ids) * k + met
             # sorted, repeats dropped: faster than np.unique, which hashes
-            keys = np.sort(np.concatenate([keys.ravel(), np.arange(k) * (k + 1)]))
-            keys = keys[np.diff(keys, prepend=-1) != 0]
-            cached = self._cache["class_products"] = np.unravel_index(keys, (k, k, k))
-        return cached
+            keys = np.sort(keys.ravel())
+            yield np.unravel_index(keys[np.diff(keys, prepend=-1) != 0], (k, k, k))
 
     def _normal_rows(self) -> np.ndarray:
         """Member masks of every normal subgroup, one row each, unsorted.
@@ -825,7 +826,7 @@ class FiniteGroup:
         N and j in <K>, so one boolean matrix product per closure joins a
         whole frontier of class sets, breadth first until nothing is new.
         """
-        i, j, l = self._class_products()
+        i, j, l = map(np.concatenate, zip(*self._class_products()))
         k = len(self.conjugacy_classes())
         roots = _orbit_roots(j * k + l, j * k + i).reshape(k, k)
         atoms = np.unique(roots == roots[:, :1], axis=0)

@@ -294,21 +294,21 @@ def quotient_condition_verdicts(
     (:func:`_coset_orders`), with no quotient built: since (xN)(yN) = xyN
     and o_N is a class function, the condition holds on G/N iff
     ``condition(o_N[i], o_N[j], o_N[l])`` holds for every class triple
-    (i, j, l) of :meth:`FiniteGroup._class_products`.  The triples are read
-    in slices, each gathering the rows of coset orders of its classes for
-    all N at once, at most CHECK_ENTRIES entries a gather.  Every quotient order is
-    checked against TABLE_LIMIT before any power or product is formed, so
-    the verdicts refuse exactly where :meth:`FiniteGroup.quotient` refuses.
+    (i, j, l) of :meth:`FiniteGroup._class_products`, read a block at a
+    time and in slices that gather coset orders for all N at once, at most
+    CHECK_ENTRIES entries a gather.  Every quotient order is checked against
+    TABLE_LIMIT before any power or product is formed, so the verdicts
+    refuse exactly where :meth:`FiniteGroup.quotient` refuses.
     """
     for normal in normals:
         check_table_cap(g.order // normal.size, "quotient order")
     coset_orders = _coset_orders(g, normals)
-    i, j, l = g._class_products()
     verdicts = np.ones(len(normals), dtype=bool)
     step = max(1, CHECK_ENTRIES // max(len(normals), 1))
-    for lo in range(0, len(i), step):
-        oa, ob, oab = (coset_orders[c[lo : lo + step]] for c in (i, j, l))
-        verdicts &= np.broadcast_to(np.asarray(condition(oa, ob, oab), dtype=bool), oab.shape).all(axis=0)
+    for i, j, l in g._class_products():
+        for lo in range(0, len(i), step):
+            oa, ob, oab = (coset_orders[c[lo : lo + step]] for c in (i, j, l))
+            verdicts &= np.broadcast_to(np.asarray(condition(oa, ob, oab), dtype=bool), oab.shape).all(axis=0)
     return verdicts
 
 

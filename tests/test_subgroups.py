@@ -370,6 +370,33 @@ class TestQuotientVerdicts:
         assert quotient_condition_verdicts(g, normals, cp3_pair_holds).tolist() == [True, True]
         assert sum(formed) <= len(g.conjugacy_classes()) * g.order
 
+    def test_abelian_triples_are_read_a_block_at_a_time(self, monkeypatch):
+        # Z120 has 120 classes and 120^2 class triples: with CHECK_ENTRIES =
+        # 480 they come 4 classes (480 products) a block, none kept after
+        g = cg.cyclic(120)
+        normals = g.normal_subgroups()
+        expected = [holds for *_, holds in _realized_rows(g, is_cp3)]
+        assert not all(expected) and any(expected)
+        monkeypatch.setattr(cg.core, "CHECK_ENTRIES", 480)
+        monkeypatch.setattr(subgroups_module, "CHECK_ENTRIES", 480)
+        blocks, formed = [], []
+        class_products, mul_pairs = g._class_products, g.backend.mul_pairs
+
+        def recording():
+            for block in class_products():
+                blocks.append(len(block[0]))
+                yield block
+
+        def counting(a, b):
+            formed.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+            return mul_pairs(a, b)
+
+        monkeypatch.setattr(g, "_class_products", recording)
+        monkeypatch.setattr(g.backend, "mul_pairs", counting)
+        assert quotient_condition_verdicts(g, normals, cp3_pair_holds).tolist() == expected
+        assert sum(blocks) == g.order**2 and len(blocks) == 1 + 119 // 4 + 1
+        assert max(blocks) <= 480 and max(formed) <= 480
+
     def test_cap_refused_before_any_product(self, monkeypatch):
         g = cg.symmetric(7)
         normals = g.normal_subgroups(cap=100000)
