@@ -239,12 +239,14 @@ def dicyclic(n: int) -> FiniteGroup:
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    """(Z_p)^k with digitwise addition."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """(Z_p)^k with digitwise addition; the cap is checked before the trial
+    division that tests p for primality, minutes long on a p of 19 digits."""
     if k < 1:
         raise ValueError("k must be positive")
-    capped_product(p for _ in range(k))
+    if p > 1:  # 1^k is under the cap, which would take k steps to see
+        capped_product(p for _ in range(k))
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
     def label(i: int) -> str:
         """The base-p digits of i, lowest first; e for 0."""

@@ -814,7 +814,8 @@ class FiniteGroup:
             yield np.unravel_index(keys[np.diff(keys, prepend=-1) != 0], (k, k, k))
 
     def _normal_rows(self) -> np.ndarray:
-        """Member masks of every normal subgroup, one row each, unsorted.
+        """Member masks of every normal subgroup, one row each, each made
+        once, unsorted.
 
         A normal subgroup N is a union of classes and the join of the normal
         closures <K> of its classes.  <K_j> is the set of classes reached
@@ -823,24 +824,40 @@ class FiniteGroup:
         leads back to 1, and it is the component of 1 in row j of the graph
         of the edges (j, i) -- (j, l) (:func:`_orbit_roots`).  N<K> is a
         product of normal subgroups, the classes l of the triples with i in
-        N and j in <K>, so one boolean matrix product per closure joins a
-        whole frontier of class sets, breadth first until nothing is new.
+        N and j in <K>, one boolean matrix product.
+
+        The canonical-parent rule of :func:`subgroups._join_closure`, on
+        class sets, makes each N once: breadth first from {1}, N is joined
+        with the closures of the atom classes c (each the smallest class
+        with its closure) above the last class of N's chain and outside N,
+        and the join is kept only when its smallest new class is c.
         """
         i, j, l = map(np.concatenate, zip(*self._class_products()))
         k = len(self.conjugacy_classes())
         roots = _orbit_roots(j * k + l, j * k + i).reshape(k, k)
-        atoms = np.unique(roots == roots[:, :1], axis=0)
-        a, t = np.nonzero(atoms[:, j])
+        closures = roots == roots[:, :1]
+        # no smaller class has the same closure
+        atoms = np.flatnonzero(~np.tril(closures & closures.T, -1).any(axis=1))[1:]
+        a, t = np.nonzero(closures[atoms][:, j])
         joins = np.zeros((len(atoms), k, k), dtype=bool)
         joins[a, i[t], l[t]] = True
-        known = {row.tobytes() for row in atoms}
-        levels = frontier = atoms
+        frontier = np.arange(k)[None] == 0
+        last = np.zeros(1, dtype=np.int64)
+        levels = [frontier]
         while len(frontier):
-            joined = np.unique((frontier @ joins).reshape(-1, k), axis=0)
-            frontier = joined[[row.tobytes() not in known for row in joined]]
-            known.update(row.tobytes() for row in frontier)
-            levels = np.concatenate([levels, frontier])
-        return levels[:, self._class_ids()]
+            new_rows, new_last = [], []
+            for c, join in zip(atoms.tolist(), joins):
+                # a level's rows come in the order of their last class
+                end = int(np.searchsorted(last, c))
+                before = frontier[np.flatnonzero(~frontier[:end, c])]
+                joined = before @ join
+                # the join adds no class below c
+                keep = ~(joined[:, :c] > before[:, :c]).any(axis=1)
+                new_rows.append(joined[keep])
+                new_last.append(np.full(int(keep.sum()), c))
+            frontier, last = np.concatenate(new_rows), np.concatenate(new_last)
+            levels.append(frontier)
+        return np.concatenate(levels)[:, self._class_ids()]
 
     def normal_subgroups(self, *, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
         """All normal subgroups, sorted by (size, bitset).

@@ -77,14 +77,15 @@ def distance(g: FiniteGroup, x: int, y: int) -> int:
 
 def distance_matrix(g: FiniteGroup) -> np.ndarray:
     """Full n x n distance matrix (symmetric, zero diagonal), for the CSV
-    export and the raw triangle audit; capped at TABLE_LIMIT like the tables."""
+    export and the raw triangle audit; capped at TABLE_LIMIT like the tables.
+    Held as int32, since no distance exceeds the order."""
     if g.order > TABLE_LIMIT:
         raise CapExceededError(
             f"order {g.order} exceeds the distance-matrix cap TABLE_LIMIT={TABLE_LIMIT}"
         )
     n = g.order
-    dist = g.order_table().orders - 1
-    d = np.empty((n, n), dtype=np.int64)
+    dist = (g.order_table().orders - 1).astype(np.int32)
+    d = np.empty((n, n), dtype=np.int32)
     block = rows_per_block(n)
     for lo in range(0, n, block):
         x = np.arange(lo, min(n, lo + block))

@@ -1,11 +1,10 @@
 """Complete subgroup enumeration and the scans built on top of it.
 
-Enumeration seeds with all cyclic subgroups and closes the set under joins
-with those cyclic atoms until nothing new appears; every subgroup is a join
-of its cyclic subgroups, so the fixed point is the full lattice.  The
-normal subgroups of a nonabelian group come from its class products
-instead (:meth:`FiniteGroup.normal_subgroups`).  Exceeding the enumeration
-cap raises instead of truncating: a partial list would break every closure
+Each subgroup is made once, as the child of its canonical parent
+(:func:`_join_closure`), so nothing is deduplicated; the normal subgroups
+of a nonabelian group come by the same rule from its class products
+(:meth:`FiniteGroup.normal_subgroups`).  Exceeding the enumeration cap
+raises instead of truncating: a partial list would break every closure
 claim downstream.
 
 The pair-order predicates CP2 and CP3 are decided on every subgroup and on
@@ -41,80 +40,64 @@ from .metric import PAIR_CONDITIONS, PairCondition, is_cp, non_prime_power_eleme
 GroupPredicate = Callable[[FiniteGroup], Union[bool, tuple]]
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First occurrence of each distinct row of a boolean matrix, in row order,
-    and the rows packed to words (:func:`_words`).
-
-    A row's words are the key of its subgroup in :func:`_join_closure`.
-    The words are lexsorted; the sort is stable, so the first occurrence of
-    a row leads its run of equal rows.
-    """
-    words = _words(rows)
-    order = np.lexsort(words.T[::-1])
-    ranked = words[order]
-    first = np.ones(len(words), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return np.sort(order[first]), words
-
-
 def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> np.ndarray:
-    """Member masks of every subgroup of g, one row each, from the member
-    masks ``cyclic[x]`` of its cyclic subgroups <x>.
+    r"""Member masks of every subgroup of g, one row each, each subgroup made
+    once, from the member masks ``cyclic[x]`` of its cyclic subgroups <x>.
 
-    Every subgroup is the join of its cyclic subgroups.  Repeated masks are
-    dropped, so each atom <a> keeps its smallest generator a, and row 0,
-    <e>, is the trivial subgroup.  Breadth first from the distinct masks,
-    every subgroup H of a frontier is joined with the atoms it does not
-    contain, one batch per atom, until a frontier brings nothing new.
-
-    One join per coset: the join <H, a> depends only on the coset aH, since
-    b = a*h with h in H puts each of a and b in the subgroup generated by H
-    and the other.  So H is joined with <a> only when a is the smallest
-    atom generator in aH: each atom carries the h with a*h a smaller one
-    (``below``), and a frontier row meeting them is left out of its batch.
+    Orderly generation by canonical parents (Read 1978; McKay 1998).  A
+    subgroup K has the chain g1 = min(K \ {e}), g(i+1) = min(K \ <g1..gi>),
+    and its parent is the subgroup generated by the chain without its last
+    element.  Each chain element g is an atom generator: the smallest member
+    of <g> of order o(g), since that member lies in K and not in <g1..gi>.
+    Breadth first from <e>, a subgroup H whose chain ends in ``last`` (0 for
+    <e>) is joined with the atom generators a > last outside H, and K = <H, a>
+    is kept only when min(K \ H) == a; K's chain is then H's chain and a,
+    so every subgroup comes once, as the child of its parent.  The coset aH
+    lies in K \ H, so K would be dropped when aH holds an atom generator
+    below a, and H is left out of a's batch before any join: each atom
+    carries a and the h with a*h such a generator (``below``), and the
+    frontier rows, packed to words, that meet them are left out.  A level's
+    rows come in the order of their ``last``, so the rows with last < a
+    are a prefix of the level.
 
     In an abelian group the join of H and <a> is the product H<a>: the batch
     is closed under the right shifts by a, a^2, a^4, ... (a^(2^k) for 2^k <
     o(a)), one vectorized pass each.  Otherwise :meth:`FiniteGroup._grow`
-    grows each row of the batch from H by a, with the generators of H as
-    its steps and as the partners of a (two reflections of a dihedral group,
-    one from H and one from <a>, would otherwise walk the cycle of their
-    product one step per round); the closure carries every subgroup's
-    generators along.  Each batch is deduplicated exactly
-    (:func:`_distinct_rows`) before its rows are looked up among the
-    subgroups already found.
+    grows each row of the batch from H by a, with H's chain as its steps and
+    as the partners of a (two reflections of a dihedral group, one from H
+    and one from <a>, would otherwise walk the cycle of their product one
+    step per round).
     """
+    n = g.order
     orders = g.order_table().orders
     abelian = g.is_abelian
-    first, words = _distinct_rows(cyclic)
-    known = {words[j].tobytes() for j in first.tolist()}
-    frontier, frontier_words = cyclic[first], words[first]
-    frontier_gens = [[j] if j else [] for j in first.tolist()]
-    atoms = first[1:].tolist()
-    single = np.zeros(g.order, dtype=bool)
-    single[atoms] = True
+    ar = np.arange(n)
+    is_atom = (cyclic & (orders == orders[:, None])).argmax(axis=1) == ar
+    is_atom[0] = False
     joins = []
-    for a in atoms:
+    for a in np.flatnonzero(is_atom).tolist():
         row = g.mul_outer(np.array([a]))[0]
         shifts, power, reach = [], a, 1
         while abelian and reach < orders[a]:
             # x*c for every x: in an abelian group that is the row c*x
             shifts.append(g.mul_outer(g.inv[[power]])[0])
             power, reach = g.mul(power, power), 2 * reach
-        joins.append((a, shifts, _words((single[row] & (row < a))[None])[0]))
+        joins.append((a, shifts, _words(((is_atom[row] & (row < a)) | (ar == a))[None])[0]))
+    frontier = ar[None] == 0
+    last = np.zeros(1, dtype=np.int64)
+    chains: list[list[int]] = [[]]
     levels = [frontier]
     while True:
-        new_rows: list[np.ndarray] = []
-        new_words: list[np.ndarray] = []
-        new_gens: list[list[int]] = []
-        columns = np.ascontiguousarray(frontier_words.T)
+        columns = np.ascontiguousarray(_words(frontier).T)
+        new_rows, new_last, new_chains = [], [], []
         for a, shifts, below_word in joins:
-            # the rows that lack a and meet none of its ``below``, one 64-bit
-            # word of every row at a time
-            meets = np.zeros(len(frontier), dtype=bool)
-            for column, bw in zip(columns, below_word):
+            end = int(np.searchsorted(last, a))
+            # of the rows with last < a, those that meet none of a's
+            # ``below``, one 64-bit word of every row at a time
+            meets = np.zeros(end, dtype=bool)
+            for column, bw in zip(columns[:, :end], below_word):
                 meets |= (column & bw) != 0
-            sel = np.flatnonzero(~frontier[:, a] & ~meets)
+            sel = np.flatnonzero(~meets)
             if not sel.size:
                 continue
             joined = frontier[sel]
@@ -122,27 +105,17 @@ def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> np.ndarray:
                 for shift in shifts:
                     joined |= joined[:, shift]
             else:
-                joined_gens = [
-                    frontier_gens[i]
-                    + g._grow(row, list(frontier_gens[i]), np.array([a]), partners=frontier_gens[i])
-                    for row, i in zip(joined, sel.tolist())
-                ]
-            first, words = _distinct_rows(joined)
-            fresh = []
-            for j in first.tolist():
-                key = words[j].tobytes()
-                if key not in known:
-                    known.add(key)
-                    fresh.append(j)
-            if fresh:
-                new_rows.append(joined[fresh])
-                new_words.append(words[fresh])
-                if not abelian:
-                    new_gens.extend(joined_gens[j] for j in fresh)
+                for row, i in zip(joined, sel.tolist()):
+                    g._grow(row, list(chains[i]), np.array([a]), partners=chains[i])
+            # min(K \ H) == a: the join adds no member below a
+            keep = ~(joined[:, :a] > frontier[sel, :a]).any(axis=1)
+            new_rows.append(joined[keep])
+            new_last.append(np.full(int(keep.sum()), a))
+            if not abelian:
+                new_chains.extend(chains[i] + [a] for i in sel[keep].tolist())
         if not new_rows:
             break
-        frontier, frontier_words = np.concatenate(new_rows), np.concatenate(new_words)
-        frontier_gens = new_gens
+        frontier, last, chains = np.concatenate(new_rows), np.concatenate(new_last), new_chains
         levels.append(frontier)
     return np.concatenate(levels)
 
@@ -175,15 +148,15 @@ def _sorted_subgroups(rows: np.ndarray) -> tuple[list[SubgroupSet], np.ndarray, 
 
 
 def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
-    """Every subgroup of g, sorted by (size, bitset), duplicates impossible.
+    """Every subgroup of g, sorted by (size, bitset), each made once.
 
-    Every subgroup is the join of its cyclic subgroups, so this is
-    :func:`_join_closure` over the cyclic subgroups <x>, whose members come
-    from one vectorized pass of max_order products x^k * x over all x at
-    once.  Groups of order above ``cap`` raise CapExceededError before any
-    work, and the subgroups found are validated as closed under
-    multiplication in one batch (:func:`core.closure_verdicts`).  Results
-    are cached on the group instance.
+    This is :func:`_join_closure` over the cyclic subgroups <x>, whose
+    members come from one vectorized pass of max_order products x^k * x
+    over all x at once.  Groups of order above ``cap`` raise
+    CapExceededError before any work, and the subgroups found are validated
+    as closed under multiplication in one batch
+    (:func:`core.closure_verdicts`).  Results are cached on the group
+    instance.
     """
     n = g.order
     if n > cap:

@@ -83,6 +83,22 @@ class TestAnalyze:
         digits = sys.get_int_max_str_digits()
         assert err == f"error: order of more than {digits} digits exceeds the element cap ELEMENT_CAP=10000\n"
 
+    def test_elemab_of_a_huge_prime_exit_3_at_once(self, capsys):
+        # the cap comes before the primality test, whose trial division on a
+        # p of 19 digits would run for minutes
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "analyze", "elemab:1000000000000000003^1")
+        assert time.monotonic() - start < 1
+        assert (code, out) == (3, "")
+        assert err == "error: order 1000000000000000003 exceeds the element cap ELEMENT_CAP=10000\n"
+
+    def test_elemab_of_p_1_exit_2_at_once(self, capsys):
+        # the powers of 1 never reach the cap, so p = 1 is refused as not prime
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "analyze", "elemab:1^1000000000000")
+        assert time.monotonic() - start < 1
+        assert (code, out, err) == (2, "", "error: 1 is not prime\n")
+
     @pytest.mark.parametrize("spec,order", [("symmetric:8", 40320), ("elemab:99991^5", 99991**5)])
     def test_printable_orders_over_the_element_cap_are_printed(self, capsys, spec, order):
         code, out, err = run_cli(capsys, "analyze", spec)

@@ -62,6 +62,13 @@ class TestDistanceMatrix:
         assert np.array_equal(d, d.T)
         assert (np.diag(d) == 0).all()
 
+    def test_held_as_int32(self):
+        # no distance exceeds the order, and the order is at most TABLE_LIMIT
+        n = 60
+        d = distance_matrix(cg.dihedral(n // 2))
+        assert d.dtype == np.int32
+        assert d.nbytes == 4 * n * n
+
     def test_cap(self):
         big = cg.symmetric(7)  # order 5040, above TABLE_LIMIT
         with pytest.raises(CapExceededError, match="TABLE_LIMIT"):

@@ -83,24 +83,42 @@ class TestAllSubgroups:
         assert len(subs) == expected == {(2, 6): 2825, (3, 4): 212}[(p, k)]
         assert len({s.mask for s in subs}) == len(subs)
 
-    def test_one_join_per_coset(self, monkeypatch):
-        # every nonzero x of (Z_2)^7 is the generator of its atom <x>, so a
-        # subspace H of dimension k is joined once per coset other than H:
-        # sum over k of [7 choose k]_2 * (2^(7-k) - 1) rows, against
-        # [7 choose k]_2 * (128 - 2^k) with one join per atom outside H
-        counted = []
-        distinct_rows = subgroups_module._distinct_rows
+    @staticmethod
+    def _join_closure_rows(monkeypatch, g):
+        made = []
+        join_closure = subgroups_module._join_closure
 
-        def count(rows):
-            counted.append(len(rows))
-            return distinct_rows(rows)
+        def record(*args):
+            made.append(join_closure(*args))
+            return made[-1]
 
-        monkeypatch.setattr(subgroups_module, "_distinct_rows", count)
-        subs = all_subgroups(cg.elementary_abelian(2, 7))
-        assert len(subs) == 29212
-        seeds = 128  # the trivial subgroup and the 127 atoms
-        assert counted[0] == seeds
-        assert sum(counted) == seeds + 358775
+        monkeypatch.setattr(subgroups_module, "_join_closure", record)
+        all_subgroups(g)
+        (rows,) = made
+        return rows
+
+    def test_each_subspace_made_once(self, monkeypatch):
+        # a subgroup is kept only as the child of its canonical parent, so
+        # the join closure of (Z_2)^7 makes each of its 29,212 subspaces once
+        rows = self._join_closure_rows(monkeypatch, cg.elementary_abelian(2, 7))
+        assert len(rows) == 29212
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
+    def test_each_subgroup_made_once(self, monkeypatch, name):
+        # in (Z_2)^k the coset test alone decides the parent; here the test
+        # min(K \ H) == a is needed too
+        rows = self._join_closure_rows(monkeypatch, cg.group_from_spec(name))
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+    @pytest.mark.parametrize(
+        "name",
+        [e.name for e in cg.catalog_entries(60) if not e.abelian]
+        + ["symmetric:7", "alternating:7", "psl2:17"],
+    )
+    def test_each_normal_subgroup_made_once(self, name):
+        rows = cg.group_from_spec(name)._normal_rows()
+        assert len(np.unique(rows, axis=0)) == len(rows)
 
     @pytest.mark.parametrize("normal", [False, True])
     def test_a_row_that_is_not_closed_is_refused(self, monkeypatch, normal):
