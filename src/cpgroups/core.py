@@ -110,6 +110,14 @@ def is_prime(n: int) -> bool:
     return n > 1 and distinct_primes(n) == (n,)
 
 
+def prime_power_flag(n: int) -> Union[int, str, None]:
+    """The prime p when n = p^k with k >= 1, the flag "trivial" for n = 1, else None."""
+    if n == 1:
+        return "trivial"
+    primes = distinct_primes(n)
+    return primes[0] if len(primes) == 1 else None
+
+
 @dataclass(frozen=True, slots=True)
 class SubgroupSet:
     """Subgroup of an ambient group, stored as a bitset over element indices."""
@@ -123,16 +131,13 @@ class SubgroupSet:
         idx = np.fromiter(indices, dtype=np.int64)
         if idx.size and idx.min() < 0:
             raise ValueError("element indices must be nonnegative")
-        members = np.zeros(int(idx.max()) + 1 if idx.size else 0, dtype=bool)
-        members[idx] = True
-        raw = np.packbits(members, bitorder="little").tobytes()
-        return cls(mask=int.from_bytes(raw, "little"), size=int(members.sum()))
+        members = np.zeros((1, int(idx.max()) + 1 if idx.size else 1), dtype=bool)
+        members[0, idx] = True
+        return _subgroup_sets(_words(members), members.sum(axis=1))[0]
 
     def indices(self) -> np.ndarray:
-        nbytes = (max(self.mask.bit_length(), 1) + 7) // 8
-        raw = self.mask.to_bytes(nbytes, "little")
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
-        return np.flatnonzero(bits)
+        n = max(self.mask.bit_length(), 1)
+        return np.flatnonzero(_members(_subgroup_words([self], n)[0], n))
 
     def contains(self, i: int) -> bool:
         return bool((self.mask >> int(i)) & 1)
@@ -143,12 +148,43 @@ class SubgroupSet:
 
 def _words(rows: np.ndarray) -> np.ndarray:
     """Boolean rows packed to bits, in whole little-endian 64-bit words: bit
-    i of a row is bit i % 64 of its word i // 64."""
+    i of a row is bit i % 64 of its word i // 64, as in a SubgroupSet mask.
+    Only this module packs and unpacks the layout."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     m, nbytes = packed.shape
     words = np.zeros((m, -(-nbytes // 8) * 8), dtype=np.uint8)
     words[:, :nbytes] = packed
     return words.view("<u8")
+
+
+def _members(words: np.ndarray, n: int) -> np.ndarray:
+    """The boolean member rows, n columns each, of rows packed by :func:`_words`."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _sorted_subgroups(words: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of words (:func:`_words`) and their sizes, sorted by (size, bitset)."""
+    # the last word holds the highest bits
+    order = np.lexsort([*words.T, sizes])
+    return words[order], sizes[order]
+
+
+def _subgroup_sets(words: np.ndarray, sizes: np.ndarray) -> list[SubgroupSet]:
+    """The SubgroupSets of rows of words (:func:`_words`) with the given sizes."""
+    raw, nbytes = words.tobytes(), 8 * words.shape[1]
+    return [
+        SubgroupSet(mask=int.from_bytes(raw[at : at + nbytes], "little"), size=s)
+        for at, s in zip(range(0, len(raw), nbytes), sizes.tolist())
+    ]
+
+
+def _subgroup_words(subs: list[SubgroupSet], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bitsets of subgroups of a group of order n packed to words, as
+    :func:`_words` packs member rows, and their sizes."""
+    nbytes = 8 * -(-n // 64)
+    raw = b"".join(s.mask.to_bytes(nbytes, "little") for s in subs)
+    words = np.frombuffer(raw, dtype="<u8").reshape(len(subs), nbytes // 8)
+    return words, np.array([s.size for s in subs], dtype=np.int64)
 
 
 def _size_blocks(
@@ -177,10 +213,8 @@ def _size_blocks(
         width = max(1, CHECK_ENTRIES // s)
         for lo in range(start, end, step):
             block = slice(lo, min(end, lo + step))
-            k = block.stop - lo
-            bits = words[block].view(np.uint8)
-            members = np.unpackbits(bits, axis=1, count=g.order, bitorder="little").view(bool)
-            idx = np.nonzero(members)[1].reshape(k, s)
+            members = _members(words[block], g.order)
+            idx = np.nonzero(members)[1].reshape(-1, s)
             for top in range(0, s, width):
                 x, y = idx[:, top : top + width, None], idx[:, None, :]
                 yield block, members, x, y, g.mul_pairs(x, y)
@@ -576,10 +610,8 @@ class FiniteGroup:
             raise RuntimeError("element order does not divide group order")
         if not np.array_equal(orders, orders[self.inv]):
             raise RuntimeError("order of inverse differs from order of element")
-        primes: set[int] = set()
-        for m in np.unique(orders):
-            primes.update(distinct_primes(int(m)))
-        result = OrderTable(orders=orders, max_order=int(orders.max()), primes=tuple(sorted(primes)))
+        # by Cauchy's theorem every prime dividing n is the order of an element
+        result = OrderTable(orders=orders, max_order=int(orders.max()), primes=distinct_primes(n))
         result.orders.setflags(write=False)
         self._cache["orders"] = result
         return result
@@ -640,10 +672,7 @@ class FiniteGroup:
 
     def is_p_group(self) -> Union[int, str, None]:
         """The prime p when |G| = p^k, the flag "trivial" for |G| = 1, else None."""
-        if self.order == 1:
-            return "trivial"
-        primes = distinct_primes(self.order)
-        return primes[0] if len(primes) == 1 else None
+        return prime_power_flag(self.order)
 
     # -- generated subsets ---------------------------------------------------
 
@@ -874,7 +903,7 @@ class FiniteGroup:
         most 20 has at most 2^20 normal subgroups, since each is a union of
         classes, and no order cap.
         """
-        from .subgroups import _sorted_subgroups, all_subgroups
+        from .subgroups import all_subgroups
 
         if self.is_abelian:
             return all_subgroups(self, cap)
@@ -885,7 +914,7 @@ class FiniteGroup:
         rows = self._normal_rows()
         if not all(self._certify(row)[1] for row in rows):
             raise RuntimeError("enumerated normal subgroup failed validation")
-        return _sorted_subgroups(rows)[0]
+        return _subgroup_sets(*_sorted_subgroups(_words(rows), rows.sum(axis=1)))
 
     def is_simple(self) -> bool:
         """Exactly two normal subgroups (equivalently order > 1 and the normal

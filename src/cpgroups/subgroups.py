@@ -7,6 +7,10 @@ of a nonabelian group come by the same rule from its class products
 raises instead of truncating: a partial list would break every closure
 claim downstream.
 
+The lattice goes from the join closure to every scan as member rows packed
+to words by :mod:`core`, the one module that knows the layout, with the
+subgroups' sizes (:func:`_lattice`); only results become SubgroupSets.
+
 The pair-order predicates CP2 and CP3 are decided on every subgroup and on
 every quotient from the parent's own elements, with no subgroup or
 quotient group built: a subgroup's elements keep their orders
@@ -18,7 +22,6 @@ products (:func:`quotient_condition_verdicts`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Callable, Union
 
 import numpy as np
@@ -29,20 +32,24 @@ from .core import (
     CapExceededError,
     FiniteGroup,
     SubgroupSet,
+    _members,
     _size_blocks,
+    _sorted_subgroups,
+    _subgroup_sets,
+    _subgroup_words,
     _words,
     check_table_cap,
     closure_verdicts,
-    distinct_primes,
+    prime_power_flag,
 )
 from .metric import PAIR_CONDITIONS, PairCondition, is_cp, non_prime_power_elements
 
 GroupPredicate = Callable[[FiniteGroup], Union[bool, tuple]]
 
 
-def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> np.ndarray:
-    r"""Member masks of every subgroup of g, one row each, each subgroup made
-    once, from the member masks ``cyclic[x]`` of its cyclic subgroups <x>.
+def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r"""Every subgroup of g as a member row packed to words, and its size,
+    each made once, from the member masks ``cyclic[x]`` of the <x>.
 
     Orderly generation by canonical parents (Read 1978; McKay 1998).  A
     subgroup K has the chain g1 = min(K \ {e}), g(i+1) = min(K \ <g1..gi>),
@@ -58,7 +65,7 @@ def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> np.ndarray:
     carries a and the h with a*h such a generator (``below``), and the
     frontier rows, packed to words, that meet them are left out.  A level's
     rows come in the order of their ``last``, so the rows with last < a
-    are a prefix of the level.
+    are a prefix of the level; a level is kept as those words and row sums.
 
     In an abelian group the join of H and <a> is the product H<a>: the batch
     is closed under the right shifts by a, a^2, a^4, ... (a^(2^k) for 2^k <
@@ -68,10 +75,9 @@ def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> np.ndarray:
     and one from <a>, would otherwise walk the cycle of their product one
     step per round).
     """
-    n = g.order
     orders = g.order_table().orders
     abelian = g.is_abelian
-    ar = np.arange(n)
+    ar = np.arange(g.order)
     is_atom = (cyclic & (orders == orders[:, None])).argmax(axis=1) == ar
     is_atom[0] = False
     joins = []
@@ -86,9 +92,11 @@ def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> np.ndarray:
     frontier = ar[None] == 0
     last = np.zeros(1, dtype=np.int64)
     chains: list[list[int]] = [[]]
-    levels = [frontier]
+    levels, sizes = [], []
     while True:
-        columns = np.ascontiguousarray(_words(frontier).T)
+        levels.append(_words(frontier))
+        sizes.append(frontier.sum(axis=1))
+        columns = np.ascontiguousarray(levels[-1].T)
         new_rows, new_last, new_chains = [], [], []
         for a, shifts, below_word in joins:
             end = int(np.searchsorted(last, a))
@@ -116,35 +124,29 @@ def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> np.ndarray:
         if not new_rows:
             break
         frontier, last, chains = np.concatenate(new_rows), np.concatenate(new_last), new_chains
-        levels.append(frontier)
-    return np.concatenate(levels)
+    return np.concatenate(levels), np.concatenate(sizes)
 
 
-def _subgroup_words(subs: list[SubgroupSet], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bitsets of subgroups of a group of order n packed to words, as
-    :func:`_words` packs member rows, and their sizes."""
-    words = np.zeros((len(subs), -(-n // 64)), dtype="<u8")
-    raw = memoryview(words).cast("B")
-    nbytes = 8 * words.shape[1]
-    for at, s in zip(range(0, len(subs) * nbytes, nbytes), subs):
-        raw[at : at + nbytes] = s.mask.to_bytes(nbytes, "little")
-    return words, np.fromiter((s.size for s in subs), dtype=np.int64, count=len(subs))
-
-
-def _sorted_subgroups(rows: np.ndarray) -> tuple[list[SubgroupSet], np.ndarray, np.ndarray]:
-    """The subgroups with the given member rows, sorted by (size, bitset),
-    with their rows packed to words (:func:`_words`) and their sizes in the
-    same order."""
-    sizes = rows.sum(axis=1)
-    words = _words(rows)
-    # (size, bitset) order: the last word holds the highest bits
-    order = np.lexsort([*words.T, sizes])
-    words, sizes = words[order], sizes[order]
-    subs = [
-        SubgroupSet(mask=int.from_bytes(w.tobytes(), "little"), size=s)
-        for w, s in zip(words, sizes.tolist())
-    ]
-    return subs, words, sizes
+def _lattice(g: FiniteGroup, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The words and sizes behind :func:`all_subgroups`, cached read-only."""
+    n = g.order
+    if n > cap:
+        raise CapExceededError(f"order {n} exceeds the subgroup-enumeration cap {cap}")
+    cached = g._cache.get("subgroups")
+    if cached is not None:
+        return cached
+    ar = np.arange(n)
+    cyclic = np.zeros((n, n), dtype=bool)
+    power = ar
+    for _ in range(g.order_table().max_order):
+        cyclic[ar, power] = True
+        power = g.mul_pairs(power, ar)
+    words, sizes = _sorted_subgroups(*_join_closure(g, cyclic))
+    if not closure_verdicts(g, words, sizes).all():
+        raise RuntimeError("enumerated subgroup failed closure validation")
+    words.flags.writeable = sizes.flags.writeable = False
+    g._cache["subgroups"] = words, sizes
+    return words, sizes
 
 
 def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
@@ -155,26 +157,11 @@ def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     over all x at once.  Groups of order above ``cap`` raise
     CapExceededError before any work, and the subgroups found are validated
     as closed under multiplication in one batch
-    (:func:`core.closure_verdicts`).  Results are cached on the group
-    instance.
+    (:func:`core.closure_verdicts`).  The sorted words and sizes are cached
+    on the group instance, read-only (:func:`_lattice`, which the scans
+    read), and the list is made from them.
     """
-    n = g.order
-    if n > cap:
-        raise CapExceededError(f"order {n} exceeds the subgroup-enumeration cap {cap}")
-    cached = g._cache.get("subgroups")
-    if cached is not None:
-        return list(cached)
-    ar = np.arange(n)
-    cyclic = np.zeros((n, n), dtype=bool)
-    power = ar
-    for _ in range(g.order_table().max_order):
-        cyclic[ar, power] = True
-        power = g.mul_pairs(power, ar)
-    out, words, sizes = _sorted_subgroups(_join_closure(g, cyclic))
-    if not closure_verdicts(g, words, sizes).all():
-        raise RuntimeError("enumerated subgroup failed closure validation")
-    g._cache["subgroups"] = tuple(out)
-    return out
+    return _subgroup_sets(*_lattice(g, cap))
 
 
 def write_subgroup_list(subs: list[SubgroupSet], stream) -> None:
@@ -210,10 +197,10 @@ class HereditaryReport:
 
 
 def pair_condition_verdicts(
-    g: FiniteGroup, subs: list[SubgroupSet], condition: PairCondition
+    g: FiniteGroup, words: np.ndarray, sizes: np.ndarray, condition: PairCondition
 ) -> np.ndarray:
     """Whether a pair-order condition holds on all |H|^2 pairs, for each
-    subgroup H of ``subs``.
+    subgroup H given as a row of words (:func:`core._words`) and its size.
 
     Decided on g's own data: an element of H has the same order in H as in
     g, and so does a product of two of them.  The products come in blocks
@@ -222,8 +209,8 @@ def pair_condition_verdicts(
     slices.
     """
     orders = g.order_table().orders
-    verdicts = np.ones(len(subs), dtype=bool)
-    for block, _, x, y, prods in _size_blocks(g, *_subgroup_words(subs, g.order)):
+    verdicts = np.ones(len(sizes), dtype=bool)
+    for block, _, x, y, prods in _size_blocks(g, words, sizes):
         oab = orders[prods]
         ok = condition(orders[x], orders[y], oab)
         verdicts[block] &= np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape).all(axis=(1, 2))
@@ -251,8 +238,7 @@ def _coset_orders(g: FiniteGroup, normals: list[SubgroupSet]) -> np.ndarray:
     out = np.empty((len(reps), len(normals)), dtype=np.int32)
     step = max(1, CHECK_ENTRIES // powers.size)
     for lo in range(0, len(normals), step):
-        bits = words[lo : lo + step].view(np.uint8)
-        masks = np.unpackbits(bits, axis=1, count=n, bitorder="little").view(bool)
+        masks = _members(words[lo : lo + step], n)
         out[:, lo : lo + step] = divs[masks[:, powers].argmax(axis=1)].T
     return out
 
@@ -295,24 +281,24 @@ def hereditary_check(
     are decided exhaustively on each subgroup through g's order table
     (:func:`pair_condition_verdicts`), and :func:`is_cp` there too: an
     element has the same order in H as in g, so H is in CP iff none of its
-    members has an order that is not a prime power.  Any other predicate
-    runs on the subgroup realized as a standalone group by
-    :meth:`FiniteGroup.subgroup`.
+    members has an order that is not a prime power: one AND of the words.
+    Any other predicate runs on the subgroup realized as a standalone group
+    by :meth:`FiniteGroup.subgroup`.
     """
     if not _predicate_holds(predicate, g):
         return HereditaryReport(applicable=False, subgroups_checked=0, violations=())
     condition = _pair_condition(predicate)
-    subs = all_subgroups(g, cap=cap)
+    words, sizes = _lattice(g, cap)
     if condition is not None:
-        holds = pair_condition_verdicts(g, subs, condition).tolist()
+        holds = pair_condition_verdicts(g, words, sizes, condition)
     elif predicate is is_cp:
-        bad = non_prime_power_elements(g.order_table().orders)
-        bad = SubgroupSet.from_indices(np.flatnonzero(bad)).mask
-        holds = [not s.mask & bad for s in subs]
+        bad = _words(non_prime_power_elements(g.order_table().orders)[None])
+        holds = ~(words & bad).any(axis=1)
     else:
-        holds = [_predicate_holds(predicate, g.subgroup(s)) for s in subs]
-    violations = tuple(s for s, ok in zip(subs, holds) if not ok)
-    return HereditaryReport(applicable=True, subgroups_checked=len(subs), violations=violations)
+        subs = _subgroup_sets(words, sizes)
+        holds = np.array([_predicate_holds(predicate, g.subgroup(s)) for s in subs], dtype=bool)
+    violations = tuple(_subgroup_sets(words[~holds], sizes[~holds]))
+    return HereditaryReport(applicable=True, subgroups_checked=len(sizes), violations=violations)
 
 
 @dataclass(frozen=True)
@@ -334,20 +320,13 @@ def abelian_subgroup_scan(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> AbelianSca
     its members x and y, checked in blocks of subgroups of one size, a
     large subgroup's in row slices (:func:`core._size_blocks`).
     """
-    subs = all_subgroups(g, cap=cap)
-    abelian = np.ones(len(subs), dtype=bool)
+    words, sizes = _lattice(g, cap)
+    abelian = np.ones(len(sizes), dtype=bool)
     if not g.is_abelian:
-        for block, _, x, y, prods in _size_blocks(g, *_subgroup_words(subs, g.order)):
+        for block, _, x, y, prods in _size_blocks(g, words, sizes):
             abelian[block] &= (prods == g.mul_pairs(y, x)).all(axis=(1, 2))
-    entries = []
-    for s in compress(subs, abelian):
-        if s.size == 1:
-            flag: Union[int, str, None] = "trivial"
-        else:
-            primes = distinct_primes(s.size)
-            flag = primes[0] if len(primes) == 1 else None
-        entries.append((s, flag))
-    return AbelianScanReport(total_subgroups=len(subs), abelian_subgroups=tuple(entries))
+    entries = tuple((s, prime_power_flag(s.size)) for s in _subgroup_sets(words[abelian], sizes[abelian]))
+    return AbelianScanReport(total_subgroups=len(sizes), abelian_subgroups=entries)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import catalog_entries, symmetric
-from .core import distinct_primes
+from .core import SUBGROUP_CAP, distinct_primes
 from .metric import (
     involution_product_witness,
     is_cp,
@@ -75,28 +75,19 @@ def _theorem1(bound: int) -> tuple[bool, list[str]]:
     lines = []
     failures = 0
     checked = 0
-    for entry in catalog_entries(bound):
-        g = entry.build()
-        cp3_ok, _ = is_cp3(g)
-        if not cp3_ok:
-            continue
+    for name, g in _cp3_groups(bound):
         checked += 1
         cp_ok, wit = is_cp(g)
         if not cp_ok:
             failures += 1
-            lines.append(f"FAIL {entry.name}: in cp3 but not cp ({render_witness(g, wit)})")
+            lines.append(f"FAIL {name}: in cp3 but not cp ({render_witness(g, wit)})")
     lines.append(f"checked {checked} cp3 groups for cp membership: {failures} failures")
     s4 = symmetric(4)
     s4_cp, _ = is_cp(s4)
     s4_cp3, s4_wit = is_cp3(s4)
     separation = s4_cp and not s4_cp3
-    lines.append(
-        "symmetric:4 separates cp from cp3: cp="
-        + str(s4_cp).lower()
-        + " cp3="
-        + str(s4_cp3).lower()
-        + (f" ({render_witness(s4, s4_wit)})" if s4_wit else "")
-    )
+    witness = f" ({render_witness(s4, s4_wit)})" if s4_wit else ""
+    lines.append(f"symmetric:4 separates cp from cp3: cp={str(s4_cp).lower()} cp3={str(s4_cp3).lower()}{witness}")
     return failures == 0 and separation, lines
 
 
@@ -107,7 +98,7 @@ def _cp3_groups(bound: int):
             yield entry.name, g
 
 
-def _theorem2(bound: int, cap: int = 400) -> tuple[bool, list[str]]:
+def _theorem2(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[str]]:
     """Abelian subgroups of cp3 catalog groups are p-groups."""
     lines = []
     failures = 0
@@ -202,7 +193,7 @@ def _conjecture5(bound: int) -> tuple[bool, list[str]]:
     return failures == 0, lines
 
 
-def _subgroup_closure(bound: int, cap: int = 400) -> tuple[bool, list[str]]:
+def _subgroup_closure(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[str]]:
     """cp3 is closed under subgroups on the catalog."""
     lines = []
     failures = 0
@@ -220,7 +211,7 @@ def _subgroup_closure(bound: int, cap: int = 400) -> tuple[bool, list[str]]:
     return failures == 0, lines
 
 
-def _problem1(bound: int, cap: int = 400) -> tuple[bool, list[str]]:
+def _problem1(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[str]]:
     """Quotient observations: whether cp3 survives homomorphic images here."""
     lines = []
     observations = 0

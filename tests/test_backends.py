@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cpgroups as cg
+from cpgroups.core import _subgroup_words
 from cpgroups.metric import (
     PAIR_CONDITIONS,
     classify,
@@ -197,10 +198,11 @@ def test_element_set_checks_in_one_row_slices(backends, monkeypatch):
     def results(grp):
         subs = all_subgroups(grp)
         normals = grp.normal_subgroups()
+        words, sizes = _subgroup_words(subs, grp.order)
         return (
             subs,
             normals,
-            [pair_condition_verdicts(grp, subs, c).tolist() for _, c in PAIR_CONDITIONS],
+            [pair_condition_verdicts(grp, words, sizes, c).tolist() for _, c in PAIR_CONDITIONS],
             hereditary_check(grp, is_cp2),
             hereditary_check(grp, is_cp3),
             abelian_subgroup_scan(grp),

@@ -1,10 +1,12 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cpgroups as cg
 from cpgroups import CapExceededError
+from cpgroups.core import _subgroup_words, _words
 from cpgroups.metric import cp2_pair_holds, cp3_pair_holds, is_cp, is_cp2, is_cp3
 import cpgroups.subgroups as subgroups_module
 from cpgroups.subgroups import (
@@ -84,7 +86,7 @@ class TestAllSubgroups:
         assert len({s.mask for s in subs}) == len(subs)
 
     @staticmethod
-    def _join_closure_rows(monkeypatch, g):
+    def _join_closure_words(monkeypatch, g):
         made = []
         join_closure = subgroups_module._join_closure
 
@@ -94,22 +96,23 @@ class TestAllSubgroups:
 
         monkeypatch.setattr(subgroups_module, "_join_closure", record)
         all_subgroups(g)
-        (rows,) = made
-        return rows
+        ((words, sizes),) = made
+        assert words.dtype == np.uint64 and words.shape == (len(sizes), -(-g.order // 64))
+        return words
 
     def test_each_subspace_made_once(self, monkeypatch):
         # a subgroup is kept only as the child of its canonical parent, so
         # the join closure of (Z_2)^7 makes each of its 29,212 subspaces once
-        rows = self._join_closure_rows(monkeypatch, cg.elementary_abelian(2, 7))
-        assert len(rows) == 29212
-        assert len(np.unique(rows, axis=0)) == len(rows)
+        words = self._join_closure_words(monkeypatch, cg.elementary_abelian(2, 7))
+        assert len(words) == 29212
+        assert len(np.unique(words, axis=0)) == len(words)
 
     @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
     def test_each_subgroup_made_once(self, monkeypatch, name):
         # in (Z_2)^k the coset test alone decides the parent; here the test
         # min(K \ H) == a is needed too
-        rows = self._join_closure_rows(monkeypatch, cg.group_from_spec(name))
-        assert len(np.unique(rows, axis=0)) == len(rows)
+        words = self._join_closure_words(monkeypatch, cg.group_from_spec(name))
+        assert len(np.unique(words, axis=0)) == len(words)
 
     @pytest.mark.parametrize(
         "name",
@@ -139,19 +142,25 @@ class TestAllSubgroups:
 
     @staticmethod
     def _add_row(monkeypatch, g, members, normal):
-        # one more row from the enumeration: the class-set fixed point of a
-        # nonabelian group's normal subgroups, or the lattice's join closure
+        # one more row from the enumeration: a member row from the class-set
+        # fixed point of a nonabelian group's normal subgroups, or a row of
+        # words and its size from the lattice's join closure
         extra = np.zeros((1, g.order), dtype=bool)
         extra[0, members] = True
         if normal:
             owner, name = cg.FiniteGroup, "_normal_rows"
+
+            def with_extra_row(*args):
+                return np.concatenate([enumerate_rows(*args), extra])
+
         else:
             owner, name = subgroups_module, "_join_closure"
+
+            def with_extra_row(*args):
+                words, sizes = enumerate_rows(*args)
+                return np.concatenate([words, _words(extra)]), np.append(sizes, len(members))
+
         enumerate_rows = getattr(owner, name)
-
-        def with_extra_row(*args):
-            return np.concatenate([enumerate_rows(*args), extra])
-
         monkeypatch.setattr(owner, name, with_extra_row)
 
     def test_cap_is_structured_error(self):
@@ -182,6 +191,28 @@ class TestHereditaryCheck:
         report = hereditary_check(s4, is_cp)
         assert report.applicable and report.ok
         assert report.subgroups_checked == 30
+
+    def test_a_passing_check_keeps_the_lattice_packed(self, monkeypatch):
+        # the lattice of (Z_2)^7 stays cached as 29,212 read-only rows of two
+        # 64-bit words, and a check with no violation makes no SubgroupSet
+        def refuse(*_, **__):
+            raise AssertionError("a SubgroupSet was made")
+
+        # the imports and caches of a first check are not the lattice's
+        hereditary_check(cg.elementary_abelian(2, 3), is_cp3)
+        monkeypatch.setattr(cg.core, "SubgroupSet", refuse)
+        tracemalloc.start()
+        try:
+            g = cg.elementary_abelian(2, 7)
+            report = hereditary_check(g, is_cp3)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.applicable and report.ok and report.subgroups_checked == 29212
+        words, sizes = g._cache["subgroups"]
+        assert words.dtype == np.uint64 and words.shape == (29212, 2)
+        assert not words.flags.writeable and not sizes.flags.writeable
+        assert held < 1 << 20
 
     def test_z6_inapplicable(self, z6):
         report = hereditary_check(z6, is_cp3)
@@ -222,20 +253,27 @@ class TestPairConditionsOnSubgroups:
     def test_batched_verdicts_match_realized_subgroups(self, name, tableless_copy):
         g = cg.group_from_spec(name)
         subs = all_subgroups(g)
+        words, sizes = _subgroup_words(subs, g.order)
         realized = [g.subgroup(s) for s in subs]
         expected = {
             cp2_pair_holds: [is_cp2(h)[0] for h in realized],
             cp3_pair_holds: [is_cp3(h)[0] for h in realized],
         }
+        # the word AND of hereditary_check against is_cp on each subgroup
+        not_cp = tuple(s for s, h in zip(subs, realized) if not is_cp(h)[0])
         for grp in (g, tableless_copy(g)):
             for condition, verdicts in expected.items():
-                assert pair_condition_verdicts(grp, subs, condition).tolist() == verdicts
+                assert pair_condition_verdicts(grp, words, sizes, condition).tolist() == verdicts
+            report = hereditary_check(grp, is_cp)
+            assert report.applicable == is_cp(g)[0]
+            assert report.violations == (not_cp if report.applicable else ())
 
     def test_violations_are_seen_in_s4(self, s4):
         # S4 is neither CP2 nor CP3, nor are S3 and D8 CP2
         subs = all_subgroups(s4)
-        cp2 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, subs, cp2_pair_holds)) if not ok]
-        cp3 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, subs, cp3_pair_holds)) if not ok]
+        words, sizes = _subgroup_words(subs, s4.order)
+        cp2 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, words, sizes, cp2_pair_holds)) if not ok]
+        cp3 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, words, sizes, cp3_pair_holds)) if not ok]
         assert 24 in cp3 and 24 in cp2
         assert {6, 8} <= set(cp2)
 
