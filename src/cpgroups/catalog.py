@@ -160,6 +160,11 @@ class _CyclicBackend(Backend):
         s %= self.order  # in place: a pair scan block holds 2^20 products
         return s
 
+    def orders(self) -> np.ndarray:
+        """o(a^i) = n / gcd(i, n)."""
+        n = self.order
+        return n // np.gcd(np.arange(n), n)
+
 
 class _MetacyclicBackend(Backend):
     """The 2m elements a^i b^s at index s*m + i, with a^m = 1, b a = a^-1 b
@@ -178,6 +183,13 @@ class _MetacyclicBackend(Backend):
         # the exponents i of x and y are x and y mod m
         return (sx ^ sy) * m + (x + (1 - 2 * sx) * y + sx * sy * self._square) % m
 
+    def orders(self) -> np.ndarray:
+        """o(a^i) = m / gcd(i, m); (a^i b)^2 = a^square for every i, so each
+        a^i b has order 2 o(a^square): 2 in a dihedral group, 4 in a dicyclic one."""
+        m = self._m
+        rotations = m // np.gcd(np.arange(m), m)
+        return np.concatenate([rotations, np.full(m, 2 * m // math.gcd(self._square, m))])
+
 
 class _ElemAbBackend(Backend):
     """(Z_p)^k, element i the vector of its base-p digits: digitwise
@@ -193,6 +205,12 @@ class _ElemAbBackend(Backend):
         if self._p == 2:
             return a ^ b
         return sum((a // w + b // w) % self._p * w for w in self._weights)
+
+    def orders(self) -> np.ndarray:
+        """p for every element but the identity."""
+        orders = np.full(self.order, self._p, dtype=np.int64)
+        orders[0] = 1
+        return orders
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -418,7 +436,7 @@ def group_from_spec(spec: str) -> FiniteGroup:
 
     Dihedral and dicyclic identifiers carry the group order, symmetric and
     alternating the degree, elemab a ``p^k`` pair, and product exactly two
-    comma-separated cyclic/elemab components.
+    comma-separated specs of any other family (``product:symmetric:3,cyclic:2``).
     """
     spec = spec.strip()
     if spec.startswith("product:"):

@@ -1,7 +1,7 @@
 """Finite groups on indexed elements, identity at index 0.
 
-A group multiplies through its :class:`Backend`, which holds the inverses
-and one broadcasting ``mul_pairs``; :meth:`FiniteGroup.mul`,
+A group multiplies through its :class:`Backend`, which holds the inverses,
+one broadcasting ``mul_pairs`` and the element orders; :meth:`FiniteGroup.mul`,
 :meth:`FiniteGroup.mul_pairs` and :meth:`FiniteGroup.mul_outer` are written
 once on top of it, and every other algorithm once on top of them.  Only
 user tables (:func:`from_cayley`), realized subgroups and quotients hold a
@@ -9,7 +9,10 @@ Cayley table, of at most TABLE_LIMIT rows.  Permutation groups compose
 image arrays on demand and look each product up in an element index; the
 cyclic, dihedral, dicyclic and elementary abelian families multiply by
 formula, and direct products through their factors' backends.  These hold
-no n x n array at any order up to ELEMENT_CAP.
+no n x n array at any order up to ELEMENT_CAP.  The formula families give
+their element orders in closed form, and products the lcm of their
+factors' orders; tables and permutations power their elements prime by
+prime (:meth:`Backend.orders`).
 """
 
 from __future__ import annotations
@@ -359,11 +362,16 @@ class _PermIndex:
 
 class Backend:
     """How a group multiplies its element indices: the order, the inverse
-    map ``inv`` and one broadcasting :meth:`mul_pairs`.  ``width`` is the
-    number of entries one product takes while it is formed (the degree of a
-    permutation), which sizes the row blocks of :meth:`FiniteGroup.mul_outer`;
-    ``table`` and ``perms`` are the Cayley table and the permutation images
-    where a backend holds them."""
+    map ``inv``, one broadcasting :meth:`mul_pairs` and the element orders
+    :meth:`orders`.  ``width`` is the number of entries one product takes
+    while it is formed (the degree of a permutation), which sizes the row
+    blocks of :meth:`FiniteGroup.mul_outer`; ``table`` and ``perms`` are the
+    Cayley table and the permutation images where a backend holds them.
+
+    :meth:`orders` powers the elements prime by prime through
+    :meth:`mul_pairs`; a backend whose orders have a closed form (the
+    formula families, and products through their factors' orders)
+    overrides it and forms no product."""
 
     width = 1
     table: Optional[np.ndarray] = None
@@ -373,6 +381,48 @@ class Backend:
     def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise products of two int64 index arrays broadcast together, or of two ints."""
         raise NotImplementedError
+
+    def powers(self, x: np.ndarray, k: int) -> np.ndarray:
+        """x[i]^k for every entry of an int64 index vector, k >= 0, by
+        repeated squaring: one :meth:`mul_pairs` round per squaring and per
+        set bit of k after the lowest."""
+        if k < 0:
+            raise ValueError("negative powers: use inv[] first")
+        base = np.array(x, dtype=np.int64)  # a copy: k = 1 returns it
+        acc = None
+        while k:
+            if k & 1:
+                acc = base if acc is None else self.mul_pairs(acc, base)
+            k >>= 1
+            if k:
+                base = self.mul_pairs(base, base)
+        return np.zeros(len(base), dtype=np.int64) if acc is None else acc
+
+    def orders(self) -> np.ndarray:
+        """Every element's order as int64, one prime at a time: for each
+        prime power p^e exactly dividing the order n, y = x^(n/p^e) has
+        order the p-part of o(x), and that is p^k for the number k of p-th
+        powers that take y to the identity.  All elements advance at once
+        through :meth:`powers`, so this costs O(omega(n) log n)
+        :meth:`mul_pairs` rounds, not max o(x)."""
+        n = self.order
+        orders = np.ones(n, dtype=np.int64)
+        for p in distinct_primes(n):
+            e, rest = 0, n
+            while rest % p == 0:
+                e, rest = e + 1, rest // p
+            pending = np.arange(n)
+            y = self.powers(pending, rest)
+            for _ in range(e):
+                keep = y != 0
+                pending, y = pending[keep], y[keep]
+                if not pending.size:
+                    break
+                orders[pending] *= p
+                y = self.powers(y, p)
+            if (y != 0).any():
+                raise RuntimeError("element order does not divide group order")
+        return orders
 
     def validate(self, group: "FiniteGroup") -> None:
         """Group axioms that need the group's own algorithms; a formula needs none."""
@@ -474,6 +524,10 @@ class ProductBackend(Backend):
         m = self._h.order
         return self._g.mul_pairs(a // m, b // m) * m + self._h.mul_pairs(a % m, b % m)
 
+    def orders(self) -> np.ndarray:
+        """o(a, b) = lcm(o(a), o(b)), from each factor's own orders."""
+        return np.lcm(self._g.orders()[:, None], self._h.orders()[None, :]).ravel()
+
 
 class FiniteGroup:
     """Indexed finite group with total multiplication and identity at index 0.
@@ -530,20 +584,8 @@ class FiniteGroup:
         return out
 
     def powers(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x[i]^k for every entry of an index vector, k >= 0, by repeated
-        squaring: one :meth:`mul_pairs` round per squaring and per set bit
-        of k after the lowest."""
-        if k < 0:
-            raise ValueError("negative powers: use inv[] first")
-        base = np.array(x, dtype=np.int64)  # a copy: k = 1 returns it
-        acc = None
-        while k:
-            if k & 1:
-                acc = base if acc is None else self.mul_pairs(acc, base)
-            k >>= 1
-            if k:
-                base = self.mul_pairs(base, base)
-        return np.zeros(len(base), dtype=np.int64) if acc is None else acc
+        """x[i]^k for every entry of an index vector, k >= 0 (:meth:`Backend.powers`)."""
+        return self.backend.powers(np.asarray(x, dtype=np.int64), k)
 
     def power(self, i: int, k: int) -> int:
         """i^k for k >= 0: the one-element case of :meth:`powers`."""
@@ -576,34 +618,21 @@ class FiniteGroup:
     # -- structural data ---------------------------------------------------
 
     def order_table(self) -> OrderTable:
-        """Orders of all elements; cached after the first call.
+        """Orders of all elements from :meth:`Backend.orders`; cached after
+        the first call.
 
-        One prime at a time: for each prime power p^e exactly dividing |G|,
-        y = x^(|G|/p^e) has order the p-part of o(x), and that is p^k for the
-        number k of p-th powers that take y to the identity.  All elements
-        advance at once through :meth:`powers`, so the table costs
-        O(omega(|G|) log|G|) :meth:`mul_pairs` rounds, not max o(x).
+        The formula families and products of them give their orders in
+        closed form with no product; Cayley tables and permutations (also
+        as a factor of a product) power the elements prime by prime, in
+        O(omega(|G|) log|G|) :meth:`mul_pairs` rounds.  Either way the table
+        is checked: only the identity has order 1, every order divides |G|,
+        and o(x^-1) = o(x).
         """
         cached = self._cache.get("orders")
         if cached is not None:
             return cached
         n = self.order
-        orders = np.ones(n, dtype=np.int64)
-        for p in distinct_primes(n):
-            e, rest = 0, n
-            while rest % p == 0:
-                e, rest = e + 1, rest // p
-            pending = np.arange(n)
-            y = self.powers(pending, rest)
-            for _ in range(e):
-                keep = y != 0
-                pending, y = pending[keep], y[keep]
-                if not pending.size:
-                    break
-                orders[pending] *= p
-                y = self.powers(y, p)
-            if (y != 0).any():
-                raise RuntimeError("element order does not divide group order")
+        orders = self.backend.orders()
         if orders[0] != 1 or (orders == 1).sum() != 1:
             raise RuntimeError("identity order table invariant violated")
         if (n % orders != 0).any():

@@ -182,6 +182,50 @@ class TestFormulaProducts:
         self._check(spec)
 
 
+_ORDER_SPECS = [
+    *_FORMULA_SPECS,
+    *(f"{family}:{n}" for family in ("cyclic", "dihedral", "dicyclic") for n in (1024, 2500, 4096)),
+    "dihedral:2",  # cyclic:1 is in the catalog
+    "dicyclic:4",
+    "dihedral:10000",
+    "elemab:7^4",
+    "product:dihedral:64,cyclic:27",
+    "product:symmetric:4,cyclic:6",
+]
+
+
+class TestFormulaOrders:
+    """The closed-form element orders of the formula families and their
+    products equal what the generic prime-by-prime powering
+    (:meth:`core.Backend.orders`) finds."""
+
+    @pytest.mark.parametrize("spec", _ORDER_SPECS)
+    def test_match_generic_powering(self, spec):
+        g = cg.group_from_spec(spec)
+        if g.order <= cg.core.TABLE_LIMIT:
+            # powering on a table of the products filled from the family's relations
+            generic = cg.core.TableBackend(reference_table(spec)).orders()
+        else:
+            # no table at this order: powering through the formula's own products
+            generic = cg.core.Backend.orders(g.backend)
+        assert g.order_table().orders.tolist() == generic.tolist()
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["cyclic:4096", "dihedral:10000", "dicyclic:4096", "elemab:7^4", "product:dihedral:64,cyclic:27"],
+    )
+    def test_form_no_product(self, spec, monkeypatch):
+        g = cg.group_from_spec(spec)
+
+        def refuse(*_):
+            raise AssertionError("a product was formed for the order table")
+
+        formulas = (cg.catalog._CyclicBackend, cg.catalog._MetacyclicBackend, cg.catalog._ElemAbBackend)
+        for cls in (*formulas, cg.core.ProductBackend, cg.FiniteGroup):
+            monkeypatch.setattr(cls, "mul_pairs", refuse)
+        g.order_table()
+
+
 class TestPsl2:
     def test_small_orders(self):
         assert cg.psl2(2).order == 6
