@@ -270,6 +270,90 @@ def _orbit_roots(maps: np.ndarray, starts: np.ndarray) -> np.ndarray:
             root, up = up, up[up]
 
 
+def _coset_roots(maps: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """For each row S of ``gens`` and each point x, the smallest point of
+    x<S>: one row of n points, in the dtype of ``maps``, per row of gens.
+    Row s of ``maps`` is the map x -> x*s of right multiplication by an
+    element s, on n points, and a row of gens lists rows of maps.
+
+    x<S> is the orbit of x under the maps of S, so its smallest point is
+    the root of x in the graph of the edges x -- x*s (:func:`_orbit_roots`),
+    and a row's zeros are <S>.  Rows come in blocks, each block one graph,
+    its rows' points offset by n, of as many rows as keep its |S| * n edges
+    within CHECK_ENTRIES // 4 (one row at least): the hooking holds about
+    four int64 arrays of one entry per edge, so a block's temporaries stay
+    near those of a block of products of the element-set checks.
+    """
+    n = maps.shape[1]
+    ar = np.arange(n)
+    out = np.empty((len(gens), n), dtype=maps.dtype)
+    step = max(1, CHECK_ENTRIES // 4 // max(1, n * gens.shape[1]))
+    for lo in range(0, len(gens), step):
+        block = gens[lo : lo + step]
+        offsets = np.arange(len(block))[:, None, None] * n
+        roots = _orbit_roots(maps[block] + offsets, ar + offsets)
+        out[lo : lo + step] = roots.reshape(-1, n) - offsets[:, 0]
+    return out
+
+
+def _canonical_joins(
+    width: int, atoms: np.ndarray, below: np.ndarray, join: Callable[..., np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    r"""Every set that a join makes from {0} and the atoms, each made once,
+    as a boolean row of ``width`` points packed to words (:func:`_words`),
+    and its size.
+
+    Orderly generation by canonical parents (Read 1978; McKay 1998).  A set
+    K has the chain c1 = min(K \ {0}), c(i+1) = min(K \ <c1..ci>), where
+    <...> is the join, each ci one of the ascending ``atoms``, and its
+    parent is the join of the chain without its last element.  Breadth
+    first from {0}, a set H whose chain ends in ``last`` (none for {0}) is
+    joined with the atoms a > last outside H, and K = <H, a> is kept only
+    when min(K \ H) == a; K's chain is then H's chain and a, so every set
+    comes once, as the child of its parent.  Row t of ``below``, packed to
+    words, holds points that keep atom t from H, among them one of every H
+    that holds t: a frontier row that meets it is left out of a's batch
+    before any join.  A level's rows come in the order of their ``last``,
+    so the rows with last < a are a prefix of the level.
+
+    The chains are held as int32 atom numbers, one level-wide array a
+    level, L columns at level L, gathered once a level from the parents'
+    rows; the last column is ``last``.  ``join(t, rows, chains, sel)``
+    gets the batch of atom t: the selected rows (a copy, which it may
+    change and return), the level's chains and the batch's row numbers in
+    the level; it returns the rows of the joins <H, a>.
+    """
+    frontier = np.arange(width)[None] == 0
+    chains = np.zeros((1, 0), dtype=np.int32)
+    levels, sizes = [], []
+    while True:
+        levels.append(_words(frontier))
+        sizes.append(frontier.sum(axis=1))
+        columns = np.ascontiguousarray(levels[-1].T)
+        last = chains[:, -1] if chains.shape[1] else np.full(1, -1)
+        new_rows, parents, new_atoms = [], [], []
+        for t, (a, below_word) in enumerate(zip(atoms.tolist(), below)):
+            end = int(np.searchsorted(last, t))
+            # of the rows with last < a, those that meet none of a's
+            # ``below``, one 64-bit word of every row at a time
+            meets = np.zeros(end, dtype=bool)
+            for column, bw in zip(columns[:, :end], below_word):
+                meets |= (column & bw) != 0
+            sel = np.flatnonzero(~meets)
+            if not sel.size:
+                continue
+            joined = join(t, frontier[sel], chains, sel)
+            # min(K \ H) == a: the join adds no point below a
+            keep = ~(joined[:, :a] > frontier[sel, :a]).any(axis=1)
+            new_rows.append(joined[keep])
+            parents.append(sel[keep])
+            new_atoms.append(np.full(int(keep.sum()), t, dtype=np.int32))
+        if not new_rows:
+            return np.concatenate(levels), np.concatenate(sizes)
+        frontier = np.concatenate(new_rows)
+        chains = np.column_stack([chains[np.concatenate(parents)], np.concatenate(new_atoms)])
+
+
 @dataclass(frozen=True, eq=False)
 class OrderTable:
     """Element orders of a group: orders[i] = least k >= 1 with i^k = identity."""
@@ -720,14 +804,7 @@ class FiniteGroup:
         self._grow(members, [], np.array([int(g) for g in generators], dtype=np.int64))
         return np.flatnonzero(members)
 
-    def _grow(
-        self,
-        members: np.ndarray,
-        steps: list[int],
-        candidates: np.ndarray,
-        *,
-        partners: Sequence[int] = (),
-    ) -> list[int]:
+    def _grow(self, members: np.ndarray, steps: list[int], candidates: np.ndarray) -> list[int]:
         """Close the subgroup ``members`` under the candidates, in place.
 
         ``members`` is a boolean mask of a subgroup and ``steps`` the elements
@@ -735,14 +812,13 @@ class FiniteGroup:
         one already in the subgroup is skipped, so only the returned ones
         become generators.  A new generator g joins the steps with its
         repeated squares g^(2^k) for 2^k < |G|, up to the first square that
-        is a member or repeats, and so does h*g for each of the ``partners``
-        (elements of the subgroup, such as its generators) and for the
-        generator h kept just before it.  The old members are multiplied by
-        the new steps, then each round multiplies only the elements found in
-        the round before by every step.  The squares close a cycle of length
-        o(g) in log2 o(g) rounds, where g alone would need o(g); those of h*g
-        do the same for two generators of small order whose product has a
-        large one, such as two reflections of a dihedral group.
+        is a member or repeats, and so does h*g for the generator h kept just
+        before it.  The old members are multiplied by the new steps, then
+        each round multiplies only the elements found in the round before by
+        every step.  The squares close a cycle of length o(g) in log2 o(g)
+        rounds, where g alone would need o(g); those of h*g do the same for
+        two generators of small order whose product has a large one, such as
+        two reflections of a dihedral group.
         """
         squares = (self.order - 1).bit_length()
         kept: list[int] = []
@@ -754,7 +830,7 @@ class FiniteGroup:
                 return kept
             g = int(pending[0])
             new_steps: list[int] = []
-            for power in [g] + [self.mul(h, g) for h in [*partners, *kept[-1:]]]:
+            for power in [g] + [self.mul(h, g) for h in kept[-1:]]:
                 for _ in range(squares):
                     if members[power] or power in new_steps:
                         break
@@ -788,20 +864,20 @@ class FiniteGroup:
         """Whether the element set with the given member mask is a subgroup
         H, whether a normal one, and per element x the smallest member of x<S>.
 
-        S, the greedy pass of :meth:`_grow` over the members, lies in the set.
-        The orbit of x under right multiplication by S is x<S>, and
-        :func:`_orbit_roots` of those maps (|G| * |S| products) gives its
-        smallest member; the set is a subgroup iff it is the orbit of the
-        identity, <S>.  H is then normal iff t^-1 s t lies in H for every s in
-        S and generator t of g (:meth:`_generators`).  The whole group is a
-        normal subgroup as it stands, with no product formed.
+        S, the greedy pass of :meth:`_grow` over the members, lies in the set,
+        and :func:`_coset_roots` gives the smallest members of the x<S>; the
+        set is a subgroup iff it is the coset of the identity, <S>.  H is then
+        normal iff t^-1 s t lies in H for every s in S and generator t of g
+        (:meth:`_generators`).  The whole group is a normal subgroup as it
+        stands, with no product formed.
         """
         if members.all():
             return True, True, np.zeros(self.order, dtype=np.int64)
         grown = np.zeros(self.order, dtype=bool)
         grown[0] = True
         gens = np.array(self._grow(grown, [], np.flatnonzero(members)), dtype=np.int64)
-        roots = _orbit_roots(self.mul_outer(np.arange(self.order), gens).T, np.arange(self.order))
+        maps = self.mul_outer(np.arange(self.order), gens).T
+        roots = _coset_roots(maps, np.arange(len(gens))[None])[0]
         if not np.array_equal(roots == 0, members):
             return False, False, roots
         t = np.array(self._generators(), dtype=np.int64)
@@ -882,13 +958,9 @@ class FiniteGroup:
         leads back to 1, and it is the component of 1 in row j of the graph
         of the edges (j, i) -- (j, l) (:func:`_orbit_roots`).  N<K> is a
         product of normal subgroups, the classes l of the triples with i in
-        N and j in <K>, one boolean matrix product.
-
-        The canonical-parent rule of :func:`subgroups._join_closure`, on
-        class sets, makes each N once: breadth first from {1}, N is joined
-        with the closures of the atom classes c (each the smallest class
-        with its closure) above the last class of N's chain and outside N,
-        and the join is kept only when its smallest new class is c.
+        N and j in <K>, one boolean matrix product.  The class sets come
+        from :func:`_canonical_joins`, whose atoms are the classes that are
+        the smallest with their closure, each below only itself.
         """
         i, j, l = map(np.concatenate, zip(*self._class_products()))
         k = len(self.conjugacy_classes())
@@ -899,23 +971,9 @@ class FiniteGroup:
         a, t = np.nonzero(closures[atoms][:, j])
         joins = np.zeros((len(atoms), k, k), dtype=bool)
         joins[a, i[t], l[t]] = True
-        frontier = np.arange(k)[None] == 0
-        last = np.zeros(1, dtype=np.int64)
-        levels = [frontier]
-        while len(frontier):
-            new_rows, new_last = [], []
-            for c, join in zip(atoms.tolist(), joins):
-                # a level's rows come in the order of their last class
-                end = int(np.searchsorted(last, c))
-                before = frontier[np.flatnonzero(~frontier[:end, c])]
-                joined = before @ join
-                # the join adds no class below c
-                keep = ~(joined[:, :c] > before[:, :c]).any(axis=1)
-                new_rows.append(joined[keep])
-                new_last.append(np.full(int(keep.sum()), c))
-            frontier, last = np.concatenate(new_rows), np.concatenate(new_last)
-            levels.append(frontier)
-        return np.concatenate(levels)[:, self._class_ids()]
+        below = _words(np.arange(k) == atoms[:, None])
+        words, _ = _canonical_joins(k, atoms, below, lambda c, rows, *_: rows @ joins[c])
+        return _members(words, k)[:, self._class_ids()]
 
     def normal_subgroups(self, *, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
         """All normal subgroups, sorted by (size, bitset).

@@ -109,6 +109,36 @@ def _doubling_blocks(n: int) -> Iterator[np.ndarray]:
         rows = min(2 * rows, rows_per_block(n))
 
 
+def _first_failing_pair(
+    g: FiniteGroup, elements: np.ndarray, satisfies: PairCondition, tag: str
+) -> Optional[Witness]:
+    """The first pair (a, b) of the given elements, in row-major order, whose
+    orders fail ``satisfies(o_a, o_b, o_ab)``, or None.
+
+    Rows a come in :func:`_doubling_blocks`; ``satisfies`` gets the orders
+    of a block's rows as a column, those of all the elements as a row and
+    the block x len(elements) orders of the products ab, and returns a
+    boolean array of that shape (or one that broadcasts to it).
+    """
+    orders = g.order_table().orders
+    for rows in _doubling_blocks(len(elements)):
+        a = elements[rows]
+        oab = orders[g.mul_outer(a, elements)]
+        ok = satisfies(orders[a][:, None], orders[elements][None, :], oab)
+        ok = np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape)
+        if not ok.all():
+            i, j = divmod(int(np.argmin(ok)), len(elements))
+            return Witness(
+                a_index=int(a[i]),
+                b_index=int(elements[j]),
+                a_order=int(orders[a[i]]),
+                b_order=int(orders[elements[j]]),
+                ab_order=int(oab[i, j]),
+                violated=tag,
+            )
+    return None
+
+
 def scan_pair_order_condition(
     g: FiniteGroup, satisfies: PairCondition, tag: str = "custom"
 ) -> tuple[bool, Optional[Witness]]:
@@ -120,26 +150,11 @@ def scan_pair_order_condition(
     block's rows as a column, all orders as a row and the block x n orders
     of the products ab, and must return a boolean array of that shape (or
     one that broadcasts to it); the scan reports the lexicographically
-    smallest failing pair.  This is the hook for user-supplied classes
-    beyond CP2/CP3.
+    smallest failing pair (:func:`_first_failing_pair`).  This is the hook
+    for user-supplied classes beyond CP2/CP3.
     """
-    orders = g.order_table().orders
-    n = g.order
-    for a in _doubling_blocks(n):
-        oab = orders[g.mul_outer(a)]
-        ok = satisfies(orders[a][:, None], orders[None, :], oab)
-        ok = np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape)
-        if not ok.all():
-            i, b = divmod(int(np.argmin(ok)), n)
-            return False, Witness(
-                a_index=int(a[i]),
-                b_index=b,
-                a_order=int(orders[a[i]]),
-                b_order=int(orders[b]),
-                ab_order=int(oab[i, b]),
-                violated=tag,
-            )
-    return True, None
+    witness = _first_failing_pair(g, np.arange(g.order), satisfies, tag)
+    return witness is None, witness
 
 
 def cp3_pair_holds(oa, ob, oab) -> np.ndarray:
@@ -217,22 +232,8 @@ def is_cp(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
 def involution_product_witness(g: FiniteGroup, threshold: int = 3) -> Optional[Witness]:
     """Smallest pair of order-2 elements whose product order exceeds threshold,
     the first in row-major order over the involutions."""
-    orders = g.order_table().orders
-    invol = np.flatnonzero(orders == 2)
-    for rows in _doubling_blocks(len(invol)):
-        oab = orders[g.mul_outer(invol[rows], invol)]
-        hit = oab > threshold
-        if hit.any():
-            i, j = divmod(int(np.argmax(hit)), len(invol))
-            return Witness(
-                a_index=int(invol[rows[i]]),
-                b_index=int(invol[j]),
-                a_order=2,
-                b_order=2,
-                ab_order=int(oab[i, j]),
-                violated="CP3",
-            )
-    return None
+    involutions = np.flatnonzero(g.order_table().orders == 2)
+    return _first_failing_pair(g, involutions, lambda oa, ob, oab: oab <= threshold, "CP3")
 
 
 # -- metric axioms ---------------------------------------------------------

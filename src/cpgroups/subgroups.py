@@ -32,6 +32,8 @@ from .core import (
     CapExceededError,
     FiniteGroup,
     SubgroupSet,
+    _canonical_joins,
+    _coset_roots,
     _members,
     _size_blocks,
     _sorted_subgroups,
@@ -49,82 +51,50 @@ GroupPredicate = Callable[[FiniteGroup], Union[bool, tuple]]
 
 def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r"""Every subgroup of g as a member row packed to words, and its size,
-    each made once, from the member masks ``cyclic[x]`` of the <x>.
+    each made once, from the member masks ``cyclic[x]`` of the <x>: the
+    canonical-parent rule of :func:`core._canonical_joins` on the elements.
 
-    Orderly generation by canonical parents (Read 1978; McKay 1998).  A
-    subgroup K has the chain g1 = min(K \ {e}), g(i+1) = min(K \ <g1..gi>),
-    and its parent is the subgroup generated by the chain without its last
-    element.  Each chain element g is an atom generator: the smallest member
-    of <g> of order o(g), since that member lies in K and not in <g1..gi>.
-    Breadth first from <e>, a subgroup H whose chain ends in ``last`` (0 for
-    <e>) is joined with the atom generators a > last outside H, and K = <H, a>
-    is kept only when min(K \ H) == a; K's chain is then H's chain and a,
-    so every subgroup comes once, as the child of its parent.  The coset aH
-    lies in K \ H, so K would be dropped when aH holds an atom generator
-    below a, and H is left out of a's batch before any join: each atom
-    carries a and the h with a*h such a generator (``below``), and the
-    frontier rows, packed to words, that meet them are left out.  A level's
-    rows come in the order of their ``last``, so the rows with last < a
-    are a prefix of the level; a level is kept as those words and row sums.
+    The atoms are the atom generators, each the smallest member of <x> of
+    order o(x) for some x: a chain element of a subgroup K lies in K and not
+    in the span of the chain before it, and so does that smallest member.
+    Atom a is ``below`` the h for which the atom generator of <h*a> lies
+    below a.  For h in H and a outside H, h*a lies in K \ H, K = <H, a>,
+    and so does the generator of <h*a>, so K would be dropped; and a^-1 is
+    one of those h, since <a^-1*a> = <e>, so a row that holds a is left out.
 
     In an abelian group the join of H and <a> is the product H<a>: the batch
     is closed under the right shifts by a, a^2, a^4, ... (a^(2^k) for 2^k <
-    o(a)), one vectorized pass each.  Otherwise :meth:`FiniteGroup._grow`
-    grows each row of the batch from H by a, with H's chain as its steps and
-    as the partners of a (two reflections of a dihedral group, one from H
-    and one from <a>, would otherwise walk the cycle of their product one
-    step per round).
+    o(a)), one vectorized pass each.  Otherwise K is the coset of the
+    identity under right multiplication by H's chain and a, which generate
+    it, read off the maps x -> x*a of the atoms (:func:`core._coset_roots`).
     """
     orders = g.order_table().orders
     abelian = g.is_abelian
     ar = np.arange(g.order)
-    is_atom = (cyclic & (orders == orders[:, None])).argmax(axis=1) == ar
-    is_atom[0] = False
-    joins = []
-    for a in np.flatnonzero(is_atom).tolist():
-        row = g.mul_outer(np.array([a]))[0]
-        shifts, power, reach = [], a, 1
+    # the atom generator of <x>, for every x
+    generator = (cyclic & (orders == orders[:, None])).argmax(axis=1)
+    atoms = np.flatnonzero(generator == ar)[1:]
+    # row t: x*a for every x, a = atoms[t]
+    right = np.empty((len(atoms), g.order), dtype=np.int32)
+    below = np.empty((len(atoms), -(-g.order // 64)), dtype=np.uint64)
+    shifts: list[list[np.ndarray]] = [[] for _ in atoms]
+    for t, a in enumerate(atoms.tolist()):
+        right[t] = g.mul_outer(ar, np.array([a]))[:, 0]
+        below[t] = _words((generator[right[t]] < a)[None])
+        power, reach = a, 1
         while abelian and reach < orders[a]:
             # x*c for every x: in an abelian group that is the row c*x
-            shifts.append(g.mul_outer(g.inv[[power]])[0])
+            shifts[t].append(g.mul_outer(g.inv[[power]])[0])
             power, reach = g.mul(power, power), 2 * reach
-        joins.append((a, shifts, _words(((is_atom[row] & (row < a)) | (ar == a))[None])[0]))
-    frontier = ar[None] == 0
-    last = np.zeros(1, dtype=np.int64)
-    chains: list[list[int]] = [[]]
-    levels, sizes = [], []
-    while True:
-        levels.append(_words(frontier))
-        sizes.append(frontier.sum(axis=1))
-        columns = np.ascontiguousarray(levels[-1].T)
-        new_rows, new_last, new_chains = [], [], []
-        for a, shifts, below_word in joins:
-            end = int(np.searchsorted(last, a))
-            # of the rows with last < a, those that meet none of a's
-            # ``below``, one 64-bit word of every row at a time
-            meets = np.zeros(end, dtype=bool)
-            for column, bw in zip(columns[:, :end], below_word):
-                meets |= (column & bw) != 0
-            sel = np.flatnonzero(~meets)
-            if not sel.size:
-                continue
-            joined = frontier[sel]
-            if abelian:
-                for shift in shifts:
-                    joined |= joined[:, shift]
-            else:
-                for row, i in zip(joined, sel.tolist()):
-                    g._grow(row, list(chains[i]), np.array([a]), partners=chains[i])
-            # min(K \ H) == a: the join adds no member below a
-            keep = ~(joined[:, :a] > frontier[sel, :a]).any(axis=1)
-            new_rows.append(joined[keep])
-            new_last.append(np.full(int(keep.sum()), a))
-            if not abelian:
-                new_chains.extend(chains[i] + [a] for i in sel[keep].tolist())
-        if not new_rows:
-            break
-        frontier, last, chains = np.concatenate(new_rows), np.concatenate(new_last), new_chains
-    return np.concatenate(levels), np.concatenate(sizes)
+
+    def join(t, rows, chains, sel):
+        if not abelian:
+            return _coset_roots(right, np.column_stack([chains[sel], np.full(len(sel), t)])) == 0
+        for shift in shifts[t]:
+            rows |= rows[:, shift]
+        return rows
+
+    return _canonical_joins(g.order, atoms, below, join)
 
 
 def _lattice(g: FiniteGroup, cap: int) -> tuple[np.ndarray, np.ndarray]:

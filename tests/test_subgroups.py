@@ -22,6 +22,14 @@ from cpgroups.subgroups import (
 from oracles import brute_force_subgroup_count, slow_quotient_order_multiset
 
 
+def _tau(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def _sigma(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
 class TestAllSubgroups:
     def test_z6_has_one_per_divisor(self, z6):
         assert [s.size for s in all_subgroups(z6)] == [1, 2, 3, 6]
@@ -86,7 +94,7 @@ class TestAllSubgroups:
         assert len({s.mask for s in subs}) == len(subs)
 
     @staticmethod
-    def _join_closure_words(monkeypatch, g):
+    def _join_closure_words(monkeypatch, g, cap=cg.core.SUBGROUP_CAP):
         made = []
         join_closure = subgroups_module._join_closure
 
@@ -95,7 +103,7 @@ class TestAllSubgroups:
             return made[-1]
 
         monkeypatch.setattr(subgroups_module, "_join_closure", record)
-        all_subgroups(g)
+        all_subgroups(g, cap)
         ((words, sizes),) = made
         assert words.dtype == np.uint64 and words.shape == (len(sizes), -(-g.order // 64))
         return words
@@ -122,6 +130,66 @@ class TestAllSubgroups:
     def test_each_normal_subgroup_made_once(self, name):
         rows = cg.group_from_spec(name)._normal_rows()
         assert len(np.unique(rows, axis=0)) == len(rows)
+
+    @pytest.mark.parametrize(
+        "spec,count",
+        [(f"dihedral:{2 * n}", _tau(n) + _sigma(n)) for n in range(1, 101)]
+        + [(f"dicyclic:{4 * n}", _tau(2 * n) + _sigma(n)) for n in range(1, 51)],
+    )
+    def test_dihedral_and_dicyclic_counts(self, monkeypatch, spec, count):
+        # beyond the brute-force oracle: D_2n has tau(n) + sigma(n)
+        # subgroups and Dic_4n tau(2n) + sigma(n), each made once
+        words = self._join_closure_words(monkeypatch, cg.group_from_spec(spec))
+        assert len(np.unique(words, axis=0)) == len(words) == count
+
+    @pytest.mark.parametrize(
+        "spec,cap,count",
+        [
+            ("dihedral:400", 400, 477),
+            ("dicyclic:400", 400, 229),
+            ("psl2:7", 400, 179),
+            ("psl2:8", 504, 386),
+            ("symmetric:5", 400, 156),
+            ("alternating:6", 400, 501),
+        ],
+    )
+    def test_large_lattice_counts(self, monkeypatch, spec, cap, count):
+        words = self._join_closure_words(monkeypatch, cg.group_from_spec(spec), cap)
+        assert len(np.unique(words, axis=0)) == len(words) == count
+
+    def test_nonabelian_joins_come_a_block_at_a_time(self, monkeypatch):
+        # with CHECK_ENTRIES = 480 a join graph of S4 holds at most 120
+        # edges, as many rows of 24 edges a generator as fit, some batches
+        # take several graphs, and no product exceeds 480; the lattice is
+        # the one made with the default blocks
+        g = cg.symmetric(4)
+        expected = self._join_closure_words(monkeypatch, g)
+        monkeypatch.undo()
+        g = cg.symmetric(4)
+        monkeypatch.setattr(cg.core, "CHECK_ENTRIES", 480)
+        monkeypatch.setattr(subgroups_module, "CHECK_ENTRIES", 480)
+        batches, graphs, formed = [], [], []
+        coset_roots, orbit_roots = subgroups_module._coset_roots, cg.core._orbit_roots
+        mul_pairs = g.backend.mul_pairs
+
+        def batch(maps, gens):
+            batches.append(len(gens))
+            return coset_roots(maps, gens)
+
+        def recording(maps, starts):
+            graphs.append(np.broadcast(maps, starts).size)
+            return orbit_roots(maps, starts)
+
+        def counting(a, b):
+            formed.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+            return mul_pairs(a, b)
+
+        monkeypatch.setattr(subgroups_module, "_coset_roots", batch)
+        monkeypatch.setattr(cg.core, "_orbit_roots", recording)
+        monkeypatch.setattr(g.backend, "mul_pairs", counting)
+        assert np.array_equal(self._join_closure_words(monkeypatch, g), expected)
+        assert max(graphs) <= 120 and max(formed) <= 480
+        assert len(graphs) > len(batches)
 
     @pytest.mark.parametrize("normal", [False, True])
     def test_a_row_that_is_not_closed_is_refused(self, monkeypatch, normal):
