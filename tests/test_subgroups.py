@@ -132,19 +132,10 @@ class TestAllSubgroups:
         assert len(np.unique(rows, axis=0)) == len(rows)
 
     @pytest.mark.parametrize(
-        "spec,count",
-        [(f"dihedral:{2 * n}", _tau(n) + _sigma(n)) for n in range(1, 101)]
-        + [(f"dicyclic:{4 * n}", _tau(2 * n) + _sigma(n)) for n in range(1, 51)],
-    )
-    def test_dihedral_and_dicyclic_counts(self, monkeypatch, spec, count):
-        # beyond the brute-force oracle: D_2n has tau(n) + sigma(n)
-        # subgroups and Dic_4n tau(2n) + sigma(n), each made once
-        words = self._join_closure_words(monkeypatch, cg.group_from_spec(spec))
-        assert len(np.unique(words, axis=0)) == len(words) == count
-
-    @pytest.mark.parametrize(
         "spec,cap,count",
-        [
+        [(f"dihedral:{2 * n}", 400, _tau(n) + _sigma(n)) for n in range(1, 101)]
+        + [(f"dicyclic:{4 * n}", 400, _tau(2 * n) + _sigma(n)) for n in range(1, 51)]
+        + [
             ("dihedral:400", 400, 477),
             ("dicyclic:400", 400, 229),
             ("psl2:7", 400, 179),
@@ -153,7 +144,9 @@ class TestAllSubgroups:
             ("alternating:6", 400, 501),
         ],
     )
-    def test_large_lattice_counts(self, monkeypatch, spec, cap, count):
+    def test_counts_beyond_the_oracle(self, monkeypatch, spec, cap, count):
+        # D_2n has tau(n) + sigma(n) subgroups and Dic_4n tau(2n) + sigma(n),
+        # each made once
         words = self._join_closure_words(monkeypatch, cg.group_from_spec(spec), cap)
         assert len(np.unique(words, axis=0)) == len(words) == count
 
