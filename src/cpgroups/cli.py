@@ -31,7 +31,7 @@ from .core import (
 )
 from .metric import classify, distance_matrix, report_records, report_text, write_distance_csv
 from .perm import parse_cycles
-from .verify import DEFAULT_BOUNDS, TARGETS, run_verify
+from .verify import TARGETS, run_verify
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -196,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
             "theorem4 (no nonabelian simple group passes the strict triangle), "
             "conjecture5 (solvability scan), subgroup-closure, problem1 (quotient "
             "observations, non-conclusive).  Default bounds: "
-            + ", ".join(f"{t}={DEFAULT_BOUNDS[t]}" for t in TARGETS)
+            + ", ".join(f"{t}={bound}" for t, (bound, _) in TARGETS.items())
         ),
     )
-    verify.add_argument("target", choices=TARGETS)
+    verify.add_argument("target", choices=tuple(TARGETS))
     verify.add_argument("--max-order", type=positive_int, default=None)
     verify.add_argument("--cap-subgroups", type=positive_int, default=SUBGROUP_CAP)
     verify.add_argument("--output", default=None)

@@ -33,6 +33,9 @@ SUBGROUP_CAP = 400
 # entries per block of the vectorized row loops (permutation products,
 # distance matrix, pair scans), so a block stays near 8 MB of int64
 BLOCK_ENTRIES = 1 << 20
+# permutation images a closure may hold (:func:`generate_group`): the
+# entries of the largest Cayley table that TABLE_LIMIT admits
+IMAGE_ENTRIES = TABLE_LIMIT * TABLE_LIMIT
 # products per block of the element-set checks (closure, pair conditions,
 # commutativity; :func:`_size_blocks`); a sixteenth of
 # BLOCK_ENTRIES keeps a block's int64 temporaries near 512 KB each, so
@@ -54,6 +57,24 @@ _ASSOC_SAMPLES = 512
 
 # the label of an element from its index (see FiniteGroup.__init__)
 LabelFn = Callable[[int], str]
+
+
+def _once(compute: Callable[["FiniteGroup"], object]) -> Callable:
+    """A per-group result, computed by ``compute(group)`` on the first call
+    and then kept in the group's ``_cache``, keyed by ``compute`` itself.
+    Every cached result of a group goes through here: the methods of
+    :class:`FiniteGroup` and the module functions of :mod:`metric` and
+    :mod:`subgroups` that take a group and nothing else."""
+
+    @functools.wraps(compute)
+    def cached(group):
+        try:
+            return group._cache[compute]
+        except KeyError:
+            result = group._cache[compute] = compute(group)
+            return result
+
+    return cached
 
 
 class CapExceededError(RuntimeError):
@@ -680,13 +701,11 @@ class FiniteGroup:
         return self._label(int(i))
 
     @property
+    @_once
     def labels(self) -> list[str]:
         """Every element's label in index order, rendered on first access
         and cached."""
-        cached = self._cache.get("labels")
-        if cached is None:
-            cached = self._cache["labels"] = [self._label(i) for i in range(self.order)]
-        return cached
+        return [self._label(i) for i in range(self.order)]
 
     @property
     def table(self) -> Optional[np.ndarray]:
@@ -701,6 +720,7 @@ class FiniteGroup:
 
     # -- structural data ---------------------------------------------------
 
+    @_once
     def order_table(self) -> OrderTable:
         """Orders of all elements from :meth:`Backend.orders`; cached after
         the first call.
@@ -712,9 +732,6 @@ class FiniteGroup:
         is checked: only the identity has order 1, every order divides |G|,
         and o(x^-1) = o(x).
         """
-        cached = self._cache.get("orders")
-        if cached is not None:
-            return cached
         n = self.order
         orders = self.backend.orders()
         if orders[0] != 1 or (orders == 1).sum() != 1:
@@ -726,9 +743,9 @@ class FiniteGroup:
         # by Cauchy's theorem every prime dividing n is the order of an element
         result = OrderTable(orders=orders, max_order=int(orders.max()), primes=distinct_primes(n))
         result.orders.setflags(write=False)
-        self._cache["orders"] = result
         return result
 
+    @_once
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Conjugation-orbit partition, classes listed by smallest member,
         members ascending; cached.
@@ -738,33 +755,27 @@ class FiniteGroup:
         conjugations generate all the others: 2 * |gens| * |G| products for
         the maps, then :func:`_orbit_roots` on them with no further product.
         """
-        cached = self._cache.get("classes")
-        if cached is None:
-            ids = self._class_ids()
-            members = np.argsort(ids, kind="stable")
-            cached = np.split(members, np.flatnonzero(np.diff(ids[members])) + 1)
-            self._cache["classes"] = cached
-        return cached
+        ids = self._class_ids()
+        members = np.argsort(ids, kind="stable")
+        return np.split(members, np.flatnonzero(np.diff(ids[members])) + 1)
 
+    @_once
     def _class_ids(self) -> np.ndarray:
         """Per element, the position of its class in :meth:`conjugacy_classes`; cached."""
-        cached = self._cache.get("class_ids")
-        if cached is None:
-            n = self.order
-            gens = np.array(self._generators(), dtype=np.int64)
-            inv_gens = self.inv[gens].astype(np.int64)
-            maps = np.empty((len(gens), n), dtype=np.int64)
-            step = rows_per_block(len(gens) * self.backend.width)
-            for lo in range(0, n, step):
-                x = np.arange(lo, min(n, lo + step))
-                left = self.mul_pairs(inv_gens[:, None], x[None, :])
-                maps[:, lo : lo + len(x)] = self.mul_pairs(left, gens[:, None])
-            # each orbit's root is its smallest member, so the roots number
-            # the classes in the order of their smallest members
-            cached = np.unique(_orbit_roots(maps, np.arange(n)), return_inverse=True)[1]
-            cached.setflags(write=False)
-            self._cache["class_ids"] = cached
-        return cached
+        n = self.order
+        gens = np.array(self._generators(), dtype=np.int64)
+        inv_gens = self.inv[gens].astype(np.int64)
+        maps = np.empty((len(gens), n), dtype=np.int64)
+        step = rows_per_block(len(gens) * self.backend.width)
+        for lo in range(0, n, step):
+            x = np.arange(lo, min(n, lo + step))
+            left = self.mul_pairs(inv_gens[:, None], x[None, :])
+            maps[:, lo : lo + len(x)] = self.mul_pairs(left, gens[:, None])
+        # each orbit's root is its smallest member, so the roots number
+        # the classes in the order of their smallest members
+        ids = np.unique(_orbit_roots(maps, np.arange(n)), return_inverse=True)[1]
+        ids.setflags(write=False)
+        return ids
 
     def center(self) -> np.ndarray:
         """Indices of elements commuting with everything, ascending: the
@@ -774,14 +785,12 @@ class FiniteGroup:
         return np.flatnonzero(np.bincount(ids)[ids] == 1)
 
     @property
+    @_once
     def is_abelian(self) -> bool:
         """Whether the generators (:meth:`_generators`) commute pairwise; cached."""
-        cached = self._cache.get("abelian")
-        if cached is None:
-            gens = np.array(self._generators(), dtype=np.int64)
-            prods = self.mul_outer(gens, gens)
-            cached = self._cache["abelian"] = bool(np.array_equal(prods, prods.T))
-        return cached
+        gens = np.array(self._generators(), dtype=np.int64)
+        prods = self.mul_outer(gens, gens)
+        return bool(np.array_equal(prods, prods.T))
 
     def is_p_group(self) -> Union[int, str, None]:
         """The prime p when |G| = p^k, the flag "trivial" for |G| = 1, else None."""
@@ -849,16 +858,13 @@ class FiniteGroup:
                 fresh[frontier] = False
                 mult = all_steps
 
+    @_once
     def _generators(self) -> list[int]:
         """Generators of the whole group: the greedy pass of :meth:`_grow` over
         the elements in index order; cached."""
-        cached = self._cache.get("generators")
-        if cached is None:
-            members = np.zeros(self.order, dtype=bool)
-            members[0] = True
-            cached = self._grow(members, [], np.arange(1, self.order))
-            self._cache["generators"] = cached
-        return cached
+        members = np.zeros(self.order, dtype=bool)
+        members[0] = True
+        return self._grow(members, [], np.arange(1, self.order))
 
     def _certify(self, members: np.ndarray) -> tuple[bool, bool, np.ndarray]:
         """Whether the element set with the given member mask is a subgroup
@@ -884,6 +890,7 @@ class FiniteGroup:
         conj = self.mul_pairs(self.mul_pairs(self.inv[t][:, None], gens[None, :]), t[:, None])
         return True, bool((roots[conj] == 0).all()), roots
 
+    @_once
     def derived_series(self) -> list[SubgroupSet]:
         """G >= G' >= G'' ... down to stabilization (trivial iff solvable).
 
@@ -896,9 +903,6 @@ class FiniteGroup:
         generators of G about |G| * |gens| * log2|G|, rather than |G^(i)|^2
         commutators per term.
         """
-        cached = self._cache.get("derived")
-        if cached is not None:
-            return cached
         members = np.ones(self.order, dtype=bool)
         series = [SubgroupSet.from_indices(np.arange(self.order))]
         gens = t = np.array(self._generators(), dtype=np.int64)
@@ -917,7 +921,6 @@ class FiniteGroup:
                 break
             series.append(SubgroupSet.from_indices(np.flatnonzero(nxt)))
             members, gens = nxt, np.array(kept, dtype=np.int64)
-        self._cache["derived"] = series
         return series
 
     def is_solvable(self) -> bool:
@@ -1155,7 +1158,10 @@ def generate_group(
     The identity gets index 0; within each BFS level elements are ordered
     lexicographically by image array, so indexing is deterministic.  Each
     level is sorted and filtered against the elements found before it as
-    byte keys (:func:`_row_keys`), with no per-row Python work.
+    byte keys (:func:`_row_keys`), with no per-row Python work.  Before
+    each level, the images held and the level's candidates are checked
+    against IMAGE_ENTRIES, so the closure is refused before the arrays
+    that would exceed it are allocated.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -1169,6 +1175,8 @@ def generate_group(
     seen = _row_keys(level)  # sorted keys of every element found so far
     count = 1
     while len(level):
+        if (count + len(level) * len(gen_arr)) * degree > IMAGE_ENTRIES:
+            raise CapExceededError(f"closure needs more than IMAGE_ENTRIES={IMAGE_ENTRIES} permutation images")
         candidates = np.concatenate([g[level] for g in gen_arr], axis=0)
         keys, first = np.unique(_row_keys(candidates), return_index=True)
         pos = np.searchsorted(seen, keys)

@@ -23,6 +23,7 @@ from .core import (
     TABLE_LIMIT,
     CapExceededError,
     FiniteGroup,
+    _once,
     distinct_primes,
     rows_per_block,
 )
@@ -167,23 +168,16 @@ def cp2_pair_holds(oa, ob, oab) -> np.ndarray:
     return oab <= np.maximum(oa, ob)
 
 
-def _cached_scan(g: FiniteGroup, condition: PairCondition, tag: str) -> tuple[bool, Optional[Witness]]:
-    """The pair scan of a named class, cached on g as its order table is."""
-    key = "scan:" + tag
-    cached = g._cache.get(key)
-    if cached is None:
-        cached = g._cache[key] = scan_pair_order_condition(g, condition, tag=tag)
-    return cached
-
-
+@_once
 def is_cp3(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     """Strict triangle condition o(ab) < o(a) + o(b) for all pairs; cached."""
-    return _cached_scan(g, cp3_pair_holds, "CP3")
+    return scan_pair_order_condition(g, cp3_pair_holds, tag="CP3")
 
 
+@_once
 def is_cp2(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     """Ultrametric condition o(ab) <= max(o(a), o(b)) for all pairs; cached."""
-    return _cached_scan(g, cp2_pair_holds, "CP2")
+    return scan_pair_order_condition(g, cp2_pair_holds, tag="CP2")
 
 
 # The pair-order predicates with the pair conditions that decide them.

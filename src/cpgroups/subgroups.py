@@ -35,6 +35,7 @@ from .core import (
     _canonical_joins,
     _coset_roots,
     _members,
+    _once,
     _size_blocks,
     _sorted_subgroups,
     _subgroup_sets,
@@ -98,13 +99,18 @@ def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _lattice(g: FiniteGroup, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The words and sizes behind :func:`all_subgroups`, cached read-only."""
+    """The words and sizes behind :func:`all_subgroups`, cached read-only
+    (:func:`_subgroup_lattice`) once the order is within ``cap``."""
+    if g.order > cap:
+        raise CapExceededError(f"order {g.order} exceeds the subgroup-enumeration cap {cap}")
+    return _subgroup_lattice(g)
+
+
+@_once
+def _subgroup_lattice(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Every subgroup of g as a row of words, sorted by (size, bitset), and
+    its size, validated as closed and kept read-only."""
     n = g.order
-    if n > cap:
-        raise CapExceededError(f"order {n} exceeds the subgroup-enumeration cap {cap}")
-    cached = g._cache.get("subgroups")
-    if cached is not None:
-        return cached
     ar = np.arange(n)
     cyclic = np.zeros((n, n), dtype=bool)
     power = ar
@@ -115,7 +121,6 @@ def _lattice(g: FiniteGroup, cap: int) -> tuple[np.ndarray, np.ndarray]:
     if not closure_verdicts(g, words, sizes).all():
         raise RuntimeError("enumerated subgroup failed closure validation")
     words.flags.writeable = sizes.flags.writeable = False
-    g._cache["subgroups"] = words, sizes
     return words, sizes
 
 

@@ -21,27 +21,6 @@ from .metric import (
 )
 from .subgroups import abelian_subgroup_scan, hereditary_check, quotient_scan
 
-TARGETS = (
-    "theorem1",
-    "theorem2",
-    "theorem3",
-    "theorem4",
-    "conjecture5",
-    "subgroup-closure",
-    "problem1",
-)
-
-DEFAULT_BOUNDS = {
-    "theorem1": 200,
-    "theorem2": 200,
-    "theorem3": 256,
-    "theorem4": 2500,
-    "conjecture5": 200,
-    "subgroup-closure": 200,
-    "problem1": 60,
-}
-
-
 @dataclass(frozen=True)
 class VerifyResult:
     target: str
@@ -50,27 +29,19 @@ class VerifyResult:
 
 
 def run_verify(target: str, max_order: int | None = None, subgroup_cap: int | None = None) -> VerifyResult:
+    """Run one target of :data:`TARGETS` up to ``max_order`` (its default
+    bound without one), enumerating subgroups up to ``subgroup_cap``
+    (SUBGROUP_CAP without one) where it enumerates them."""
     if target not in TARGETS:
-        raise ValueError(f"unknown verify target {target!r}; choose from {TARGETS}")
-    bound = max_order if max_order is not None else DEFAULT_BOUNDS[target]
-    runner = {
-        "theorem1": _theorem1,
-        "theorem2": _theorem2,
-        "theorem3": _theorem3,
-        "theorem4": _theorem4,
-        "conjecture5": _conjecture5,
-        "subgroup-closure": _subgroup_closure,
-        "problem1": _problem1,
-    }[target]
-    kwargs = {}
-    if subgroup_cap is not None and target in ("theorem2", "subgroup-closure", "problem1"):
-        kwargs["cap"] = subgroup_cap
-    passed, lines = runner(bound, **kwargs)
+        raise ValueError(f"unknown verify target {target!r}; choose from {tuple(TARGETS)}")
+    default_bound, runner = TARGETS[target]
+    bound = default_bound if max_order is None else max_order
+    passed, lines = runner(bound, SUBGROUP_CAP if subgroup_cap is None else subgroup_cap)
     tagline = f"{'PASS' if passed else 'FAIL'} {target} (max_order={bound})"
     return VerifyResult(target=target, passed=passed, lines=tuple(lines + [tagline]))
 
 
-def _theorem1(bound: int) -> tuple[bool, list[str]]:
+def _theorem1(bound: int, cap: int) -> tuple[bool, list[str]]:
     """CP3 implies CP across the catalog; S4 shows the inclusion is proper."""
     lines = []
     failures = 0
@@ -98,7 +69,7 @@ def _cp3_groups(bound: int):
             yield entry.name, g
 
 
-def _theorem2(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[str]]:
+def _theorem2(bound: int, cap: int) -> tuple[bool, list[str]]:
     """Abelian subgroups of cp3 catalog groups are p-groups."""
     lines = []
     failures = 0
@@ -114,7 +85,7 @@ def _theorem2(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[str]]:
     return failures == 0, lines
 
 
-def _theorem3(bound: int) -> tuple[bool, list[str]]:
+def _theorem3(bound: int, cap: int) -> tuple[bool, list[str]]:
     """For catalog p-groups: cp3 iff cp2, and every order layer of a cp3 one is normal."""
     lines = []
     failures = 0
@@ -144,7 +115,7 @@ def _theorem3(bound: int) -> tuple[bool, list[str]]:
     return failures == 0, lines
 
 
-def _theorem4(bound: int) -> tuple[bool, list[str]]:
+def _theorem4(bound: int, cap: int) -> tuple[bool, list[str]]:
     """No nonabelian simple catalog group is in cp3; PSL(2,q) behaves as claimed."""
     lines = []
     ok = True
@@ -178,7 +149,7 @@ def _theorem4(bound: int) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _conjecture5(bound: int) -> tuple[bool, list[str]]:
+def _conjecture5(bound: int, cap: int) -> tuple[bool, list[str]]:
     """Every cp3 catalog group is solvable (consistency scan, not a proof)."""
     lines = []
     failures = 0
@@ -193,7 +164,7 @@ def _conjecture5(bound: int) -> tuple[bool, list[str]]:
     return failures == 0, lines
 
 
-def _subgroup_closure(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[str]]:
+def _subgroup_closure(bound: int, cap: int) -> tuple[bool, list[str]]:
     """cp3 is closed under subgroups on the catalog."""
     lines = []
     failures = 0
@@ -211,7 +182,7 @@ def _subgroup_closure(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[s
     return failures == 0, lines
 
 
-def _problem1(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[str]]:
+def _problem1(bound: int, cap: int) -> tuple[bool, list[str]]:
     """Quotient observations: whether cp3 survives homomorphic images here."""
     lines = []
     observations = 0
@@ -230,3 +201,16 @@ def _problem1(bound: int, cap: int = SUBGROUP_CAP) -> tuple[bool, list[str]]:
         f"{counterexamples} fell outside cp3; closure under homomorphic images stays open"
     )
     return True, lines
+
+
+# Every target: its default bound and its runner, which takes the bound and
+# the subgroup-enumeration cap (used by the targets that enumerate subgroups).
+TARGETS = {
+    "theorem1": (200, _theorem1),
+    "theorem2": (200, _theorem2),
+    "theorem3": (256, _theorem3),
+    "theorem4": (2500, _theorem4),
+    "conjecture5": (200, _conjecture5),
+    "subgroup-closure": (200, _subgroup_closure),
+    "problem1": (60, _problem1),
+}

@@ -348,6 +348,47 @@ def brute_force_subgroup_count(g: FiniteGroup, chunk: int = 8192) -> int:
     return count
 
 
+def cyclic_union_subgroup_count(g: FiniteGroup) -> int:
+    """Count the subgroups as the unions of cyclic subgroups that are closed
+    under products.
+
+    Every subgroup H is the union of the cyclic subgroups <x> of its
+    members, and by Lagrange's theorem each of those has order dividing |H|.
+    So for each d dividing n, the distinct unions of size d of the <x> of
+    order dividing d are formed, one <x> at a time, each union a bitmask
+    and a union of more than d elements dropped at once; a union closed
+    under all products of its members is a subgroup, and each subgroup is
+    counted once.  The products come from :meth:`FiniteGroup.mul_outer`, the
+    <x> from repeated multiplication by x.  The work is exponential in the
+    number of cyclic subgroups, so this is for groups of order at most 24.
+    """
+    n = g.order
+    table = g.mul_outer(np.arange(n))
+    rows = table.tolist()
+    cyclic = set()
+    for x in range(n):
+        members, cur = 1, x  # bit 0: the identity
+        while cur != 0:
+            members |= 1 << cur
+            cur = rows[cur][x]
+        cyclic.add(members)
+    count = 0
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        unions = {1}
+        for c in cyclic:
+            if d % c.bit_count() == 0:
+                unions |= {u | c for u in unions if (u | c).bit_count() <= d}
+        for u in unions:
+            if u.bit_count() == d:
+                idx = [i for i in range(n) if u >> i & 1]
+                member = np.zeros(n, dtype=bool)
+                member[idx] = True
+                count += bool(member[table[np.ix_(idx, idx)]].all())
+    return count
+
+
 def quaternion_unit_order_multiset() -> list[int]:
     """Element orders of the eight quaternion units, built by hand.
 

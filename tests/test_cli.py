@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpgroups import CapExceededError, core
 from cpgroups.cli import main
 from cpgroups.core import BLOCK_ENTRIES
 
@@ -177,6 +179,20 @@ class TestFileInputs:
         assert time.monotonic() - start < 5
         assert (code, out) == (3, "")
         assert f"degree {degree} exceeds BLOCK_ENTRIES={BLOCK_ENTRIES}, the width of one block" in err
+
+    @pytest.mark.parametrize("cap,code", [(124, 0), (123, 3)])
+    def test_generator_file_over_the_image_cap_exit_3(self, capsys, tmp_path, monkeypatch, cap, code):
+        # S4 from (1 2) and (1 2 3 4): the largest check comes with 21
+        # elements held and a level of 5 to multiply by the two generators,
+        # (21 + 10) * 4 = 124 images
+        monkeypatch.setattr(core, "IMAGE_ENTRIES", cap)
+        path = tmp_path / "s4.gens"
+        path.write_text("degree: 4\n(1 2)\n(1 2 3 4)\n")
+        got, out, err = run_cli(capsys, "analyze", str(path))
+        assert got == code
+        if code == 3:
+            assert out == ""
+            assert "closure needs more than IMAGE_ENTRIES=123 permutation images" in err
 
     def test_malformed_table_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.table"
@@ -352,6 +368,35 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "problem1", "--max-order", "24")
         assert code == 0
         assert "NON-CONCLUSIVE" in out
+
+    def test_help_gives_the_targets_and_default_bounds_in_table_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no wrapping
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert (
+            "Default bounds: theorem1=200, theorem2=200, theorem3=256, theorem4=2500,"
+            " conjecture5=200, subgroup-closure=200, problem1=60\n"
+        ) in out
+        assert "{theorem1,theorem2,theorem3,theorem4,conjecture5,subgroup-closure,problem1}" in out
+
+    def test_run_verify_names_the_targets_for_an_unknown_one(self):
+        from cpgroups.verify import run_verify
+
+        names = "('theorem1', 'theorem2', 'theorem3', 'theorem4', 'conjecture5', 'subgroup-closure', 'problem1')"
+        with pytest.raises(ValueError, match=re.escape(f"unknown verify target 'theorem9'; choose from {names}")):
+            run_verify("theorem9")
+
+    def test_run_verify_gives_the_subgroup_cap_to_the_enumerating_targets(self):
+        from cpgroups.verify import run_verify
+
+        for target in ("theorem2", "subgroup-closure", "problem1"):
+            assert run_verify(target, max_order=8).passed
+            with pytest.raises(CapExceededError, match="subgroup-enumeration cap 4"):
+                run_verify(target, max_order=8, subgroup_cap=4)
+        for target in ("theorem1", "theorem3", "theorem4", "conjecture5"):
+            assert run_verify(target, max_order=8, subgroup_cap=4).passed
 
     def test_unknown_target_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:

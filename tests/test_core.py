@@ -290,6 +290,37 @@ class TestStructureFlags:
         assert sum(products) == 0
 
 
+# Every per-group result that is kept after its first call, computed from g.
+MEMOIZED = {
+    "order_table": lambda g: g.order_table(),
+    "conjugacy_classes": lambda g: g.conjugacy_classes(),
+    "_class_ids": lambda g: g._class_ids(),
+    "_generators": lambda g: g._generators(),
+    "derived_series": lambda g: g.derived_series(),
+    "labels": lambda g: g.labels,
+    "is_abelian": lambda g: g.is_abelian,
+    "is_cp2": cg.is_cp2,
+    "is_cp3": cg.is_cp3,
+    "_lattice": lambda g: cg.subgroups._lattice(g, cg.core.SUBGROUP_CAP),
+}
+
+
+class TestMemo:
+    @pytest.mark.parametrize("spec", ["dihedral:12", "symmetric:4"])
+    @pytest.mark.parametrize("result", list(MEMOIZED))
+    def test_second_call_returns_the_first_result(self, monkeypatch, spec, result):
+        # a formula group and a permutation group: once computed, a result
+        # is returned as it stands, with no product formed
+        g = cg.group_from_spec(spec)
+        first = MEMOIZED[result](g)
+
+        def refuse(*_):
+            raise AssertionError("a product was formed for a memoized result")
+
+        monkeypatch.setattr(g.backend, "mul_pairs", refuse)
+        assert MEMOIZED[result](g) is first
+
+
 class TestDerivedSeries:
     def test_s4_series(self, s4):
         sizes = [s.size for s in s4.derived_series()]

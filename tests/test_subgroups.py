@@ -270,7 +270,7 @@ class TestHereditaryCheck:
         finally:
             tracemalloc.stop()
         assert report.applicable and report.ok and report.subgroups_checked == 29212
-        words, sizes = g._cache["subgroups"]
+        words, sizes = subgroups_module._lattice(g, cg.core.SUBGROUP_CAP)
         assert words.dtype == np.uint64 and words.shape == (29212, 2)
         assert not words.flags.writeable and not sizes.flags.writeable
         assert held < 1 << 20
