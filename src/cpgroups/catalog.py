@@ -1,7 +1,8 @@
 """Constructors for the concrete groups the toolkit ships with.
 
 Cyclic, dihedral, dicyclic and elementary abelian groups multiply by
-formula on their normal forms (a^i b^s with b a = a^-1 b, digit vectors),
+formula on their normal forms (a^i b^s with b a = a^-1 b, digit vectors)
+and give their element orders and generators in closed form;
 symmetric and alternating groups are built from standard permutation
 generators, and PSL(2,q) by exhausting SL(2,q) over a
 lookup-table finite field and deduplicating the induced projective-line
@@ -165,6 +166,10 @@ class _CyclicBackend(Backend):
         n = self.order
         return n // np.gcd(np.arange(n), n)
 
+    def generators(self, group: FiniteGroup) -> list[int]:
+        """a, the element 1; none for Z_1."""
+        return [1] if self.order > 1 else []
+
 
 class _MetacyclicBackend(Backend):
     """The 2m elements a^i b^s at index s*m + i, with a^m = 1, b a = a^-1 b
@@ -190,6 +195,10 @@ class _MetacyclicBackend(Backend):
         rotations = m // np.gcd(np.arange(m), m)
         return np.concatenate([rotations, np.full(m, 2 * m // math.gcd(self._square, m))])
 
+    def generators(self, group: FiniteGroup) -> list[int]:
+        """a and b, the elements 1 and m; only b for m = 1, where a = 1."""
+        return [1, self._m] if self._m > 1 else [self._m]
+
 
 class _ElemAbBackend(Backend):
     """(Z_p)^k, element i the vector of its base-p digits: digitwise
@@ -211,6 +220,10 @@ class _ElemAbBackend(Backend):
         orders = np.full(self.order, self._p, dtype=np.int64)
         orders[0] = 1
         return orders
+
+    def generators(self, group: FiniteGroup) -> list[int]:
+        """The k unit vectors, the elements p^d."""
+        return list(self._weights)
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -10,9 +10,10 @@ image arrays on demand and look each product up in an element index; the
 cyclic, dihedral, dicyclic and elementary abelian families multiply by
 formula, and direct products through their factors' backends.  These hold
 no n x n array at any order up to ELEMENT_CAP.  The formula families give
-their element orders in closed form, and products the lcm of their
-factors' orders; tables and permutations power their elements prime by
-prime (:meth:`Backend.orders`).
+their element orders and generators in closed form, and products the lcm
+of their factors' orders and their factors' generators; tables and
+permutations power their elements prime by prime (:meth:`Backend.orders`)
+and find generators by a greedy pass (:meth:`Backend.generators`).
 """
 
 from __future__ import annotations
@@ -474,9 +475,10 @@ class Backend:
     Cayley table and the permutation images where a backend holds them.
 
     :meth:`orders` powers the elements prime by prime through
-    :meth:`mul_pairs`; a backend whose orders have a closed form (the
-    formula families, and products through their factors' orders)
-    overrides it and forms no product."""
+    :meth:`mul_pairs`, and :meth:`generators` runs the greedy pass of
+    :meth:`FiniteGroup._grow` over every element; a backend whose orders or
+    generators have a closed form (the formula families, and products
+    through their factors) overrides them and forms no product."""
 
     width = 1
     table: Optional[np.ndarray] = None
@@ -528,6 +530,14 @@ class Backend:
             if (y != 0).any():
                 raise RuntimeError("element order does not divide group order")
         return orders
+
+    def generators(self, group: "FiniteGroup") -> list[int]:
+        """Generators of the whole group: the greedy pass of
+        :meth:`FiniteGroup._grow` over the elements in index order, through
+        ``group``'s products."""
+        members = np.zeros(self.order, dtype=bool)
+        members[0] = True
+        return group._grow(members, [], np.arange(1, self.order))
 
     def validate(self, group: "FiniteGroup") -> None:
         """Group axioms that need the group's own algorithms; a formula needs none."""
@@ -617,13 +627,15 @@ class PermBackend(Backend):
 
 class ProductBackend(Backend):
     """G x H with (a, b) at index a*|H| + b, each product taken from the
-    factors' backends."""
+    factors' backends; ``g_gens`` and ``h_gens`` generate the factors."""
 
-    def __init__(self, g: Backend, h: Backend):
+    def __init__(self, g: Backend, h: Backend, g_gens: list[int], h_gens: list[int]):
         self._g, self._h = g, h
         self.order = g.order * h.order
         self.width = max(g.width, h.width)
         self.inv = (g.inv[:, None] * h.order + h.inv[None, :]).ravel().astype(np.int32)
+        # (a, 1) and (1, b) for the generators a of G and b of H
+        self._gens = [a * h.order for a in g_gens] + list(h_gens)
 
     def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         m = self._h.order
@@ -632,6 +644,10 @@ class ProductBackend(Backend):
     def orders(self) -> np.ndarray:
         """o(a, b) = lcm(o(a), o(b)), from each factor's own orders."""
         return np.lcm(self._g.orders()[:, None], self._h.orders()[None, :]).ravel()
+
+    def generators(self, group: "FiniteGroup") -> list[int]:
+        """The factors' generators, embedded: they generate G x 1 and 1 x H."""
+        return self._gens
 
 
 class FiniteGroup:
@@ -754,6 +770,9 @@ class FiniteGroup:
         generators t of :meth:`_generators`, since the generators'
         conjugations generate all the others: 2 * |gens| * |G| products for
         the maps, then :func:`_orbit_roots` on them with no further product.
+        Any generating set gives the same orbits, so the closed-form
+        generators of the formula families and products give the classes
+        the greedy pass would.
         """
         ids = self._class_ids()
         members = np.argsort(ids, kind="stable")
@@ -787,7 +806,10 @@ class FiniteGroup:
     @property
     @_once
     def is_abelian(self) -> bool:
-        """Whether the generators (:meth:`_generators`) commute pairwise; cached."""
+        """Whether the generators (:meth:`_generators`) commute pairwise; cached.
+        A formula family or product gives them with no product, so this
+        forms only the |gens|^2 products of the check; tables and
+        permutations first run the greedy pass."""
         gens = np.array(self._generators(), dtype=np.int64)
         prods = self.mul_outer(gens, gens)
         return bool(np.array_equal(prods, prods.T))
@@ -860,11 +882,17 @@ class FiniteGroup:
 
     @_once
     def _generators(self) -> list[int]:
-        """Generators of the whole group: the greedy pass of :meth:`_grow` over
-        the elements in index order; cached."""
-        members = np.zeros(self.order, dtype=bool)
-        members[0] = True
-        return self._grow(members, [], np.arange(1, self.order))
+        """Generators of the whole group, distinct and not the identity, from
+        :meth:`Backend.generators`; cached.
+
+        The formula families and products of them give theirs in closed form
+        with no product; Cayley tables and permutations run the greedy pass
+        of :meth:`_grow` over every element, which for permutations is also
+        the closure check of construction (:meth:`PermBackend.validate`).
+        Every reader needs only some generating set, so its results do not
+        depend on which one.
+        """
+        return self.backend.generators(self)
 
     def _certify(self, members: np.ndarray) -> tuple[bool, bool, np.ndarray]:
         """Whether the element set with the given member mask is a subgroup
@@ -898,18 +926,20 @@ class FiniteGroup:
         of the generator pairs of G^(i): :meth:`_grow` spans them and adds
         each missing conjugate t^-1 h t of a new generator h by a generator
         t of G, since a span holding those is normal.  The generators of G
-        come from the greedy pass of :meth:`_grow` over all elements.  Each
-        term costs about |G^(i+1)| * |gens| * log2|G| products, and the
-        generators of G about |G| * |gens| * log2|G|, rather than |G^(i)|^2
-        commutators per term.
+        are :meth:`_generators`: in closed form for the formula families and
+        their products, else the greedy pass of :meth:`_grow` over all
+        elements, about |G| * |gens| * log2|G| products.  Each term costs
+        about |G^(i+1)| * |gens| * log2|G| products, rather than |G^(i)|^2
+        commutators.  The whole group is its own first term, with no member
+        array, and each later term is packed from its member mask.
         """
-        members = np.ones(self.order, dtype=bool)
-        series = [SubgroupSet.from_indices(np.arange(self.order))]
+        n = self.order
+        series = [SubgroupSet(mask=(1 << n) - 1, size=n)]
         gens = t = np.array(self._generators(), dtype=np.int64)
         while len(gens):
             a, b = (gens[k] for k in np.triu_indices(len(gens), 1))
             comms = self.mul_pairs(self.mul_pairs(self.inv[a], self.inv[b]), self.mul_pairs(a, b))
-            nxt = np.zeros(self.order, dtype=bool)
+            nxt = np.zeros(n, dtype=bool)
             nxt[0] = True
             steps: list[int] = []
             kept = new = self._grow(nxt, steps, comms)
@@ -917,10 +947,11 @@ class FiniteGroup:
                 conj = self.mul_pairs(self.mul_pairs(self.inv[t][:, None], new), t[:, None])
                 new = self._grow(nxt, steps, conj.ravel())
                 kept += new
-            if nxt.sum() == members.sum():
+            sizes = nxt.sum(keepdims=True)
+            if sizes[0] == series[-1].size:
                 break
-            series.append(SubgroupSet.from_indices(np.flatnonzero(nxt)))
-            members, gens = nxt, np.array(kept, dtype=np.int64)
+            series.extend(_subgroup_sets(_words(nxt[None]), sizes))
+            gens = np.array(kept, dtype=np.int64)
         return series
 
     def is_solvable(self) -> bool:
@@ -1158,10 +1189,12 @@ def generate_group(
     The identity gets index 0; within each BFS level elements are ordered
     lexicographically by image array, so indexing is deterministic.  Each
     level is sorted and filtered against the elements found before it as
-    byte keys (:func:`_row_keys`), with no per-row Python work.  Before
-    each level, the images held and the level's candidates are checked
-    against IMAGE_ENTRIES, so the closure is refused before the arrays
-    that would exceed it are allocated.
+    byte keys (:func:`_row_keys`), with no per-row Python work; those keys
+    are held in a few sorted runs of falling length, so a closure of many
+    small levels, such as one long cycle, does not copy them all at each
+    level.  Before each level, the images held and the level's candidates
+    are checked against IMAGE_ENTRIES, so the closure is refused before
+    the arrays that would exceed it are allocated.
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -1172,16 +1205,28 @@ def generate_group(
     gen_arr = np.array([g.images for g in generators], dtype=dtype)
     level = np.arange(degree, dtype=dtype)[None, :]
     levels = [level]
-    seen = _row_keys(level)  # sorted keys of every element found so far
+    # the keys of every element found so far, as sorted runs, each more than
+    # eight times as long as the next
+    runs = [_row_keys(level)]
     count = 1
     while len(level):
         if (count + len(level) * len(gen_arr)) * degree > IMAGE_ENTRIES:
             raise CapExceededError(f"closure needs more than IMAGE_ENTRIES={IMAGE_ENTRIES} permutation images")
         candidates = np.concatenate([g[level] for g in gen_arr], axis=0)
         keys, first = np.unique(_row_keys(candidates), return_index=True)
-        pos = np.searchsorted(seen, keys)
-        fresh = seen[np.minimum(pos, len(seen) - 1)] != keys
-        seen = np.insert(seen, pos[fresh], keys[fresh])
+        fresh = np.ones(len(keys), dtype=bool)
+        for run in runs:
+            pos = np.searchsorted(run, keys)
+            fresh &= run[np.minimum(pos, len(run) - 1)] != keys
+        # merging a run only into one at most eight times as long copies each
+        # key O(log |G|) times, where one sorted array copies them every
+        # level; a smaller factor makes more runs to test each level against
+        run, at = keys[fresh], pos[fresh]  # at: its places in the last run
+        while runs and len(runs[-1]) <= 8 * len(run):
+            if at is None:
+                at = np.searchsorted(runs[-1], run)
+            run, at = np.insert(runs.pop(), at, run), None
+        runs.append(run)
         level = candidates[first[fresh]]
         levels.append(level)
         count += len(level)
@@ -1211,10 +1256,11 @@ def from_permutation_set(perms: np.ndarray, *, name: str) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product group with index (a, b) -> a*|H| + b, its
-    products taken from both factors (:class:`ProductBackend`)."""
+    products taken from both factors (:class:`ProductBackend`), and its
+    generators from the factors' cached :meth:`FiniteGroup._generators`."""
     check_element_cap(g.order * h.order, "direct product order")
     return FiniteGroup(
-        ProductBackend(g.backend, h.backend),
+        ProductBackend(g.backend, h.backend, g._generators(), h._generators()),
         labels=_pair_labels(g._label, h._label, h.order),
         name=f"product:{g.name},{h.name}",
     )

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from cpgroups import CapExceededError
 from cpgroups.catalog import SUPPORTED_PSL_Q, _REDUCTION_POLYS
 from cpgroups.metric import involution_product_witness
 
-from oracles import reference_table
+from oracles import _slow_closure, reference_table
 
 
 class TestMakeField:
@@ -224,6 +225,53 @@ class TestFormulaOrders:
         for cls in (*formulas, cg.core.ProductBackend, cg.FiniteGroup):
             monkeypatch.setattr(cls, "mul_pairs", refuse)
         g.order_table()
+
+
+_GENERATOR_SPECS = [
+    *_FORMULA_SPECS,
+    *(f"{family}:{n}" for family in ("cyclic", "dihedral", "dicyclic") for n in (1024, 4096)),
+    "dihedral:2",  # cyclic:1 is in the catalog
+    "dicyclic:4",
+    "elemab:7^4",
+    "elemab:2^12",
+    "product:dihedral:64,cyclic:27",
+    "product:symmetric:4,cyclic:6",
+]
+
+
+class TestFormulaGenerators:
+    """The closed-form generators of the formula families and their
+    products (:meth:`core.Backend.generators`) generate the group, and what
+    is read from them equals what the greedy pass of a table finds."""
+
+    @pytest.mark.parametrize("spec", _GENERATOR_SPECS)
+    def test_span_the_group(self, spec):
+        g = cg.group_from_spec(spec)
+        gens = g._generators()
+        assert len(set(gens)) == len(gens) and all(0 < x < g.order for x in gens)
+        assert g.span(gens).tolist() == list(range(g.order))
+
+    @pytest.mark.parametrize("spec", _GENERATOR_SPECS)
+    def test_form_no_product(self, spec, monkeypatch):
+        g = cg.group_from_spec(spec)
+
+        def refuse(*_):
+            raise AssertionError("a product was formed for the generators")
+
+        monkeypatch.setattr(g.backend, "mul_pairs", refuse)
+        g._generators()
+
+    @pytest.mark.parametrize("spec", [*_FORMULA_SPECS, "dihedral:2", "dicyclic:4"])
+    def test_match_greedy_table(self, spec):
+        g, table = cg.group_from_spec(spec), reference_table(spec)
+        # the slow closure multiplies through the rows of the table as lists
+        rows = table.tolist()
+        span = _slow_closure(SimpleNamespace(mul=lambda a, b: rows[a][b]), set(g._generators()))
+        assert span == set(range(g.order))
+        # the table copy runs the greedy pass over its elements
+        h = cg.FiniteGroup(cg.core.TableBackend(table), labels=g.labels, name=spec)
+        assert g.derived_series() == h.derived_series()
+        assert g.is_abelian == h.is_abelian
 
 
 class TestPsl2:

@@ -75,7 +75,8 @@ class TestGenerateGroup:
             )
 
     @pytest.mark.parametrize(
-        "case", ["S5", "A6", "PSL(2,7)", "dihedral on 300 points", "(1 2) on 70000", "(69999 70000)"]
+        "case",
+        ["S5", "A6", "PSL(2,7)", "dihedral on 300 points", "(1 2) on 70000", "(69999 70000)", "1000-cycle"],
     )
     def test_matches_set_based_bfs(self, case):
         if case == "S5":
@@ -90,6 +91,9 @@ class TestGenerateGroup:
             gens = [Permutation(np.roll(np.arange(300), -1)), Permutation(np.arange(300)[::-1])]
         elif case == "(1 2) on 70000":
             gens = [parse_cycles("(1 2)", 70000)]
+        elif case == "1000-cycle":
+            # 1000 levels of one element each, the keys held in sorted runs
+            gens = [Permutation(np.roll(np.arange(1000), -1))]
         else:
             gens = [parse_cycles("(69999 70000)", 70000)]
         g = cg.generate_group(gens)
