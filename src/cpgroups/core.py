@@ -709,8 +709,19 @@ class FiniteGroup:
         return self.backend.powers(np.asarray(x, dtype=np.int64), k)
 
     def power(self, i: int, k: int) -> int:
-        """i^k for k >= 0: the one-element case of :meth:`powers`."""
-        return int(self.powers(np.array([i]), k)[0])
+        """i^k for k >= 0, by repeated squaring on Python ints through
+        :meth:`mul`, as :meth:`Backend.powers` squares a vector: a formula
+        backend multiplies ints several times faster than 1-element arrays."""
+        if k < 0:
+            raise ValueError("negative powers: use inv[] first")
+        base, acc = int(i), None
+        while k:
+            if k & 1:
+                acc = base if acc is None else self.mul(acc, base)
+            k >>= 1
+            if k:
+                base = self.mul(base, base)
+        return 0 if acc is None else acc
 
     def label(self, i: int) -> str:
         """The label of element i, rendered on its own."""

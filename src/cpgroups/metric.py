@@ -4,10 +4,13 @@ d is a metric on G exactly when every pair satisfies the strict order
 inequality o(ab) < o(a) + o(b) (class CP3), and an ultrametric exactly when
 o(ab) <= max(o(a), o(b)) (class CP2).  CP is the class where every element
 order is a prime power.  All pair scans are exhaustive, vectorized over
-blocks of rows that double from one row up to 2^20 pairs, and report the
-lexicographically smallest violating pair.  Classification reads only the
-order table and these scans; the n x n distance matrix is built only for
-the CSV export and the raw triangle audit.
+blocks of rows that start near 4096 pairs and double up to 2^20 pairs, and
+report the lexicographically smallest violating pair of each condition;
+one scan forms each block's products once for every condition it tests,
+so CP2 and CP3 are decided together.  Classification reads only the order
+table, one count of its distinct orders and these scans; the n x n
+distance matrix is built only for the CSV export and the raw triangle
+audit.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (
+    CHECK_ENTRIES,
     TABLE_LIMIT,
     CapExceededError,
     FiniteGroup,
@@ -98,46 +102,66 @@ def distance_matrix(g: FiniteGroup) -> np.ndarray:
 
 PairCondition = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
+# products in the first block of a pair scan: a group that fails its
+# conditions mostly fails them in the first few rows, and one block of a few
+# thousand products costs about as much as one of a single row
+FIRST_BLOCK_ENTRIES = CHECK_ENTRIES >> 4
+
 
 def _doubling_blocks(n: int) -> Iterator[np.ndarray]:
-    """Consecutive blocks of the rows 0..n-1 of an n x n pair scan: one row
-    first, then twice as many each time, up to :func:`core.rows_per_block`,
-    so an early hit costs about one row and a full scan O(log n) rounds."""
-    lo, rows = 0, 1
+    """Consecutive blocks of the rows 0..n-1 of an n x n pair scan: about
+    FIRST_BLOCK_ENTRIES products first (one row at least), then twice as
+    many rows each time, up to :func:`core.rows_per_block`, so an early hit
+    costs one small block and a full scan O(log n) rounds."""
+    limit = rows_per_block(n)
+    lo, rows = 0, min(limit, max(1, FIRST_BLOCK_ENTRIES // max(n, 1)))
     while lo < n:
         yield np.arange(lo, min(n, lo + rows))
         lo += rows
-        rows = min(2 * rows, rows_per_block(n))
+        rows = min(2 * rows, limit)
 
 
-def _first_failing_pair(
-    g: FiniteGroup, elements: np.ndarray, satisfies: PairCondition, tag: str
-) -> Optional[Witness]:
-    """The first pair (a, b) of the given elements, in row-major order, whose
-    orders fail ``satisfies(o_a, o_b, o_ab)``, or None.
+def _first_failing_pairs(
+    g: FiniteGroup, elements: np.ndarray, conditions: Sequence[tuple[PairCondition, str]]
+) -> tuple[Optional[Witness], ...]:
+    """For each ``(satisfies, tag)`` of ``conditions``, the first pair (a, b)
+    of the given elements, in row-major order, whose orders fail
+    ``satisfies(o_a, o_b, o_ab)``, or None.
 
-    Rows a come in :func:`_doubling_blocks`; ``satisfies`` gets the orders
-    of a block's rows as a column, those of all the elements as a row and
-    the block x len(elements) orders of the products ab, and returns a
-    boolean array of that shape (or one that broadcasts to it).
+    Rows a come in :func:`_doubling_blocks`, and each block's products ab are
+    formed once for every condition that has no witness yet; the scan stops
+    when every condition has one.  ``satisfies`` gets the orders of a
+    block's rows as a column, those of all the elements as a row and the
+    block x len(elements) orders of the products ab, and returns a boolean
+    array of that shape (or one that broadcasts to it).
     """
     orders = g.order_table().orders
+    element_orders = orders[elements]
+    witnesses: list[Optional[Witness]] = [None] * len(conditions)
+    pending = list(range(len(conditions)))
     for rows in _doubling_blocks(len(elements)):
         a = elements[rows]
         oab = orders[g.mul_outer(a, elements)]
-        ok = satisfies(orders[a][:, None], orders[elements][None, :], oab)
-        ok = np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape)
-        if not ok.all():
-            i, j = divmod(int(np.argmin(ok)), len(elements))
-            return Witness(
-                a_index=int(a[i]),
-                b_index=int(elements[j]),
-                a_order=int(orders[a[i]]),
-                b_order=int(orders[elements[j]]),
-                ab_order=int(oab[i, j]),
-                violated=tag,
-            )
-    return None
+        oa, ob = element_orders[rows][:, None], element_orders[None, :]
+        for k in list(pending):
+            satisfies, tag = conditions[k]
+            ok = np.asarray(satisfies(oa, ob, oab), dtype=bool)
+            if ok.shape != oab.shape:
+                ok = np.broadcast_to(ok, oab.shape)
+            if not ok.all():
+                i, j = divmod(int(np.argmin(ok)), len(elements))
+                witnesses[k] = Witness(
+                    a_index=int(a[i]),
+                    b_index=int(elements[j]),
+                    a_order=int(oa[i, 0]),
+                    b_order=int(ob[0, j]),
+                    ab_order=int(oab[i, j]),
+                    violated=tag,
+                )
+                pending.remove(k)
+        if not pending:
+            break
+    return tuple(witnesses)
 
 
 def scan_pair_order_condition(
@@ -145,16 +169,17 @@ def scan_pair_order_condition(
 ) -> tuple[bool, Optional[Witness]]:
     """Exhaustive pair scan against a pluggable order condition.
 
-    Rows a are taken in blocks that start at one row and double up to
-    2^20 pairs, so an early witness costs about one row and a full scan
-    O(log n) rounds.  ``satisfies(o_a, o_b, o_ab)`` gets the orders of a
-    block's rows as a column, all orders as a row and the block x n orders
-    of the products ab, and must return a boolean array of that shape (or
-    one that broadcasts to it); the scan reports the lexicographically
-    smallest failing pair (:func:`_first_failing_pair`).  This is the hook
-    for user-supplied classes beyond CP2/CP3.
+    Rows a are taken in blocks of about FIRST_BLOCK_ENTRIES products first
+    that then double up to 2^20 pairs, so an early witness costs one small
+    block and a full scan O(log n) rounds.  ``satisfies(o_a, o_b, o_ab)``
+    gets the orders of a block's rows as a column, all orders as a row and
+    the block x n orders of the products ab, and must return a boolean
+    array of that shape (or one that broadcasts to it); the scan reports
+    the lexicographically smallest failing pair
+    (:func:`_first_failing_pairs`).  This is the hook for user-supplied
+    classes beyond CP2/CP3; it is not cached.
     """
-    witness = _first_failing_pair(g, np.arange(g.order), satisfies, tag)
+    (witness,) = _first_failing_pairs(g, np.arange(g.order), [(satisfies, tag)])
     return witness is None, witness
 
 
@@ -169,15 +194,26 @@ def cp2_pair_holds(oa, ob, oab) -> np.ndarray:
 
 
 @_once
+def _cp2_cp3_witnesses(g: FiniteGroup) -> tuple[Optional[Witness], ...]:
+    """The CP2 and CP3 witnesses of g, from one scan of its pairs; cached.
+    A pair that fails CP3 fails CP2 too, so a group that fails CP3 is done
+    when the block holding the CP3 witness is."""
+    elements = np.arange(g.order)
+    return _first_failing_pairs(g, elements, [(cp2_pair_holds, "CP2"), (cp3_pair_holds, "CP3")])
+
+
+@_once
 def is_cp3(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     """Strict triangle condition o(ab) < o(a) + o(b) for all pairs; cached."""
-    return scan_pair_order_condition(g, cp3_pair_holds, tag="CP3")
+    witness = _cp2_cp3_witnesses(g)[1]
+    return witness is None, witness
 
 
 @_once
 def is_cp2(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     """Ultrametric condition o(ab) <= max(o(a), o(b)) for all pairs; cached."""
-    return scan_pair_order_condition(g, cp2_pair_holds, tag="CP2")
+    witness = _cp2_cp3_witnesses(g)[0]
+    return witness is None, witness
 
 
 # The pair-order predicates with the pair conditions that decide them.
@@ -187,10 +223,23 @@ PAIR_CONDITIONS: tuple[tuple[Callable, PairCondition], ...] = (
 )
 
 
-def non_prime_power_elements(orders: np.ndarray) -> np.ndarray:
-    """Mask of the elements whose order is neither 1 nor a prime power."""
-    bad_orders = [int(m) for m in np.unique(orders) if len(distinct_primes(int(m))) >= 2]
-    return np.isin(orders, bad_orders)
+@_once
+def _order_counts(g: FiniteGroup) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The element-order multiset of g as (order, count) pairs, ascending,
+    and the orders in it that are neither 1 nor a prime power: one count of
+    the order table, on the first call."""
+    values, counts = np.unique(g.order_table().orders, return_counts=True)
+    multiset = tuple(zip(values.tolist(), counts.tolist()))
+    return multiset, tuple(m for m, _ in multiset if len(distinct_primes(m)) >= 2)
+
+
+def non_prime_power_elements(g: FiniteGroup) -> np.ndarray:
+    """Mask of the elements whose order is neither 1 nor a prime power: the
+    bad orders of :func:`_order_counts`, looked up by each element's order."""
+    ot = g.order_table()
+    bad = np.zeros(ot.max_order + 1, dtype=bool)
+    bad[list(_order_counts(g)[1])] = True
+    return bad[ot.orders]
 
 
 def is_cp(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
@@ -200,11 +249,10 @@ def is_cp(g: FiniteGroup) -> tuple[bool, Optional[Witness]]:
     commuting powers x^(m/p) and x^(m/q), whose product has order p*q; that
     product certifies the CP3 failure this implies.
     """
-    orders = g.order_table().orders
-    bad = non_prime_power_elements(orders)
-    if not bad.any():
+    if not _order_counts(g)[1]:
         return True, None
-    x = int(np.argmax(bad))
+    orders = g.order_table().orders
+    x = int(np.argmax(non_prime_power_elements(g)))
     m = int(orders[x])
     p, q = distinct_primes(m)[:2]
     a = g.power(x, m // p)
@@ -227,7 +275,8 @@ def involution_product_witness(g: FiniteGroup, threshold: int = 3) -> Optional[W
     """Smallest pair of order-2 elements whose product order exceeds threshold,
     the first in row-major order over the involutions."""
     involutions = np.flatnonzero(g.order_table().orders == 2)
-    return _first_failing_pair(g, involutions, lambda oa, ob, oab: oab <= threshold, "CP3")
+    (witness,) = _first_failing_pairs(g, involutions, [(lambda oa, ob, oab: oab <= threshold, "CP3")])
+    return witness
 
 
 # -- metric axioms ---------------------------------------------------------
@@ -360,7 +409,6 @@ class ClassReport:
 
 def classify(g: FiniteGroup, name: Optional[str] = None, audit: bool = False) -> ClassReport:
     """Run every class predicate and the metric axioms on one group."""
-    ot = g.order_table()
     cp_ok, cp_wit = is_cp(g)
     axioms = check_metric_axioms(g, audit=audit)
     cp3_ok, cp3_wit = axioms.triangle, axioms.triangle_witness
@@ -370,8 +418,6 @@ def classify(g: FiniteGroup, name: Optional[str] = None, audit: bool = False) ->
     if cp3_ok and not cp_ok:
         raise RuntimeError(f"{g.name}: hierarchy violated (CP3 without CP)")
     series = g.derived_series()
-    values, counts = np.unique(ot.orders, return_counts=True)
-    multiset = tuple((int(v), int(c)) for v, c in zip(values, counts))
     return ClassReport(
         name=name or g.name,
         order=g.order,
@@ -385,7 +431,7 @@ def classify(g: FiniteGroup, name: Optional[str] = None, audit: bool = False) ->
         solvable=series[-1].size == 1,
         derived_length=len(series),
         p_group=g.is_p_group(),
-        order_multiset=multiset,
+        order_multiset=_order_counts(g)[0],
     )
 
 

@@ -267,7 +267,7 @@ def hereditary_check(
     if condition is not None:
         holds = pair_condition_verdicts(g, words, sizes, condition)
     elif predicate is is_cp:
-        bad = _words(non_prime_power_elements(g.order_table().orders)[None])
+        bad = _words(non_prime_power_elements(g)[None])
         holds = ~(words & bad).any(axis=1)
     else:
         subs = _subgroup_sets(words, sizes)

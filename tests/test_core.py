@@ -211,6 +211,32 @@ class TestOrderTable:
             assert s4.powers(x, k).tolist() == expected
             assert [s4.power(i, k) for i in range(s4.order)] == expected
 
+    @pytest.mark.parametrize(
+        "spec,cayley,backend",
+        [
+            ("cyclic:12", False, "_CyclicBackend"),
+            ("dihedral:10", False, "_MetacyclicBackend"),
+            ("dicyclic:12", False, "_MetacyclicBackend"),
+            ("elemab:3^2", False, "_ElemAbBackend"),
+            ("product:cyclic:4,dihedral:6", False, "ProductBackend"),
+            ("symmetric:4", False, "PermBackend"),
+            ("dihedral:6", True, "TableBackend"),
+        ],
+    )
+    def test_power_matches_powers_on_every_backend(self, spec, cayley, backend):
+        g = cg.group_from_spec(spec)
+        if cayley:
+            g = cg.from_cayley(g.mul_outer(np.arange(g.order)).tolist())
+        assert type(g.backend).__name__ == backend
+        orders = g.order_table().orders
+        for x in range(g.order):
+            o = int(orders[x])
+            for k in sorted({0, 1, 2, o - 1, o, o + 1, 10**6}):
+                assert g.power(x, k) == int(g.powers(np.array([x]), k)[0]), (x, k)
+            assert type(g.power(x, o + 1)) is int
+            with pytest.raises(ValueError):
+                g.power(x, -1)
+
 
 class TestConjugacyClasses:
     def test_abelian_all_singletons(self, z6):

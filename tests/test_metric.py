@@ -17,6 +17,7 @@ from cpgroups.metric import (
     is_cp2,
     is_cp3,
     layer_check,
+    non_prime_power_elements,
     render_witness,
     scan_pair_order_condition,
     triangle_audit,
@@ -25,6 +26,7 @@ from cpgroups.metric import (
 
 from oracles import (
     slow_element_order,
+    slow_element_orders,
     slow_pair_witness,
     slow_triangle_holds,
     slow_ultrametric_holds,
@@ -85,6 +87,20 @@ class TestCpPredicates:
         orders = z6.order_table().orders
         assert int(orders[ai]) == p and int(orders[bi]) == q
         assert int(orders[z6.mul(ai, bi)]) == p * q
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(200)])
+    def test_cp_witness_is_the_first_element_of_composite_order(self, name):
+        # one definition of "not a prime power": the witness of is_cp, and
+        # the mask hereditary_check reads, agree with the slow orders
+        g = cg.group_from_spec(name)
+        slow = slow_element_orders(g)
+        bad = [len([p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))]) >= 2 for m in slow]
+        assert non_prime_power_elements(g).tolist() == bad
+        ok, wit = is_cp(g)
+        assert ok == (not any(bad))
+        if not ok:
+            assert wit.a_index == bad.index(True)
+            assert wit.a_order == slow[wit.a_index]
 
     def test_s4_is_cp(self, s4):
         assert is_cp(s4) == (True, None)
@@ -147,6 +163,16 @@ class TestCpPredicates:
         assert predicate(g) == first
         assert products == []
 
+    @pytest.mark.parametrize("first,second", [(is_cp2, is_cp3), (is_cp3, is_cp2)])
+    def test_one_scan_decides_cp2_and_cp3(self, first, second, monkeypatch):
+        g = cg.symmetric(4)
+        first(g)
+        products = []
+        mul_pairs = g.backend.mul_pairs
+        monkeypatch.setattr(g.backend, "mul_pairs", lambda a, b: products.append(1) or mul_pairs(a, b))
+        assert second(g) == second(cg.symmetric(4))
+        assert products == []
+
     def test_custom_scans_stay_uncached(self, monkeypatch):
         g = cg.symmetric(4)
         assert not is_cp3(g)[0]
@@ -164,8 +190,8 @@ class TestCpPredicates:
 
         g = cg.alternating(4)
         scans = []
-        scan = metric.scan_pair_order_condition
-        monkeypatch.setattr(metric, "scan_pair_order_condition", lambda *a, **k: scans.append(1) or scan(*a, **k))
+        scan = metric._first_failing_pairs
+        monkeypatch.setattr(metric, "_first_failing_pairs", lambda *a, **k: scans.append(1) or scan(*a, **k))
         assert is_cp3(g)[0]
         assert hereditary_check(g, is_cp3).ok
         assert quotient_scan(g, is_cp3).parent_holds
@@ -254,17 +280,40 @@ class TestBlockPairScan:
         _assert_scans_match_slow_witness(tableless_copy(cg.group_from_spec(name)))
 
     def test_blocks_double_up_to_the_entry_bound(self, monkeypatch):
-        monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", 16 * 128)
+        # 512 x 512 pairs: FIRST_BLOCK_ENTRIES products (8 rows) first, then
+        # doubling up to the 64 rows BLOCK_ENTRIES allows
+        assert cg.metric.FIRST_BLOCK_ENTRIES == 8 * 512
+        monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", 64 * 512)
         shapes = []
 
         def record(oa, ob, oab):
             shapes.append(oab.shape)
-            assert oa.shape == (oab.shape[0], 1) and ob.shape == (1, 128)
+            assert oa.shape == (oab.shape[0], 1) and ob.shape == (1, 512)
             return oab >= 1
 
-        assert scan_pair_order_condition(cg.elementary_abelian(2, 7), record) == (True, None)
-        assert [rows for rows, _ in shapes] == [1, 2, 4, 8] + [16] * 7 + [1]
-        assert {cols for _, cols in shapes} == {128}
+        assert scan_pair_order_condition(cg.elementary_abelian(2, 9), record) == (True, None)
+        assert [rows for rows, _ in shapes] == [8, 16, 32] + [64] * 7 + [8]
+        assert {cols for _, cols in shapes} == {512}
+
+    @pytest.mark.parametrize("n,first", [(1, 4096), (100, 40), (4096, 1), (5040, 1)])
+    def test_first_block_holds_about_first_block_entries_products(self, n, first):
+        blocks = [len(rows) for rows in cg.metric._doubling_blocks(n)]
+        assert blocks[0] == min(n, first)
+        assert sum(blocks) == n
+
+    @pytest.mark.parametrize(
+        "name", ["psl2:9", "dihedral:6", "symmetric:3", "psl2:2", "dihedral:512"]
+    )
+    @pytest.mark.parametrize("one_row_blocks", [False, True])
+    def test_fused_scan_matches_slow_witness(self, name, one_row_blocks, monkeypatch):
+        # psl2:9 fails CP2 in row 1 and CP3 in row 3, in one block or, with
+        # one-row blocks, in two; S3 (as dihedral:6, symmetric:3 and psl2:2)
+        # fails CP2 and holds CP3, so its scan runs to the end; dihedral:512
+        # fails both in row 256, six blocks in
+        g = cg.group_from_spec(name)
+        if one_row_blocks:
+            monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", g.order)
+        _assert_scans_match_slow_witness(g)
 
     @pytest.mark.parametrize(
         "name", ["cyclic:60", "dihedral:120", "dicyclic:96", "symmetric:4", "psl2:5", "elemab:2^7"]
@@ -395,6 +444,12 @@ class TestInvolutionWitness:
 
     def test_a4_has_none(self, a4):
         assert involution_product_witness(a4) is None
+
+    @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:15", "elemab:3^3", "product:cyclic:5,cyclic:9"])
+    def test_odd_order_has_no_involutions(self, spec):
+        g = cg.group_from_spec(spec)
+        assert not (g.order_table().orders == 2).any()
+        assert involution_product_witness(g) is None
 
 
 class TestClassify:
