@@ -4,16 +4,18 @@ A group multiplies through its :class:`Backend`, which holds the inverses,
 one broadcasting ``mul_pairs`` and the element orders; :meth:`FiniteGroup.mul`,
 :meth:`FiniteGroup.mul_pairs` and :meth:`FiniteGroup.mul_outer` are written
 once on top of it, and every other algorithm once on top of them.  Only
-user tables (:func:`from_cayley`), realized subgroups and quotients hold a
-Cayley table, of at most TABLE_LIMIT rows.  Permutation groups compose
-image arrays on demand and look each product up in an element index; the
-cyclic, dihedral, dicyclic and elementary abelian families multiply by
-formula, and direct products through their factors' backends.  These hold
-no n x n array at any order up to ELEMENT_CAP.  The formula families give
+user tables (:func:`from_cayley`) hold a Cayley table, of at most ASSOC_CAP
+rows.  Permutation groups compose image arrays on demand and look each
+product up in an element index; the cyclic, dihedral, dicyclic and
+elementary abelian families multiply by formula, direct products through
+their factors' backends, and realized subgroups and quotients through
+their parent's backend (:class:`_ImageBackend`).  These hold no n x n
+array at any order up to ELEMENT_CAP.  The formula families give
 their element orders and generators in closed form, and products the lcm
-of their factors' orders and their factors' generators; tables and
-permutations power their elements prime by prime (:meth:`Backend.orders`)
-and find generators by a greedy pass (:meth:`Backend.generators`).
+of their factors' orders and their factors' generators; tables,
+permutations, realized subgroups and quotients power their elements prime
+by prime (:meth:`Backend.orders`) and find generators by a greedy pass
+(:meth:`Backend.generators`).
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ NORMAL_CLASS_LIMIT = 20
 INDEX_KEY_RANGE = 1 << 62
 DIRECT_INDEX_ENTRIES = 1 << 20
 
-_ASSOC_SAMPLES = 512
-
 # the label of an element from its index (see FiniteGroup.__init__)
 LabelFn = Callable[[int], str]
 
@@ -83,8 +83,9 @@ class CapExceededError(RuntimeError):
 
 
 def check_table_cap(order: int, what: str = "order") -> None:
-    """Refuse a group whose order x order Cayley table would exceed
-    TABLE_LIMIT, before the table is allocated or any product formed."""
+    """Refuse a realized subgroup or quotient of order above TABLE_LIMIT,
+    the order of the largest n x n array (:func:`metric.distance_matrix`),
+    before any product is formed."""
     if order > TABLE_LIMIT:
         raise CapExceededError(
             f"{what} {order} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}"
@@ -483,7 +484,6 @@ class Backend:
     width = 1
     table: Optional[np.ndarray] = None
     perms: Optional[np.ndarray] = None
-    assoc_checked = "structural"
 
     def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise products of two int64 index arrays broadcast together, or of two ints."""
@@ -544,10 +544,12 @@ class Backend:
 
 
 class TableBackend(Backend):
-    """A Cayley table, each product one flat gather; it must have the identity
-    at index 0, two-sided inverses and (checked or sampled) associativity."""
+    """A Cayley table, each product one flat gather.  Built here are the
+    checks that need no triple: the identity at index 0 and one two-sided
+    inverse per element; :func:`from_cayley`, the one maker of tables,
+    then checks associativity on all triples."""
 
-    def __init__(self, table: np.ndarray, rigor: str = "sampled"):
+    def __init__(self, table: np.ndarray):
         table = np.ascontiguousarray(table, dtype=np.int32)
         n = self.order = len(table)
         if table.shape != (n, n):
@@ -562,29 +564,12 @@ class TableBackend(Backend):
         inv = np.argmax(T == 0, axis=1).astype(np.int32)
         if (T[ar, inv] != 0).any() or (T[inv, ar] != 0).any():
             raise ValueError("some element has no two-sided inverse")
-        if rigor == "full" and not ((T == 0).sum(axis=1) == 1).all():
+        if not ((T == 0).sum(axis=1) == 1).all():
             raise ValueError("some element has more than one right inverse")
         if np.bincount(inv, minlength=n).max() != 1:
             raise ValueError("inverse map is not a bijection")
         self.inv = inv
         self._flat = T.ravel()
-        self._check_associativity(rigor)
-
-    def _check_associativity(self, rigor: str) -> None:
-        n = self.order
-        T = self.table
-        if rigor == "full" or n**3 <= _ASSOC_SAMPLES:
-            for i in range(n):
-                if not np.array_equal(T[T[i], :], T[i][T]):
-                    j, k = np.argwhere(T[T[i], :] != T[i][T])[0]
-                    raise ValueError(f"multiplication is not associative at triple ({i},{j},{k})")
-            self.assoc_checked = "full"
-        else:
-            rng = np.random.default_rng(0)
-            i, j, k = rng.integers(0, n, size=(3, _ASSOC_SAMPLES))
-            if not np.array_equal(T[T[i, j], k], T[i, T[j, k]]):
-                raise ValueError("multiplication is not associative (sampled triple failed)")
-            self.assoc_checked = "sampled"
 
     def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # one flat gather: about 2.5x faster than table[a, b]; only arrays are
@@ -648,6 +633,24 @@ class ProductBackend(Backend):
     def generators(self, group: "FiniteGroup") -> list[int]:
         """The factors' generators, embedded: they generate G x 1 and 1 x H."""
         return self._gens
+
+
+class _ImageBackend(Backend):
+    """A subgroup or quotient of a group, multiplying through the group's
+    backend: element a stands for the parent element reps[a], and a parent
+    element x lands on image[x].  A subgroup has its members as reps and
+    their positions as image; a quotient has the smallest member of each
+    coset as reps and each element's coset as image.  The parent is
+    already validated, so the products need no check of their own."""
+
+    def __init__(self, parent: Backend, reps: np.ndarray, image: np.ndarray):
+        self._parent, self._reps, self._image = parent, reps, image
+        self.order = len(reps)
+        self.width = parent.width
+        self.inv = image[parent.inv[reps]].astype(np.int32)
+
+    def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._image[self._parent.mul_pairs(self._reps[a], self._reps[b])]
 
 
 class FiniteGroup:
@@ -753,8 +756,8 @@ class FiniteGroup:
         the first call.
 
         The formula families and products of them give their orders in
-        closed form with no product; Cayley tables and permutations (also
-        as a factor of a product) power the elements prime by prime, in
+        closed form with no product; the other backends (also as a factor
+        of a product) power the elements prime by prime, in
         O(omega(|G|) log|G|) :meth:`mul_pairs` rounds.  Either way the table
         is checked: only the identity has order 1, every order divides |G|,
         and o(x^-1) = o(x).
@@ -819,8 +822,8 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         """Whether the generators (:meth:`_generators`) commute pairwise; cached.
         A formula family or product gives them with no product, so this
-        forms only the |gens|^2 products of the check; tables and
-        permutations first run the greedy pass."""
+        forms only the |gens|^2 products of the check; the other backends
+        first run the greedy pass."""
         gens = np.array(self._generators(), dtype=np.int64)
         prods = self.mul_outer(gens, gens)
         return bool(np.array_equal(prods, prods.T))
@@ -897,7 +900,7 @@ class FiniteGroup:
         :meth:`Backend.generators`; cached.
 
         The formula families and products of them give theirs in closed form
-        with no product; Cayley tables and permutations run the greedy pass
+        with no product; the other backends run the greedy pass
         of :meth:`_grow` over every element, which for permutations is also
         the closure check of construction (:meth:`PermBackend.validate`).
         Every reader needs only some generating set, so its results do not
@@ -1066,31 +1069,44 @@ class FiniteGroup:
 
     # -- derived groups ------------------------------------------------------
 
+    def _member_indices(self, sub: Union[SubgroupSet, np.ndarray], what: str) -> np.ndarray:
+        """The distinct indices of a SubgroupSet or an index array, ascending;
+        ValueError unless they hold the identity and lie in the group."""
+        idx = sub.indices() if isinstance(sub, SubgroupSet) else np.unique(np.asarray(sub, dtype=np.int64))
+        if idx.size == 0 or idx[0] != 0:
+            raise ValueError(f"{what} must contain the identity (index 0)")
+        if idx[-1] >= self.order:
+            raise ValueError(f"element index {int(idx[-1])} out of range for order {self.order}")
+        return idx
+
     def subgroup(self, sub: Union[SubgroupSet, np.ndarray]) -> "FiniteGroup":
-        """Realize a subgroup as a standalone group by index re-compaction."""
-        idx = sub.indices() if isinstance(sub, SubgroupSet) else np.asarray(sub, dtype=np.int64)
-        idx = np.unique(idx)
-        if idx[0] != 0:
-            raise ValueError("subgroup must contain the identity (index 0)")
+        """Realize a subgroup as a standalone group by index re-compaction:
+        member k is the parent's idx[k], multiplied through the parent's
+        backend (:class:`_ImageBackend`), with no table.  The set is
+        certified a subgroup from its generators (:meth:`_certify`)."""
+        idx = self._member_indices(sub, "subgroup")
         m = len(idx)
         check_table_cap(m, "subgroup order")
+        members = np.zeros(self.order, dtype=bool)
+        members[idx] = True
+        if not self._certify(members)[0]:
+            raise ValueError("index set is not closed under multiplication")
         remap = np.full(self.order, -1, dtype=np.int64)
         remap[idx] = np.arange(m)
-        prods = remap[self.mul_outer(idx, idx)]
-        if (prods < 0).any():
-            raise ValueError("index set is not closed under multiplication")
         return FiniteGroup(
-            TableBackend(prods), labels=_relabel(self._label, idx), name=f"{self.name}[sub:{m}]"
+            _ImageBackend(self.backend, idx, remap),
+            labels=_relabel(self._label, idx),
+            name=f"{self.name}[sub:{m}]",
         )
 
     def quotient(self, sub: SubgroupSet) -> "FiniteGroup":
         """Quotient by a normal subgroup; identity coset lands at index 0.
 
-        The orbit roots of :meth:`_certify` number the cosets by their smallest
-        members, and the table multiplies those |G/N| representatives."""
-        idx = sub.indices()
-        if idx.size == 0 or idx[0] != 0:
-            raise ValueError("normal subgroup must contain the identity")
+        The orbit roots of :meth:`_certify` number the cosets by their
+        smallest members, and the quotient multiplies those |G/N|
+        representatives through the parent's backend, read back as cosets
+        (:class:`_ImageBackend`), with no table."""
+        idx = self._member_indices(sub, "normal subgroup")
         n = self.order
         qn = n // sub.size
         check_table_cap(qn, "quotient order")
@@ -1105,17 +1121,13 @@ class FiniteGroup:
         reps, coset_of = np.unique(roots, return_inverse=True)
         if len(reps) != qn:
             raise RuntimeError("coset count mismatch")
-        qtable = coset_of[self.mul_outer(reps, reps)]
         # row c: the members of coset c in ascending order, each coset of size |N|
         cosets = np.argsort(coset_of, kind="stable").reshape(qn, sub.size)
-        q = FiniteGroup(
-            TableBackend(qtable),
+        return FiniteGroup(
+            _ImageBackend(self.backend, reps, coset_of),
             labels=_coset_labels(self._label, cosets),
             name=f"{self.name}/N{sub.size}",
         )
-        if q.order * sub.size != self.order:
-            raise RuntimeError("quotient order invariant violated")
-        return q
 
 
 # -- factory functions ---------------------------------------------------
@@ -1164,12 +1176,12 @@ def from_cayley(
     *,
     labels: Optional[Sequence[str]] = None,
     name: str = "cayley-table",
-    assoc_cap: int = ASSOC_CAP,
 ) -> FiniteGroup:
     """Build a fully validated group from an n x n index matrix.
 
-    Row/column 0 must behave as the identity.  Associativity is checked on
-    all triples, which bounds n by ``assoc_cap``.
+    Row/column 0 must behave as the identity (:class:`TableBackend`).
+    Associativity is checked on all n^3 triples, one row of (ij)k against
+    i(jk) at a time, which bounds n by ASSOC_CAP.
     """
     try:
         arr = np.asarray(table, dtype=np.int64)
@@ -1178,15 +1190,19 @@ def from_cayley(
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("Cayley table must be square")
     n = arr.shape[0]
-    if n > assoc_cap:
-        raise CapExceededError(f"order {n} exceeds the associativity-check cap {assoc_cap}")
+    if n > ASSOC_CAP:
+        raise CapExceededError(f"order {n} exceeds the associativity-check cap {ASSOC_CAP}")
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError("table entry out of range")
-    return FiniteGroup(
-        TableBackend(arr, rigor="full"),
-        labels=_generic_label if labels is None else labels,
-        name=name,
-    )
+    backend = TableBackend(arr)
+    T = backend.table
+    for i in range(n):
+        # [j, k]: (ij)k and i(jk)
+        left, right = T[T[i], :], T[i][T]
+        if not np.array_equal(left, right):
+            j, k = np.argwhere(left != right)[0]
+            raise ValueError(f"multiplication is not associative at triple ({i},{j},{k})")
+    return FiniteGroup(backend, labels=_generic_label if labels is None else labels, name=name)
 
 
 def generate_group(

@@ -39,9 +39,14 @@ from oracles import (
 NAMES = [e.name for e in cg.catalog_entries(60)]
 
 
+def all_products(g):
+    """The |G| x |G| array of every product x * y of g."""
+    return g.mul_outer(np.arange(g.order))
+
+
 def table_copy(g):
     """g on the table backend, same indices: the table of all its products."""
-    table = g.mul_outer(np.arange(g.order))
+    table = all_products(g)
     h = cg.FiniteGroup(cg.core.TableBackend(table), labels=g.labels, name=g.name)
     assert h.perms is None
     return h
@@ -106,13 +111,36 @@ def test_quotients(backends, monkeypatch):
             g, normal.indices().tolist()
         )
         for other in (grp.quotient(normal) for grp in backends[1:]):
-            assert np.array_equal(other.table, q.table)
+            assert np.array_equal(all_products(other), all_products(q))
             assert other.labels == q.labels
-    # one row per block in the coset and well-definedness loops
+    # one row per block in the coset and product loops
     monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", 1)
     for normal, q in quotients.items():
         for grp in backends:
-            assert np.array_equal(grp.quotient(normal).table, q.table)
+            assert np.array_equal(all_products(grp.quotient(normal)), all_products(q))
+
+
+def test_realized_subgroups_and_quotients_multiply_through_the_parent(backends):
+    """A realized subgroup or quotient holds no table: its products are
+    the parent's products of its members or coset representatives, read
+    back as its own indices, on every backend."""
+    for grp in backends:
+        for s in all_subgroups(grp):
+            idx = s.indices()
+            sub = grp.subgroup(s)
+            remap = np.full(grp.order, -1)
+            remap[idx] = np.arange(len(idx))
+            assert sub.table is None and sub.perms is None
+            assert np.array_equal(all_products(sub), remap[grp.mul_outer(idx, idx)])
+            assert np.array_equal(sub.inv, remap[grp.inv[idx]])
+        for normal in grp.normal_subgroups():
+            idx = normal.indices()
+            q = grp.quotient(normal)
+            # each element's coset, numbered by the smallest members of the cosets xN
+            smallest = grp.mul_outer(np.arange(grp.order), idx).min(axis=1)
+            firsts, coset_of = np.unique(smallest, return_inverse=True)
+            assert q.table is None and q.perms is None
+            assert np.array_equal(all_products(q), coset_of[grp.mul_outer(firsts, firsts)])
 
 
 def test_abelian_subgroup_scan(backends):
@@ -206,7 +234,7 @@ def test_element_set_checks_in_one_row_slices(backends, monkeypatch):
             hereditary_check(grp, is_cp2),
             hereditary_check(grp, is_cp3),
             abelian_subgroup_scan(grp),
-            [grp.quotient(n).table.tolist() for n in normals],
+            [all_products(grp.quotient(n)).tolist() for n in normals],
             layer_check(grp) if grp.is_p_group() is not None else None,
         )
 

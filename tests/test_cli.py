@@ -207,6 +207,25 @@ class TestFileInputs:
         assert code == 2
         assert "out of range" in err
 
+    def test_non_associative_table_exit_2(self, capsys, tmp_path):
+        # Z5 with two entries of row 1 swapped: identity and inverses survive
+        rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        rows[1][2], rows[1][3] = rows[1][3], rows[1][2]
+        path = tmp_path / "mutant.table"
+        path.write_text(_table_text(5, [[str(x) for x in row] for row in rows]))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert "associative" in err
+        assert "Traceback" not in err
+
+    def test_table_over_the_associativity_cap_exit_3(self, capsys, tmp_path):
+        n = 513
+        path = tmp_path / "cyclic-513.table"
+        path.write_text(_table_text(n, [[str((i + j) % n) for j in range(n)] for i in range(n)]))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (3, "")
+        assert "order 513 exceeds the associativity-check cap 512" in err
+
     def test_bad_generator_word_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.gens"
         path.write_text("degree: 3\n(1 9)\n")

@@ -138,7 +138,23 @@ class TestFromCayley:
 
     def test_assoc_cap(self):
         with pytest.raises(CapExceededError):
-            cg.from_cayley(np.zeros((600, 600), dtype=int), assoc_cap=512)
+            cg.from_cayley(np.zeros((600, 600), dtype=int))
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60) if e.order >= 4])
+    def test_every_row_swap_mutant_rejected(self, name):
+        # two nonzero entries of one row swapped, away from the identity's
+        # row and column: the identity and the inverses survive, but a
+        # column repeats an entry, so no associative table is left
+        g = cg.group_from_spec(name)
+        table = g.mul_outer(np.arange(g.order))
+        rng = np.random.default_rng(g.order)
+        for _ in range(4):
+            i = int(rng.integers(1, g.order))
+            j, k = rng.choice(np.flatnonzero(table[i, 1:] != 0) + 1, size=2, replace=False)
+            mutant = table.copy()
+            mutant[i, [j, k]] = mutant[i, [k, j]]
+            with pytest.raises(ValueError, match="not associative"):
+                cg.from_cayley(mutant)
 
 
 def _cyclic_on_table(n):
@@ -572,6 +588,48 @@ class TestSubgroupRealization:
     def test_must_contain_identity(self, s3):
         with pytest.raises(ValueError):
             s3.subgroup(np.array([1, 2]))
+
+    @pytest.mark.parametrize(
+        "method,sub,message",
+        [
+            ("subgroup", np.array([]), "must contain the identity"),
+            ("subgroup", [0, 7], "element index 7 out of range for order 6"),
+            ("subgroup", [0, -1], "must contain the identity"),
+            ("quotient", cg.SubgroupSet.from_indices([]), "must contain the identity"),
+            ("quotient", cg.SubgroupSet.from_indices([0, 9]), "element index 9 out of range for order 6"),
+        ],
+    )
+    def test_bad_index_sets_refused_before_any_array(self, s3, monkeypatch, method, sub, message):
+        for name in ("zeros", "full"):
+            monkeypatch.setattr(np, name, lambda *_, **__: pytest.fail("an array was built"))
+        with pytest.raises(ValueError, match=message):
+            getattr(s3, method)(sub)
+
+    def test_not_closed_refused(self, s3):
+        # {e, x} with o(x) = 3: x^2 is missing
+        x = int(np.flatnonzero(s3.order_table().orders == 3)[0])
+        with pytest.raises(ValueError, match="not closed under multiplication"):
+            s3.subgroup([0, x])
+
+    def test_a7_in_s7_forms_few_products(self, monkeypatch):
+        # A7 is certified from its generators, not from its 2520^2 products,
+        # and the realized group multiplies through S7's backend
+        g = cg.symmetric(7)
+        a7 = g.derived_series()[1]
+        g._generators()  # cached before the count
+        formed = []
+        mul_pairs = g.backend.mul_pairs
+
+        def counting(a, b):
+            out = mul_pairs(a, b)
+            formed.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(g.backend, "mul_pairs", counting)
+        h = g.subgroup(a7)
+        assert 0 < sum(formed) < 100_000
+        assert (h.order, h.table, h.perms) == (2520, None, None)
+        assert h.is_simple()
 
 
 class TestSubgroupSet:
