@@ -19,11 +19,14 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, TextIO
 
+import numpy as np
+
 from .catalog import catalog_iter, group_from_spec
 from .core import (
     BLOCK_ENTRIES,
     ELEMENT_CAP,
     SUBGROUP_CAP,
+    TABLE_LIMIT,
     CapExceededError,
     FiniteGroup,
     from_cayley,
@@ -68,7 +71,18 @@ def load_group_file(path: str, element_cap: int = ELEMENT_CAP) -> FiniteGroup:
     n = int(lines[0])
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} table rows, found {len(lines) - 1}")
-    table = [[int(tok) for tok in row.split()] for row in lines[1:]]
+    if n > TABLE_LIMIT:
+        raise CapExceededError(f"{path}: order {n} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}")
+    if not n:
+        raise ValueError(f"{path}: the Cayley table has no rows")
+    try:
+        table = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        # loadtxt reports an integer beyond int64 as an unreadable string:
+        # parse the rows again as Python ints, whose errors and
+        # from_cayley's checks name the fault (not an integer, out of
+        # range, rows of unequal length)
+        table = [[int(tok) for tok in row.split()] for row in lines[1:]]
     return from_cayley(table, name=name)
 
 

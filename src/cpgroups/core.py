@@ -4,7 +4,7 @@ A group multiplies through its :class:`Backend`, which holds the inverses,
 one broadcasting ``mul_pairs`` and the element orders; :meth:`FiniteGroup.mul`,
 :meth:`FiniteGroup.mul_pairs` and :meth:`FiniteGroup.mul_outer` are written
 once on top of it, and every other algorithm once on top of them.  Only
-user tables (:func:`from_cayley`) hold a Cayley table, of at most ASSOC_CAP
+user tables (:func:`from_cayley`) hold a Cayley table, of at most TABLE_LIMIT
 rows.  Permutation groups compose image arrays on demand and look each
 product up in an element index; the cyclic, dihedral, dicyclic and
 elementary abelian families multiply by formula, direct products through
@@ -31,7 +31,6 @@ from .perm import Permutation
 
 TABLE_LIMIT = 4096
 ELEMENT_CAP = 10000
-ASSOC_CAP = 512
 SUBGROUP_CAP = 400
 # entries per block of the vectorized row loops (permutation products,
 # distance matrix, pair scans), so a block stays near 8 MB of int64
@@ -80,16 +79,6 @@ def _once(compute: Callable[["FiniteGroup"], object]) -> Callable:
 
 class CapExceededError(RuntimeError):
     """A desk-scale cap (element count, table size, enumeration bound) was exceeded."""
-
-
-def check_table_cap(order: int, what: str = "order") -> None:
-    """Refuse a realized subgroup or quotient of order above TABLE_LIMIT,
-    the order of the largest n x n array (:func:`metric.distance_matrix`),
-    before any product is formed."""
-    if order > TABLE_LIMIT:
-        raise CapExceededError(
-            f"{what} {order} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}"
-        )
 
 
 def check_element_cap(order: int, what: str = "order") -> None:
@@ -547,7 +536,7 @@ class TableBackend(Backend):
     """A Cayley table, each product one flat gather.  Built here are the
     checks that need no triple: the identity at index 0 and one two-sided
     inverse per element; :func:`from_cayley`, the one maker of tables,
-    then checks associativity on all triples."""
+    then checks associativity by Light's test (:func:`_light_test`)."""
 
     def __init__(self, table: np.ndarray):
         table = np.ascontiguousarray(table, dtype=np.int32)
@@ -910,27 +899,25 @@ class FiniteGroup:
 
     def _certify(self, members: np.ndarray) -> tuple[bool, bool, np.ndarray]:
         """Whether the element set with the given member mask is a subgroup
-        H, whether a normal one, and per element x the smallest member of x<S>.
+        H, whether a normal one, and generators S of the span of its members.
 
-        S, the greedy pass of :meth:`_grow` over the members, lies in the set,
-        and :func:`_coset_roots` gives the smallest members of the x<S>; the
-        set is a subgroup iff it is the coset of the identity, <S>.  H is then
-        normal iff t^-1 s t lies in H for every s in S and generator t of g
-        (:meth:`_generators`).  The whole group is a normal subgroup as it
-        stands, with no product formed.
+        S is the greedy pass of :meth:`_grow` over the members, and the set
+        is a subgroup iff it equals the span <S> that the pass builds.  H is
+        then normal iff t^-1 s t lies in H for every s in S and generator t
+        of g (:meth:`_generators`).  The whole group is a normal subgroup as
+        it stands, generated by :meth:`_generators`, with no product formed
+        once those are known.
         """
         if members.all():
-            return True, True, np.zeros(self.order, dtype=np.int64)
+            return True, True, np.array(self._generators(), dtype=np.int64)
         grown = np.zeros(self.order, dtype=bool)
         grown[0] = True
         gens = np.array(self._grow(grown, [], np.flatnonzero(members)), dtype=np.int64)
-        maps = self.mul_outer(np.arange(self.order), gens).T
-        roots = _coset_roots(maps, np.arange(len(gens))[None])[0]
-        if not np.array_equal(roots == 0, members):
-            return False, False, roots
+        if not np.array_equal(grown, members):
+            return False, False, gens
         t = np.array(self._generators(), dtype=np.int64)
         conj = self.mul_pairs(self.mul_pairs(self.inv[t][:, None], gens[None, :]), t[:, None])
-        return True, bool((roots[conj] == 0).all()), roots
+        return True, bool(members[conj].all()), gens
 
     @_once
     def derived_series(self) -> list[SubgroupSet]:
@@ -1082,11 +1069,11 @@ class FiniteGroup:
     def subgroup(self, sub: Union[SubgroupSet, np.ndarray]) -> "FiniteGroup":
         """Realize a subgroup as a standalone group by index re-compaction:
         member k is the parent's idx[k], multiplied through the parent's
-        backend (:class:`_ImageBackend`), with no table.  The set is
-        certified a subgroup from its generators (:meth:`_certify`)."""
+        backend (:class:`_ImageBackend`), with no table, so at any order up
+        to the parent's.  The set is certified a subgroup from its
+        generators (:meth:`_certify`)."""
         idx = self._member_indices(sub, "subgroup")
         m = len(idx)
-        check_table_cap(m, "subgroup order")
         members = np.zeros(self.order, dtype=bool)
         members[idx] = True
         if not self._certify(members)[0]:
@@ -1102,22 +1089,26 @@ class FiniteGroup:
     def quotient(self, sub: SubgroupSet) -> "FiniteGroup":
         """Quotient by a normal subgroup; identity coset lands at index 0.
 
-        The orbit roots of :meth:`_certify` number the cosets by their
-        smallest members, and the quotient multiplies those |G/N|
+        N is certified normal by :meth:`_certify`, whose generators S of N
+        give the cosets xN = x<S> as the orbits of the maps x -> x*s
+        (:func:`_coset_roots`), |G| x |S| products.  Their smallest members
+        number the cosets, and the quotient multiplies those |G/N|
         representatives through the parent's backend, read back as cosets
-        (:class:`_ImageBackend`), with no table."""
+        (:class:`_ImageBackend`), with no table, so at any order up to the
+        parent's."""
         idx = self._member_indices(sub, "normal subgroup")
         n = self.order
         qn = n // sub.size
-        check_table_cap(qn, "quotient order")
         members = np.zeros(n, dtype=bool)
         members[idx] = True
-        closed, normal, roots = self._certify(members)
+        closed, normal, gens = self._certify(members)
         if not closed:
             raise ValueError("index set is not a subgroup")
         if not normal:
             raise ValueError("subgroup is not normal")
+        maps = self.mul_outer(np.arange(n), gens).T
         # the roots are the smallest members of the cosets xN = Nx
+        roots = _coset_roots(maps, np.arange(len(gens))[None])[0]
         reps, coset_of = np.unique(roots, return_inverse=True)
         if len(reps) != qn:
             raise RuntimeError("coset count mismatch")
@@ -1171,6 +1162,52 @@ def _pair_labels(label_a: LabelFn, label_b: LabelFn, order_b: int) -> LabelFn:
     return lambda i: f"({label_a(i // order_b)},{label_b(i % order_b)})"
 
 
+def _associative_at(T: np.ndarray, s: int) -> None:
+    """Raise ValueError unless (xs)y = x(sy) for every x and y of the
+    Cayley table T: row x of T[T[:, s]] against row x of T[:, T[s]], in
+    blocks of :func:`rows_per_block` rows.  np.take gathers the columns
+    about five times faster than fancy indexing."""
+    n = len(T)
+    step = rows_per_block(n)
+    for lo in range(0, n, step):
+        # [x, y]: (xs)y and x(sy)
+        rows = T[lo : lo + step]
+        left, right = T[rows[:, s]], np.take(rows, T[s], axis=1)
+        if not np.array_equal(left, right):
+            x, y = np.argwhere(left != right)[0]
+            raise ValueError(f"multiplication is not associative at triple ({lo + x},{s},{y})")
+
+
+def _light_test(T: np.ndarray) -> None:
+    """Raise ValueError unless the operation of the Cayley table T, with
+    identity 0, is associative: Light's test (Clifford and Preston, *The
+    Algebraic Theory of Semigroups* I, 1961, §1.2).
+
+    The set A of the elements a with (xa)y = x(ay) for all x and y holds the
+    identity and is closed under products, so A is everything once some
+    S in A reaches every element by products.  S is built greedily: the
+    smallest element not yet reached is checked (:func:`_associative_at`),
+    joins S, and the reached set is closed under x -> xs for every s in S,
+    frontier by frontier, which assumes no associativity.  While S lies in
+    A the reached set is a subgroup, so each new s at least doubles it:
+    at most floor(log2 n) + 1 elements are checked, on any table, |S| * n^2
+    lookups in all where all triples take n^3.
+    """
+    reached = np.zeros(len(T), dtype=bool)
+    reached[0] = True
+    gens: list[int] = []
+    while not reached.all():
+        s = int(np.argmin(reached))
+        _associative_at(T, s)
+        gens.append(s)
+        frontier, steps = np.flatnonzero(reached), np.array([s])
+        while frontier.size:
+            prods = T[frontier[:, None], steps].ravel()
+            frontier = np.unique(prods[~reached[prods]])
+            reached[frontier] = True
+            steps = np.array(gens)
+
+
 def from_cayley(
     table: Sequence[Sequence[int]],
     *,
@@ -1179,29 +1216,24 @@ def from_cayley(
 ) -> FiniteGroup:
     """Build a fully validated group from an n x n index matrix.
 
-    Row/column 0 must behave as the identity (:class:`TableBackend`).
-    Associativity is checked on all n^3 triples, one row of (ij)k against
-    i(jk) at a time, which bounds n by ASSOC_CAP.
+    A table of more than TABLE_LIMIT rows is refused before any array is
+    built.  Row/column 0 must behave as the identity, with one two-sided
+    inverse per element (:class:`TableBackend`), and associativity is
+    decided exactly by Light's test (:func:`_light_test`).
     """
+    n = len(table)
+    if n > TABLE_LIMIT:
+        raise CapExceededError(f"order {n} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}")
     try:
         arr = np.asarray(table, dtype=np.int64)
     except OverflowError as exc:
         raise ValueError("table entry out of range") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("Cayley table must be square")
-    n = arr.shape[0]
-    if n > ASSOC_CAP:
-        raise CapExceededError(f"order {n} exceeds the associativity-check cap {ASSOC_CAP}")
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError("table entry out of range")
     backend = TableBackend(arr)
-    T = backend.table
-    for i in range(n):
-        # [j, k]: (ij)k and i(jk)
-        left, right = T[T[i], :], T[i][T]
-        if not np.array_equal(left, right):
-            j, k = np.argwhere(left != right)[0]
-            raise ValueError(f"multiplication is not associative at triple ({i},{j},{k})")
+    _light_test(backend.table)
     return FiniteGroup(backend, labels=_generic_label if labels is None else labels, name=name)
 
 

@@ -82,8 +82,9 @@ def distance(g: FiniteGroup, x: int, y: int) -> int:
 
 def distance_matrix(g: FiniteGroup) -> np.ndarray:
     """Full n x n distance matrix (symmetric, zero diagonal), for the CSV
-    export and the raw triangle audit; capped at TABLE_LIMIT, the one n x n array.
-    Held as int32, since no distance exceeds the order."""
+    export and the raw triangle audit; capped at TABLE_LIMIT, the cap on
+    n x n arrays, as a Cayley table is.  Held as int32, since no distance
+    exceeds the order."""
     if g.order > TABLE_LIMIT:
         raise CapExceededError(
             f"order {g.order} exceeds the distance-matrix cap TABLE_LIMIT={TABLE_LIMIT}"

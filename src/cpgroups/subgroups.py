@@ -41,7 +41,6 @@ from .core import (
     _subgroup_sets,
     _subgroup_words,
     _words,
-    check_table_cap,
     closure_verdicts,
     prime_power_flag,
 )
@@ -230,12 +229,10 @@ def quotient_condition_verdicts(
     ``condition(o_N[i], o_N[j], o_N[l])`` holds for every class triple
     (i, j, l) of :meth:`FiniteGroup._class_products`, read a block at a
     time and in slices that gather coset orders for all N at once, at most
-    CHECK_ENTRIES entries a gather.  Every quotient order is checked against
-    TABLE_LIMIT before any power or product is formed, so the verdicts
-    refuse exactly where :meth:`FiniteGroup.quotient` refuses.
+    CHECK_ENTRIES entries a gather.  No quotient order is capped: like
+    :meth:`FiniteGroup.quotient`, the verdicts hold no array of the
+    quotient's order squared.
     """
-    for normal in normals:
-        check_table_cap(g.order // normal.size, "quotient order")
     coset_orders = _coset_orders(g, normals)
     verdicts = np.ones(len(normals), dtype=bool)
     step = max(1, CHECK_ENTRIES // max(len(normals), 1))
@@ -341,8 +338,8 @@ def quotient_scan(
     once from g's own elements and the cosets' orders
     (:func:`quotient_condition_verdicts`), with no quotient group built;
     any other predicate runs on G/N realized as a standalone group by
-    :meth:`FiniteGroup.quotient`.  Either way a quotient of order above
-    TABLE_LIMIT raises CapExceededError.
+    :meth:`FiniteGroup.quotient`.  Neither builds a table, so no quotient
+    order is capped beyond the group's own.
     """
     normals = g.normal_subgroups(cap=cap)
     condition = _pair_condition(predicate)

@@ -72,6 +72,20 @@ def slow_pair_witness(g: FiniteGroup, holds) -> tuple[int, int] | None:
     return None
 
 
+def all_triples_witness(table) -> tuple[int, int, int] | None:
+    """The first triple (i, j, k), i ascending, with (ij)k != i(jk) in a
+    Cayley table, or None when the operation is associative: all n^3
+    triples, one row i of (ij)k against i(jk) at a time."""
+    T = np.asarray(table)
+    for i in range(len(T)):
+        # [j, k]: (ij)k and i(jk)
+        left, right = T[T[i], :], T[i][T]
+        if not np.array_equal(left, right):
+            j, k = np.argwhere(left != right)[0]
+            return i, int(j), int(k)
+    return None
+
+
 def slow_perm_order(p: Permutation) -> int:
     """Repeated composition oracle for permutation order."""
     k = 1

@@ -6,8 +6,10 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,13 +220,35 @@ class TestFileInputs:
         assert "associative" in err
         assert "Traceback" not in err
 
-    def test_table_over_the_associativity_cap_exit_3(self, capsys, tmp_path):
+    def test_table_of_513_rows(self, capsys, tmp_path):
         n = 513
         path = tmp_path / "cyclic-513.table"
         path.write_text(_table_text(n, [[str((i + j) % n) for j in range(n)] for i in range(n)]))
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "records")
+        expected = run_cli(capsys, "analyze", "cyclic:513", "--format", "records")[1]
+        assert code == 0
+        # the same records and witnesses, but for the name line and the
+        # labels: element k of a table is g<k>, of cyclic:513 a^k
+        out = re.sub(r"\bg(\d+)", lambda m: "a" if m[1] == "1" else f"a^{m[1]}", out)
+        assert out.splitlines()[1:] == expected.splitlines()[1:]
+
+    def test_table_over_the_table_cap_exit_3(self, capsys, tmp_path, monkeypatch):
+        # 4097 short rows: refused on the header before any entry is parsed
+        monkeypatch.setattr(np, "loadtxt", lambda *_, **__: pytest.fail("the rows were parsed"))
+        path = tmp_path / "huge.table"
+        path.write_text(_table_text(4097, [["0"]] * 4097))
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert (code, out) == (3, "")
-        assert "order 513 exceeds the associativity-check cap 512" in err
+        assert "order 4097 exceeds the Cayley-table cap TABLE_LIMIT=4096" in err
+
+    def test_empty_table_exit_2_without_a_warning(self, capsys, tmp_path):
+        path = tmp_path / "empty.table"
+        path.write_text("0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert "no rows" in err
 
     def test_bad_generator_word_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.gens"

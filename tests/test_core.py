@@ -1,5 +1,4 @@
 import gc
-import time
 import tracemalloc
 import weakref
 
@@ -15,6 +14,7 @@ from cpgroups.subgroups import all_subgroups
 from conftest import _INDEX_VARIANTS, random_pairs
 from oracles import (
     _slow_closure,
+    all_triples_witness,
     eager_labels,
     slow_coset_labels,
     slow_generate_perms,
@@ -136,12 +136,37 @@ class TestFromCayley:
         with pytest.raises(ValueError):
             cg.from_cayley([[0, 1], [1, 2]])
 
-    def test_assoc_cap(self):
-        with pytest.raises(CapExceededError):
-            cg.from_cayley(np.zeros((600, 600), dtype=int))
+    def test_assoc_cap(self, monkeypatch):
+        # 4097 rows are refused on their count, before any array is built
+        for name in ("asarray", "array", "zeros", "empty"):
+            monkeypatch.setattr(np, name, lambda *_, **__: pytest.fail("an array was built"))
+        with pytest.raises(CapExceededError, match="order 4097 exceeds the Cayley-table cap TABLE_LIMIT=4096"):
+            cg.from_cayley([[0]] * 4097)
+
+    @pytest.fixture()
+    def checked(self, monkeypatch):
+        """The elements whose associativity Light's test checks, in order."""
+        seen = []
+        associative_at = cg.core._associative_at
+
+        def counting(T, s):
+            seen.append(s)
+            associative_at(T, s)
+
+        monkeypatch.setattr(cg.core, "_associative_at", counting)
+        return seen
+
+    @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60)])
+    def test_light_test_agrees_with_all_triples(self, name, checked):
+        g = cg.group_from_spec(name)
+        table = g.mul_outer(np.arange(g.order))
+        assert all_triples_witness(table) is None
+        assert cg.from_cayley(table).order == g.order
+        # each checked element at least doubles the reached subgroup
+        assert len(checked) <= g.order.bit_length()
 
     @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60) if e.order >= 4])
-    def test_every_row_swap_mutant_rejected(self, name):
+    def test_every_row_swap_mutant_rejected(self, name, checked):
         # two nonzero entries of one row swapped, away from the identity's
         # row and column: the identity and the inverses survive, but a
         # column repeats an entry, so no associative table is left
@@ -153,8 +178,31 @@ class TestFromCayley:
             j, k = rng.choice(np.flatnonzero(table[i, 1:] != 0) + 1, size=2, replace=False)
             mutant = table.copy()
             mutant[i, [j, k]] = mutant[i, [k, j]]
+            assert all_triples_witness(mutant) is not None
+            checked.clear()
             with pytest.raises(ValueError, match="not associative"):
                 cg.from_cayley(mutant)
+            assert len(checked) <= g.order.bit_length()
+
+    def test_a_later_checked_element_fails(self, checked):
+        # L x Z4, (l, a) at index 4*l + a, where L is Z5 with two entries of
+        # row 1 swapped (identity and inverses kept): element 1 = (e, 1)
+        # passes and reaches Z4, then element 4 = (1, e) fails
+        loop = (np.arange(5)[:, None] + np.arange(5)) % 5
+        loop[1, [2, 3]] = loop[1, [3, 2]]
+        z4 = (np.arange(4)[:, None] + np.arange(4)) % 4
+        table = (loop[:, None, :, None] * 4 + z4[None, :, None, :]).reshape(20, 20)
+        assert all_triples_witness(table) is not None
+        with pytest.raises(ValueError, match=r"not associative at triple \(\d+,4,\d+\)"):
+            cg.from_cayley(table)
+        assert checked == [1, 4]
+
+    @pytest.mark.parametrize("spec", ["elemab:2^12", "cyclic:4096"])
+    def test_largest_tables_check_few_elements(self, spec, checked):
+        g = cg.group_from_spec(spec)
+        h = cg.from_cayley(g.mul_outer(np.arange(g.order)))
+        assert h.order_table().orders.tolist() == g.order_table().orders.tolist()
+        assert checked == ([1 << k for k in range(12)] if spec.startswith("elemab") else [1])
 
 
 def _cyclic_on_table(n):
@@ -527,32 +575,26 @@ class TestQuotient:
             s3.quotient(cg.SubgroupSet.from_indices([0, t, x]))
 
 
-class TestDerivedGroupCaps:
-    """subgroup() and quotient() refuse a table above TABLE_LIMIT before
-    they form any product."""
+class TestDerivedGroupsAboveTheTableLimit:
+    """subgroup() and quotient() hold no table, so they realize groups of
+    any order up to the parent's, TABLE_LIMIT or above."""
 
-    @pytest.fixture()
-    def s7(self, monkeypatch):
+    def test_subgroup_of_the_whole_group(self):
         g = cg.symmetric(7)  # order 5040, above TABLE_LIMIT
+        h = g.subgroup(np.arange(g.order))
+        assert (h.order, h.table) == (5040, None)
+        some = np.arange(0, g.order, 97)
+        assert np.array_equal(h.mul_outer(some), g.mul_outer(some))
+        assert h.label(1) == g.label(1)
 
-        def refuse(*_):
-            raise AssertionError("a product was formed above the cap")
-
-        for name in ("mul", "mul_pairs", "mul_outer"):
-            monkeypatch.setattr(g, name, refuse)
-        return g
-
-    def _assert_refused_quickly(self, call):
-        start = time.perf_counter()
-        with pytest.raises(CapExceededError, match="TABLE_LIMIT=4096"):
-            call()
-        assert time.perf_counter() - start < 1.0
-
-    def test_subgroup_of_the_whole_group(self, s7):
-        self._assert_refused_quickly(lambda: s7.subgroup(np.arange(5040)))
-
-    def test_quotient_by_the_trivial_subgroup(self, s7):
-        self._assert_refused_quickly(lambda: s7.quotient(cg.SubgroupSet.from_indices([0])))
+    def test_quotient_by_the_trivial_subgroup(self):
+        g = cg.symmetric(7)
+        q = g.quotient(cg.SubgroupSet.from_indices([0]))
+        assert (q.order, q.table) == (5040, None)
+        # the coset {x} is numbered x
+        some = np.arange(0, g.order, 97)
+        assert np.array_equal(q.mul_outer(some), g.mul_outer(some))
+        assert q.label(1) == "{" + g.label(1) + "}"
 
 
 class TestDirectProduct:
@@ -699,11 +741,10 @@ class TestClosureVerdicts:
         rows = self._rows(g, sets)
         got = [g._certify(r) for r in rows]
         assert [(closed, normal) for closed, normal, _ in got] == [self._expected(g, r) for r in rows]
-        # the roots of a subgroup H: each element's smallest member of xH
-        for row, (closed, _, roots) in zip(rows, got):
-            if closed:
-                coset_min = g.mul_outer(np.arange(g.order), np.flatnonzero(row)).min(axis=1)
-                assert roots.tolist() == coset_min.tolist()
+        # the generators of every set lie in it and span it when it is closed
+        for row, (closed, _, gens) in zip(rows, got):
+            assert row[gens].all()
+            assert np.array_equal(np.isin(np.arange(g.order), g.span(gens)), row) == closed
 
     @pytest.mark.parametrize("spec", ["symmetric:4", "symmetric:7"])
     def test_whole_group_forms_no_products(self, monkeypatch, spec):
@@ -722,8 +763,8 @@ class TestClosureVerdicts:
             return out
 
         monkeypatch.setattr(cg.FiniteGroup, "mul_pairs", counting)
-        closed, normal, roots = g._certify(rows[-1])
-        assert (closed, normal, roots.tolist(), formed) == (True, True, [0] * g.order, [])
+        closed, normal, gens = g._certify(rows[-1])
+        assert (closed, normal, gens.tolist(), formed) == (True, True, g._generators(), [])
         closed = cg.core.closure_verdicts(g, cg.core._words(rows), rows.sum(axis=1))
         assert closed.all()
         assert sum(formed) == sum(s.size**2 for s in subs if s.size < g.order)

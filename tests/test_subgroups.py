@@ -460,12 +460,14 @@ class TestQuotientVerdicts:
         with pytest.raises(RuntimeError, match="normal subgroup failed validation"):
             quotient_scan(g, is_cp3)
 
-    @pytest.mark.parametrize("predicate", [is_cp2, is_cp3, lambda q: q.order > 0])
-    def test_quotient_over_the_table_cap_refused(self, predicate):
-        with pytest.raises(
-            CapExceededError, match="quotient order 5040 exceeds the Cayley-table cap TABLE_LIMIT=4096"
-        ):
-            quotient_scan(cg.symmetric(7), predicate, cap=100000)
+    @pytest.mark.parametrize("predicate", [is_cp2, is_cp3])
+    def test_quotients_above_the_table_limit(self, predicate):
+        # S7/1 has order 5040, above TABLE_LIMIT: the verdicts read S7's
+        # classes, and the realized quotients multiply through S7
+        g = cg.symmetric(7)
+        rows = _scan_rows(quotient_scan(g, predicate))
+        assert [holds for *_, holds in rows] == [False, True, True]
+        assert rows == _realized_rows(g, lambda q: predicate(q))
 
     def test_verdicts_form_at_most_k_products_per_element(self, monkeypatch):
         # S7/A7 and S7/S7 come from the products of the 14 nontrivial class
@@ -513,14 +515,3 @@ class TestQuotientVerdicts:
         assert quotient_condition_verdicts(g, normals, cp3_pair_holds).tolist() == expected
         assert sum(blocks) == g.order**2 and len(blocks) == 1 + 119 // 4 + 1
         assert max(blocks) <= 480 and max(formed) <= 480
-
-    def test_cap_refused_before_any_product(self, monkeypatch):
-        g = cg.symmetric(7)
-        normals = g.normal_subgroups(cap=100000)
-
-        def refuse(*_):
-            raise AssertionError("a product was formed before the cap check")
-
-        monkeypatch.setattr(g.backend, "mul_pairs", refuse)
-        with pytest.raises(CapExceededError, match="quotient order 5040"):
-            quotient_condition_verdicts(g, normals, cp3_pair_holds)
