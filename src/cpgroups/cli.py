@@ -54,36 +54,52 @@ def positive_int(text: str) -> int:
 
 
 def load_group_file(path: str, element_cap: int = ELEMENT_CAP) -> FiniteGroup:
-    """Auto-detect and load a Cayley-table or generator file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty group file")
+    """Auto-detect and load a Cayley-table or generator file; blank lines are skipped."""
     name = os.path.splitext(os.path.basename(path))[0]
-    if lines[0].lower().startswith("degree:"):
-        degree = int(lines[0].split(":", 1)[1])
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = filter(None, (ln.strip() for ln in handle))
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: empty group file")
+        if not header.lower().startswith("degree:"):
+            return from_cayley(_read_table(path, int(header), lines), name=name)
+        degree = int(header.split(":", 1)[1])
         if degree > BLOCK_ENTRIES:
             raise CapExceededError(f"{path}: degree {degree} exceeds BLOCK_ENTRIES={BLOCK_ENTRIES}, the width of one block")
-        gens = [parse_cycles(word, degree) for word in lines[1:]]
-        if not gens:
-            raise ValueError(f"{path}: generator file lists no generators")
-        return generate_group(gens, cap=element_cap, name=name)
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise ValueError(f"{path}: expected {n} table rows, found {len(lines) - 1}")
-    if n > TABLE_LIMIT:
-        raise CapExceededError(f"{path}: order {n} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}")
-    if not n:
+        gens = [parse_cycles(word, degree) for word in lines]
+    if not gens:
+        raise ValueError(f"{path}: generator file lists no generators")
+    return generate_group(gens, cap=element_cap, name=name)
+
+
+def _read_table(path: str, n: int, rows: Iterator[str]) -> np.ndarray:
+    """The n rows of a Cayley-table file that follow its header, parsed one
+    at a time into the int32 array the group keeps; no row is held once it
+    is parsed.  For a header of no rows or above TABLE_LIMIT the rows are
+    only counted: a count that differs from the header is bad input, and
+    a table above the cap is refused before any row is parsed."""
+    if not 0 < n <= TABLE_LIMIT:
+        found = sum(1 for _ in rows)
+        if found != n:
+            raise ValueError(f"{path}: expected {n} table rows, found {found}")
+        if n:
+            raise CapExceededError(f"{path}: order {n} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}")
         raise ValueError(f"{path}: the Cayley table has no rows")
-    try:
-        table = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
-    except ValueError:
-        # loadtxt reports an integer beyond int64 as an unreadable string:
-        # parse the rows again as Python ints, whose errors and
-        # from_cayley's checks name the fault (not an integer, out of
-        # range, rows of unequal length)
-        table = [[int(tok) for tok in row.split()] for row in lines[1:]]
-    return from_cayley(table, name=name)
+    table = np.empty((n, n), dtype=np.int32)
+    found = 0
+    for found, row in enumerate(rows, 1):
+        if found > n:
+            break
+        try:
+            entries = np.loadtxt([row], dtype=np.int32, comments=None, ndmin=1)
+        except ValueError:
+            raise ValueError(f"{path}: table row {found} has an entry that is not an integer or is out of range") from None
+        if len(entries) != n:
+            raise ValueError(f"{path}: table row {found} has {len(entries)} entries, expected {n}")
+        table[found - 1] = entries
+    if found != n:
+        raise ValueError(f"{path}: expected {n} table rows, found {found + sum(1 for _ in rows)}")
+    return table
 
 
 def resolve_group(spec: str, element_cap: int = ELEMENT_CAP) -> FiniteGroup:

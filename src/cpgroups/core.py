@@ -15,7 +15,11 @@ their element orders and generators in closed form, and products the lcm
 of their factors' orders and their factors' generators; tables,
 permutations, realized subgroups and quotients power their elements prime
 by prime (:meth:`Backend.orders`) and find generators by a greedy pass
-(:meth:`Backend.generators`).
+(:meth:`Backend.generators`).  The two backends that are handed an element
+set, tables and permutations, validate it through that same pass
+(:meth:`Backend.validate`): a permutation set is closed once the products
+the pass looks up are all found, and a table is associative once Light's
+test passes at every generator the pass keeps.
 """
 
 from __future__ import annotations
@@ -529,22 +533,29 @@ class Backend:
         return group._grow(members, [], np.arange(1, self.order))
 
     def validate(self, group: "FiniteGroup") -> None:
-        """Group axioms that need the group's own algorithms; a formula needs none."""
+        """Group axioms that need the group's own algorithms, checked at
+        construction; a formula needs none.  The backends handed an element
+        set (:class:`TableBackend`, :class:`PermBackend`) check it through
+        the cached greedy pass of :meth:`FiniteGroup._generators`, so the
+        pass runs once for construction and every later reader."""
 
 
 class TableBackend(Backend):
     """A Cayley table, each product one flat gather.  Built here are the
-    checks that need no triple: the identity at index 0 and one two-sided
-    inverse per element; :func:`from_cayley`, the one maker of tables,
-    then checks associativity by Light's test (:func:`_light_test`)."""
+    checks that need no triple: a square table of entries in range, the
+    identity at index 0 and one two-sided inverse per element; the
+    table is narrowed to int32 only once its entries are known to fit, and
+    an int32 table is kept as given.  :meth:`validate` then decides
+    associativity."""
 
     def __init__(self, table: np.ndarray):
-        table = np.ascontiguousarray(table, dtype=np.int32)
+        table = np.asarray(table)
         n = self.order = len(table)
         if table.shape != (n, n):
             raise ValueError(f"table shape {table.shape} does not match order {n}")
         if table.min() < 0 or table.max() >= n:
             raise ValueError("table entry out of range")
+        table = np.ascontiguousarray(table, dtype=np.int32)
         table.setflags(write=False)
         self.table = T = table
         ar = np.arange(n)
@@ -565,6 +576,24 @@ class TableBackend(Backend):
         # widened, since a scalar's astype costs more than its gather
         out = self._flat[a * self.order + b]
         return out.astype(np.int64) if isinstance(out, np.ndarray) else out
+
+    def validate(self, group: "FiniteGroup") -> None:
+        """Associativity, decided exactly by Light's test (Clifford and
+        Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2).
+
+        The set A of the elements a with (xa)y = x(ay) for all x and y holds
+        the identity and is closed under products.  The cached greedy pass
+        of :meth:`FiniteGroup._generators` closes the reached set under right
+        multiplication by its steps, which are products of the kept
+        generators, and reaches every element; so once every kept generator
+        lies in A (:func:`_associative_at`), every element does.  The pass
+        keeps the smallest element outside the subgroup reached so far, and
+        while the checked generators lie in A each at least doubles that
+        subgroup: at most floor(log2 n) + 1 elements are checked before the
+        first that fails, |S| * n^2 lookups in all where all triples take
+        n^3."""
+        for s in group._generators():
+            _associative_at(self.table, s)
 
 
 class PermBackend(Backend):
@@ -890,8 +919,10 @@ class FiniteGroup:
 
         The formula families and products of them give theirs in closed form
         with no product; the other backends run the greedy pass
-        of :meth:`_grow` over every element, which for permutations is also
-        the closure check of construction (:meth:`PermBackend.validate`).
+        of :meth:`_grow` over every element, which for permutations and
+        tables also serves the checks of construction: closure
+        (:meth:`PermBackend.validate`) and associativity
+        (:meth:`TableBackend.validate`).
         Every reader needs only some generating set, so its results do not
         depend on which one.
         """
@@ -1178,38 +1209,8 @@ def _associative_at(T: np.ndarray, s: int) -> None:
             raise ValueError(f"multiplication is not associative at triple ({lo + x},{s},{y})")
 
 
-def _light_test(T: np.ndarray) -> None:
-    """Raise ValueError unless the operation of the Cayley table T, with
-    identity 0, is associative: Light's test (Clifford and Preston, *The
-    Algebraic Theory of Semigroups* I, 1961, §1.2).
-
-    The set A of the elements a with (xa)y = x(ay) for all x and y holds the
-    identity and is closed under products, so A is everything once some
-    S in A reaches every element by products.  S is built greedily: the
-    smallest element not yet reached is checked (:func:`_associative_at`),
-    joins S, and the reached set is closed under x -> xs for every s in S,
-    frontier by frontier, which assumes no associativity.  While S lies in
-    A the reached set is a subgroup, so each new s at least doubles it:
-    at most floor(log2 n) + 1 elements are checked, on any table, |S| * n^2
-    lookups in all where all triples take n^3.
-    """
-    reached = np.zeros(len(T), dtype=bool)
-    reached[0] = True
-    gens: list[int] = []
-    while not reached.all():
-        s = int(np.argmin(reached))
-        _associative_at(T, s)
-        gens.append(s)
-        frontier, steps = np.flatnonzero(reached), np.array([s])
-        while frontier.size:
-            prods = T[frontier[:, None], steps].ravel()
-            frontier = np.unique(prods[~reached[prods]])
-            reached[frontier] = True
-            steps = np.array(gens)
-
-
 def from_cayley(
-    table: Sequence[Sequence[int]],
+    table: Union[np.ndarray, Sequence[Sequence[int]]],
     *,
     labels: Optional[Sequence[str]] = None,
     name: str = "cayley-table",
@@ -1217,24 +1218,22 @@ def from_cayley(
     """Build a fully validated group from an n x n index matrix.
 
     A table of more than TABLE_LIMIT rows is refused before any array is
-    built.  Row/column 0 must behave as the identity, with one two-sided
-    inverse per element (:class:`TableBackend`), and associativity is
-    decided exactly by Light's test (:func:`_light_test`).
+    built.  Nested sequences are converted to int64, an entry beyond it
+    reported as out of range; an array is taken as it is, and an int32 one
+    is kept without a copy and made read-only.  :class:`TableBackend`
+    checks the shape, the range, the identity at index 0 and the two-sided
+    inverses, and its :meth:`~TableBackend.validate` decides associativity
+    by Light's test at the greedy generators.
     """
     n = len(table)
     if n > TABLE_LIMIT:
         raise CapExceededError(f"order {n} exceeds the Cayley-table cap TABLE_LIMIT={TABLE_LIMIT}")
-    try:
-        arr = np.asarray(table, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError("table entry out of range") from exc
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("Cayley table must be square")
-    if arr.min() < 0 or arr.max() >= n:
-        raise ValueError("table entry out of range")
-    backend = TableBackend(arr)
-    _light_test(backend.table)
-    return FiniteGroup(backend, labels=_generic_label if labels is None else labels, name=name)
+    if not isinstance(table, np.ndarray):
+        try:
+            table = np.array(table, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("table entry out of range") from exc
+    return FiniteGroup(TableBackend(table), labels=_generic_label if labels is None else labels, name=name)
 
 
 def generate_group(

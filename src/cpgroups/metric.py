@@ -393,6 +393,16 @@ def layer_check(g: FiniteGroup) -> LayerReport:
 
 @dataclass(frozen=True)
 class ClassReport:
+    """The classification of one group (:func:`classify`).
+
+    ``derived_length`` counts the terms of the derived series
+    (:meth:`FiniteGroup.derived_series`) down to where it stabilizes, G
+    itself included, as the ``derived_length`` record and the text
+    report's "derived series length" print it.  For a solvable group that
+    is one more than the derived length: ``dihedral:1024``, of derived
+    length 2, reads 3.
+    """
+
     name: str
     order: int
     in_cp: bool

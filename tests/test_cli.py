@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpgroups import CapExceededError, core
-from cpgroups.cli import main
+from cpgroups.cli import load_group_file, main
 from cpgroups.core import BLOCK_ENTRIES
 
 
@@ -208,6 +209,36 @@ class TestFileInputs:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
         assert "out of range" in err
+
+    @pytest.mark.parametrize(
+        "text,fault",
+        [
+            ("2\n0 1\n+0\n", "table row 2 has 1 entries, expected 2"),
+            ("2\n0 1_0\n1 0\n", "table row 1 has an entry that is not an integer or is out of range"),
+        ],
+    )
+    def test_ragged_or_unreadable_row_exit_2_naming_file_and_row(self, capsys, tmp_path, text, fault):
+        path = tmp_path / "ragged.table"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {fault}\n"
+
+    def test_table_file_is_parsed_into_the_array_the_group_keeps(self, tmp_path):
+        # one int32 table held: no list of row strings and no int64 copy
+        # beside it (the int64 copy alone is twice the table)
+        n = 2048
+        path = tmp_path / "cyclic-2048.table"
+        tokens = [str(k) for k in range(n)]
+        path.write_text(_table_text(n, [tokens[i:] + tokens[:i] for i in range(n)]))
+        tracemalloc.start()
+        try:
+            g = load_group_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.table.dtype == np.int32 and g.order == n
+        assert peak < 3 * g.table.nbytes
 
     def test_non_associative_table_exit_2(self, capsys, tmp_path):
         # Z5 with two entries of row 1 swapped: identity and inverses survive

@@ -161,9 +161,12 @@ class TestFromCayley:
         g = cg.group_from_spec(name)
         table = g.mul_outer(np.arange(g.order))
         assert all_triples_witness(table) is None
-        assert cg.from_cayley(table).order == g.order
+        h = cg.from_cayley(table)
+        assert h.order == g.order
         # each checked element at least doubles the reached subgroup
         assert len(checked) <= g.order.bit_length()
+        # the checked elements are the greedy generators, in order
+        assert checked == h._generators()
 
     @pytest.mark.parametrize("name", [e.name for e in cg.catalog_entries(60) if e.order >= 4])
     def test_every_row_swap_mutant_rejected(self, name, checked):
@@ -196,6 +199,13 @@ class TestFromCayley:
         with pytest.raises(ValueError, match=r"not associative at triple \(\d+,4,\d+\)"):
             cg.from_cayley(table)
         assert checked == [1, 4]
+
+    def test_classify_forms_no_second_greedy_pass(self, monkeypatch):
+        # construction keeps the generators its associativity check used
+        g = cg.symmetric(4)
+        h = cg.from_cayley(g.mul_outer(np.arange(g.order)))
+        monkeypatch.setattr(cg.core.Backend, "generators", lambda *_: pytest.fail("a second greedy pass"))
+        assert cg.classify(h).derived_length == cg.classify(g).derived_length
 
     @pytest.mark.parametrize("spec", ["elemab:2^12", "cyclic:4096"])
     def test_largest_tables_check_few_elements(self, spec, checked):
