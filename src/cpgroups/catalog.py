@@ -12,8 +12,11 @@ permutations.
 from __future__ import annotations
 
 import math
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -382,57 +385,76 @@ def _psl2_order(q: int) -> int:
     return q * (q * q - 1) // math.gcd(2, q - 1)
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One family: ``build`` makes the group a spec's integers name, and
+    ``members(bound)`` yields (integers, order, abelian) of each catalog group
+    of order <= bound.  A spec writes its integers as ``form``; the first must
+    be a multiple of ``per``, or the spec breaks ``rule``, and ``build`` gets it
+    divided by ``per``: ``dihedral:2n`` is ``dihedral(n)``."""
+
+    build: Callable[..., FiniteGroup]
+    members: Callable[[int], Iterator[tuple[tuple[int, ...], int, bool]]]
+    form: str = "n"
+    per: int = 1
+    rule: str = ""
+
+
+# Dihedral and dicyclic specs carry the group order, symmetric and
+# alternating the degree, elemab p and k, psl2 q.  As n! >= 2^(n-1) and
+# p^k >= 2^k, no degree or exponent above bound.bit_length() fits the bound.
+_FAMILIES: dict[str, _Family] = {
+    "cyclic": _Family(cyclic, lambda b: (((n,), n, True) for n in range(1, b + 1))),
+    "dihedral": _Family(
+        dihedral, lambda b: (((m,), m, m == 4) for m in range(4, b + 1, 2)), per=2, rule="order must be even and >= 2"
+    ),
+    "dicyclic": _Family(
+        dicyclic, lambda b: (((m,), m, False) for m in range(8, b + 1, 4)),
+        per=4, rule="order must be a positive multiple of 4",
+    ),
+    "symmetric": _Family(
+        symmetric, lambda b: (((n,), f, False) for n in range(3, b.bit_length() + 1) if (f := math.factorial(n)) <= b)
+    ),
+    "alternating": _Family(
+        alternating,
+        lambda b: (((n,), f, False) for n in range(4, b.bit_length() + 2) if (f := math.factorial(n) // 2) <= b),
+    ),
+    "elemab": _Family(
+        elementary_abelian,
+        lambda b: (
+            ((p, k), p**k, True)
+            for p in range(2, math.isqrt(b) + 1) if is_prime(p)
+            for k in range(2, b.bit_length()) if p**k <= b
+        ),
+        form="p^k",
+    ),
+    "psl2": _Family(psl2, lambda b: (((q,), _psl2_order(q), False) for q in SUPPORTED_PSL_Q if _psl2_order(q) <= b)),
+}
+
+
 def catalog_entries(max_order: int) -> list[CatalogEntry]:
     """Deterministic catalog of named groups with order <= max_order.
 
-    Sorted by (order, name); names double as CLI group identifiers.  The
-    ``abelian`` flag is structural (known from the family), letting sweeps
-    skip construction when only nonabelian groups matter.
+    Sorted by (order, name); names double as CLI group identifiers, and
+    each entry builds its group from its name.  The ``abelian`` flag is
+    structural (known from the family), letting sweeps skip construction
+    when only nonabelian groups matter.
     """
     check_element_cap(max_order, "max_order")
-    entries: list[CatalogEntry] = []
-
-    def add(name, order, family, abelian, build):
-        entries.append(CatalogEntry(name, order, family, abelian, build))
-
-    for n in range(1, max_order + 1):
-        add(f"cyclic:{n}", n, "cyclic", True, lambda n=n: cyclic(n))
-    for n in range(2, max_order // 2 + 1):
-        add(f"dihedral:{2*n}", 2 * n, "dihedral", n <= 2, lambda n=n: dihedral(n))
-    for n in range(2, max_order // 4 + 1):
-        add(f"dicyclic:{4*n}", 4 * n, "dicyclic", False, lambda n=n: dicyclic(n))
-    n = 3
-    while math.factorial(n) <= max_order:
-        add(f"symmetric:{n}", math.factorial(n), "symmetric", False, lambda n=n: symmetric(n))
-        n += 1
-    n = 4
-    while math.factorial(n) // 2 <= max_order:
-        add(f"alternating:{n}", math.factorial(n) // 2, "alternating", False, lambda n=n: alternating(n))
-        n += 1
-    p = 2
-    while p * p <= max_order:
-        if is_prime(p):
-            k = 2
-            while p**k <= max_order:
-                add(f"elemab:{p}^{k}", p**k, "elemab", True, lambda p=p, k=k: elementary_abelian(p, k))
-                k += 1
-        p += 1
-    for a in range(2, max_order + 1):
-        if a * a > max_order:
-            break
-        for b in range(a, max_order // a + 1):
-            add(
-                f"product:cyclic:{a},cyclic:{b}",
-                a * b,
-                "product",
-                True,
-                lambda a=a, b=b: direct_product(cyclic(a), cyclic(b)),
-            )
-    for q in SUPPORTED_PSL_Q:
-        if _psl2_order(q) <= max_order:
-            add(f"psl2:{q}", _psl2_order(q), "psl2", False, lambda q=q: psl2(q))
-    entries.sort(key=lambda e: (e.order, e.name))
-    return entries
+    rows = [
+        (f"{family}:{'^'.join(map(str, ints))}", order, family, abelian)
+        for family, row in _FAMILIES.items()
+        for ints, order, abelian in row.members(max_order)
+    ]
+    factors = [(name, order) for name, order, family, _ in rows if family == "cyclic" and order > 1]
+    orders = [order for _, order in factors]
+    rows += [
+        (f"product:{a},{b}", m * n, "product", True)
+        for i, (a, m) in enumerate(factors)
+        for b, n in factors[i : bisect_right(orders, max_order // m)]
+    ]
+    rows.sort(key=lambda row: (row[1], row[0]))
+    return [CatalogEntry(*row, partial(group_from_spec, row[0])) for row in rows]
 
 
 def catalog_iter(max_order: int) -> Iterator[tuple[str, FiniteGroup]]:
@@ -447,9 +469,9 @@ def catalog_iter(max_order: int) -> Iterator[tuple[str, FiniteGroup]]:
 def group_from_spec(spec: str) -> FiniteGroup:
     """Resolve a CLI identifier like ``cyclic:6`` or ``psl2:7`` to a group.
 
-    Dihedral and dicyclic identifiers carry the group order, symmetric and
-    alternating the degree, elemab a ``p^k`` pair, and product exactly two
-    comma-separated specs of any other family (``product:symmetric:3,cyclic:2``).
+    A family name from the family table, then its integers in ASCII
+    decimal digits; or product and exactly two comma-separated specs of
+    any other family (``product:symmetric:3,cyclic:2``).
     """
     spec = spec.strip()
     if spec.startswith("product:"):
@@ -461,37 +483,33 @@ def group_from_spec(spec: str) -> FiniteGroup:
     if ":" not in spec:
         raise ValueError(f"unrecognized group spec {spec!r}")
     family, _, arg = spec.partition(":")
-    if family == "cyclic":
-        return cyclic(_positive_int(arg, spec))
-    if family == "dihedral":
-        order = _positive_int(arg, spec)
-        if order % 2 or order < 2:
-            raise ValueError(f"dihedral order must be even and >= 2: {spec!r}")
-        return dihedral(order // 2)
-    if family == "dicyclic":
-        order = _positive_int(arg, spec)
-        if order % 4 or order < 4:
-            raise ValueError(f"dicyclic order must be a positive multiple of 4: {spec!r}")
-        return dicyclic(order // 4)
-    if family == "symmetric":
-        return symmetric(_positive_int(arg, spec))
-    if family == "alternating":
-        return alternating(_positive_int(arg, spec))
-    if family == "elemab":
-        if "^" not in arg:
-            raise ValueError(f"elemab spec must look like elemab:p^k: {spec!r}")
-        p_s, _, k_s = arg.partition("^")
-        return elementary_abelian(_positive_int(p_s, spec), _positive_int(k_s, spec))
-    if family == "psl2":
-        return psl2(_positive_int(arg, spec))
-    raise ValueError(f"unknown group family {family!r}")
+    row = _FAMILIES.get(family)
+    if row is None:
+        raise ValueError(f"unknown group family {family!r}")
+    seps = row.form.count("^")
+    texts = arg.split("^", seps)
+    if len(texts) <= seps:
+        raise ValueError(f"{family} spec must look like {family}:{row.form}: {spec!r}")
+    first, *rest = [_positive_int(text, spec) for text in texts]
+    if first % row.per:
+        raise ValueError(f"{family} {row.rule}: {spec!r}")
+    return row.build(first // row.per, *rest)
+
+
+def decimal(text: str) -> Optional[int]:
+    """The integer text spells in ASCII digits, with an optional minus sign and
+    whitespace around it; None for the plus sign, underscores and non-ASCII
+    digits that int() also accepts, and anything else."""
+    try:
+        return int(text) if re.fullmatch(r"\s*-?[0-9]+\s*", text) else None
+    except ValueError:  # above int()'s limit on digits
+        return None
 
 
 def _positive_int(text: str, spec: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"bad integer in group spec {spec!r}") from None
+    value = decimal(text)
+    if value is None:
+        raise ValueError(f"bad integer in group spec {spec!r}")
     if value < 1:
         raise ValueError(f"value must be positive in group spec {spec!r}")
     return value

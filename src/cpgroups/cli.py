@@ -2,7 +2,8 @@
 
 Groups are named by family identifiers (``cyclic:6``, ``dihedral:8``,
 ``dicyclic:8``, ``symmetric:4``, ``alternating:5``, ``elemab:2^3``,
-``product:cyclic:2,cyclic:3``, ``psl2:7``) or by input files: a Cayley
+``product:cyclic:2,cyclic:3``, ``psl2:7``), the names the catalog lists,
+whose integers are ASCII decimal digits; or by input files: a Cayley
 table (first line n, then n rows of 0-based indices with the identity at
 index 0) or a generator list (first line ``degree: k``, then one 1-based
 cycle word per line).  Products apply the left factor first.
@@ -21,7 +22,7 @@ from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
-from .catalog import catalog_iter, group_from_spec
+from .catalog import catalog_iter, decimal, group_from_spec
 from .core import (
     BLOCK_ENTRIES,
     ELEMENT_CAP,
@@ -46,8 +47,11 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by 
 def positive_int(text: str) -> int:
     """An argparse type: an integer of at least 1, so a bound or cap below 1
     exits 2 with a usage error instead of running an empty sweep or
-    refusing every group as over the cap."""
-    value = int(text)
+    refusing every group as over the cap.  Its digits are ASCII, as in a
+    group spec: ``1_0``, ``+4`` and non-ASCII digits are not integers here."""
+    value = decimal(text)
+    if value is None:
+        raise ValueError(text)  # argparse reports an invalid positive_int value
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -62,8 +66,13 @@ def load_group_file(path: str, element_cap: int = ELEMENT_CAP) -> FiniteGroup:
         if header is None:
             raise ValueError(f"{path}: empty group file")
         if not header.lower().startswith("degree:"):
-            return from_cayley(_read_table(path, int(header), lines), name=name)
-        degree = int(header.split(":", 1)[1])
+            n = decimal(header)
+            if n is None or n < 0:
+                raise ValueError(f"{path}: header {header!r} is neither a table order in digits nor 'degree: k'")
+            return from_cayley(_read_table(path, n, lines), name=name)
+        degree = decimal(header.split(":", 1)[1])
+        if degree is None or degree < 1:
+            raise ValueError(f"{path}: header {header!r} needs a degree of at least 1 in digits")
         if degree > BLOCK_ENTRIES:
             raise CapExceededError(f"{path}: degree {degree} exceeds BLOCK_ENTRIES={BLOCK_ENTRIES}, the width of one block")
         gens = [parse_cycles(word, degree) for word in lines]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -341,10 +342,21 @@ class TestCatalog:
         assert first == second
         for name in first:
             assert cg.group_from_spec(name).order <= 30
+        # every name up to the cap on orders round-trips through the parser
+        for entry in cg.catalog_entries(4096):
+            g = cg.group_from_spec(entry.name)
+            assert (g.name, g.order) == (entry.name, entry.order)
 
     def test_abelian_flag_is_accurate(self):
-        for entry in cg.catalog_entries(30):
+        for entry in cg.catalog_entries(200):
             assert entry.build().is_abelian == entry.abelian, entry.name
+
+    def test_names_and_orders_match_the_classify_golden(self):
+        # the order of tests/golden/classify-512.records, which CI compares
+        # with the full classify output, without building a group
+        golden = Path(__file__).parent / "golden" / "classify-512.records"
+        expected = [tuple(line.split()[:2]) for line in golden.read_text().splitlines()]
+        assert [(f"name={e.name}", f"order={e.order}") for e in cg.catalog_entries(512)] == expected
 
     def test_entry_orders_match_built_groups(self):
         for entry in cg.catalog_entries(26):
@@ -378,6 +390,76 @@ class TestGroupFromSpec:
         assert int((g.order_table().orders == 2).sum()) == 1
 
     def test_bad_specs(self):
-        for bad in ("dihedral:7", "dicyclic:10", "elemab:4^2", "elemab:8", "nosuch:3", "cyclic:0", "cyclic:x", "product:cyclic:2"):
+        for bad in (
+            "dihedral:7", "dicyclic:10", "elemab:4^2", "elemab:8", "nosuch:3", "cyclic:0", "cyclic:x", "product:cyclic:2",
+            "cyclic:1_0", "cyclic:+4", "cyclic:\u0663",
+        ):
             with pytest.raises(ValueError):
                 cg.group_from_spec(bad)
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("dihedral:7", "dihedral order must be even and >= 2: 'dihedral:7'"),
+            ("dihedral:1", "dihedral order must be even and >= 2: 'dihedral:1'"),
+            ("dihedral:0", "value must be positive in group spec 'dihedral:0'"),
+            ("dicyclic:10", "dicyclic order must be a positive multiple of 4: 'dicyclic:10'"),
+            ("dicyclic:2", "dicyclic order must be a positive multiple of 4: 'dicyclic:2'"),
+            ("elemab:4^2", "4 is not prime"),
+            ("elemab:1^2", "1 is not prime"),
+            ("elemab:8", "elemab spec must look like elemab:p^k: 'elemab:8'"),
+            ("elemab:2^0", "value must be positive in group spec 'elemab:2^0'"),
+            ("elemab:x^2", "bad integer in group spec 'elemab:x^2'"),
+            ("elemab:2^3^4", "bad integer in group spec 'elemab:2^3^4'"),
+            ("elemab:2^", "bad integer in group spec 'elemab:2^'"),
+            ("nosuch:3", "unknown group family 'nosuch'"),
+            ("Cyclic:3", "unknown group family 'Cyclic'"),
+            (":3", "unknown group family ''"),
+            ("nosuch", "unrecognized group spec 'nosuch'"),
+            ("cyclic 3", "unrecognized group spec 'cyclic 3'"),
+            ("  ", "unrecognized group spec ''"),
+            ("cyclic:0", "value must be positive in group spec 'cyclic:0'"),
+            ("cyclic:00", "value must be positive in group spec 'cyclic:00'"),
+            ("cyclic:-3", "value must be positive in group spec 'cyclic:-3'"),
+            ("cyclic:x", "bad integer in group spec 'cyclic:x'"),
+            (" cyclic:x ", "bad integer in group spec 'cyclic:x'"),
+            ("cyclic:", "bad integer in group spec 'cyclic:'"),
+            ("cyclic:2.5", "bad integer in group spec 'cyclic:2.5'"),
+            ("cyclic:2^3", "bad integer in group spec 'cyclic:2^3'"),
+            pytest.param(
+                "cyclic:" + "9" * 5000, "bad integer in group spec 'cyclic:" + "9" * 5000 + "'", id="above-int-digit-limit"
+            ),
+            ("cyclic:1_0", "bad integer in group spec 'cyclic:1_0'"),
+            ("cyclic:+4", "bad integer in group spec 'cyclic:+4'"),
+            ("cyclic:\u0663", "bad integer in group spec 'cyclic:\u0663'"),
+            ("symmetric:0", "value must be positive in group spec 'symmetric:0'"),
+            ("alternating:0", "value must be positive in group spec 'alternating:0'"),
+            ("psl2:0", "value must be positive in group spec 'psl2:0'"),
+            ("psl2:6", "unsupported q=6; supported: (2, 3, 4, 5, 7, 8, 9, 11, 13, 17)"),
+            ("product:cyclic:2", "product spec needs exactly two components: 'product:cyclic:2'"),
+            ("product:", "product spec needs exactly two components: 'product:'"),
+            ("product:a,b,c", "product spec needs exactly two components: 'product:a,b,c'"),
+            ("product:cyclic:2,nosuch:3", "unknown group family 'nosuch'"),
+            ("product:cyclic:2,dihedral:3", "dihedral order must be even and >= 2: 'dihedral:3'"),
+        ],
+    )
+    def test_error_messages(self, spec, message):
+        with pytest.raises(ValueError) as caught:
+            cg.group_from_spec(spec)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "spec,name,order",
+        [
+            ("dihedral:2", "dihedral:2", 2),
+            ("dicyclic:4", "dicyclic:4", 4),
+            ("symmetric:1", "symmetric:1", 1),
+            ("alternating:2", "alternating:2", 1),
+            ("cyclic: 5", "cyclic:5", 5),
+            ("elemab: 2 ^ 3 ", "elemab:2^3", 8),
+            ("product: cyclic:2 , cyclic:3", "product:cyclic:2,cyclic:3", 6),
+        ],
+    )
+    def test_degenerate_and_spaced_specs_resolve(self, spec, name, order):
+        g = cg.group_from_spec(spec)
+        assert (g.name, g.order) == (name, order)

@@ -54,6 +54,13 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("spec", ["cyclic:1_0", "cyclic:+4", "cyclic:\u0663", "elemab:8"])
+    def test_malformed_spec_exit_2_without_a_traceback(self, capsys, spec):
+        # int() alone reads the first three as cyclic:10, cyclic:4 and cyclic:3
+        code, out, err = run_cli(capsys, "analyze", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_cap_exceeded_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "cyclic:20000")
         assert code == 3
@@ -281,6 +288,24 @@ class TestFileInputs:
         assert (code, out) == (2, "")
         assert "no rows" in err
 
+    @pytest.mark.parametrize(
+        "header,fault",
+        [
+            ("x", "header 'x' is neither a table order in digits nor 'degree: k'"),
+            ("+3", "header '+3' is neither a table order in digits nor 'degree: k'"),
+            ("degree: x", "header 'degree: x' needs a degree of at least 1 in digits"),
+            ("degree:", "header 'degree:' needs a degree of at least 1 in digits"),
+            ("degree: 0", "header 'degree: 0' needs a degree of at least 1 in digits"),
+            ("degree: 1_0", "header 'degree: 1_0' needs a degree of at least 1 in digits"),
+        ],
+    )
+    def test_bad_header_exit_2_naming_file_and_header(self, capsys, tmp_path, header, fault):
+        path = tmp_path / "bad-header.txt"
+        path.write_text(f"{header}\n(1 2)\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {fault}\n"
+
     def test_bad_generator_word_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.gens"
         path.write_text("degree: 3\n(1 9)\n")
@@ -361,7 +386,7 @@ class TestClassify:
         def refuse(*args, **kwargs):
             raise AssertionError("a group was built")
 
-        monkeypatch.setattr(catalog, "cyclic", refuse)
+        monkeypatch.setattr(catalog, "group_from_spec", refuse)  # every catalog entry builds through it
         code, out, err = run_cli(capsys, "classify", "--max-order", "10001")
         assert code == 3
         assert out == ""
@@ -378,6 +403,15 @@ class TestClassify:
         assert "--max-order: must be at least 1" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("bound", ["1_0", "+4", "٣", "x"])
+    def test_max_order_not_in_ascii_digits_exit_2(self, capsys, bound):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--max-order", bound])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max-order: invalid positive_int value: {bound!r}" in captured.err
+
     def test_reruns_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         assert run_cli(capsys, "classify", "--max-order", "16", "--output", str(a))[0] == 0
@@ -393,8 +427,7 @@ class TestVerify:
         def refuse(*args, **kwargs):
             raise AssertionError("a group was built")
 
-        for family in ("cyclic", "dihedral", "dicyclic", "symmetric", "alternating"):
-            monkeypatch.setattr(catalog, family, refuse)
+        monkeypatch.setattr(catalog, "group_from_spec", refuse)  # every catalog entry builds through it
         code, out, err = run_cli(capsys, "verify", target, "--max-order", "10001")
         assert code == 3
         assert out == ""
