@@ -482,21 +482,21 @@ class Backend:
         """Elementwise products of two int64 index arrays broadcast together, or of two ints."""
         raise NotImplementedError
 
-    def powers(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x[i]^k for every entry of an int64 index vector, k >= 0, by
-        repeated squaring: one :meth:`mul_pairs` round per squaring and per
-        set bit of k after the lowest."""
+    def powers(self, x: Union[int, np.ndarray], k: int) -> Union[int, np.ndarray]:
+        """x^k for an element x, or x[i]^k for every entry of an int64 index
+        array, k >= 0, by repeated squaring: one :meth:`mul_pairs` round per
+        squaring and per set bit of k after the lowest.  k = 1 returns x
+        itself, and k = 0 the identity in x's shape."""
         if k < 0:
             raise ValueError("negative powers: use inv[] first")
-        base = np.array(x, dtype=np.int64)  # a copy: k = 1 returns it
-        acc = None
+        base, acc = x, None
         while k:
             if k & 1:
                 acc = base if acc is None else self.mul_pairs(acc, base)
             k >>= 1
             if k:
                 base = self.mul_pairs(base, base)
-        return np.zeros(len(base), dtype=np.int64) if acc is None else acc
+        return np.zeros_like(base) if acc is None else acc
 
     def orders(self) -> np.ndarray:
         """Every element's order as int64, one prime at a time: for each
@@ -726,23 +726,14 @@ class FiniteGroup:
         return out
 
     def powers(self, x: np.ndarray, k: int) -> np.ndarray:
-        """x[i]^k for every entry of an index vector, k >= 0 (:meth:`Backend.powers`)."""
+        """x[i]^k for every entry of an index vector, k >= 0 (:meth:`Backend.powers`);
+        for k = 1 an int64 array x comes back itself, not a copy."""
         return self.backend.powers(np.asarray(x, dtype=np.int64), k)
 
     def power(self, i: int, k: int) -> int:
-        """i^k for k >= 0, by repeated squaring on Python ints through
-        :meth:`mul`, as :meth:`Backend.powers` squares a vector: a formula
-        backend multiplies ints several times faster than 1-element arrays."""
-        if k < 0:
-            raise ValueError("negative powers: use inv[] first")
-        base, acc = int(i), None
-        while k:
-            if k & 1:
-                acc = base if acc is None else self.mul(acc, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return 0 if acc is None else acc
+        """i^k for k >= 0 (:meth:`Backend.powers` on a Python int: a formula
+        backend multiplies ints several times faster than 1-element arrays)."""
+        return int(self.backend.powers(int(i), k))
 
     def label(self, i: int) -> str:
         """The label of element i, rendered on its own."""
@@ -1117,7 +1108,7 @@ class FiniteGroup:
             name=f"{self.name}[sub:{m}]",
         )
 
-    def quotient(self, sub: SubgroupSet) -> "FiniteGroup":
+    def quotient(self, sub: Union[SubgroupSet, np.ndarray]) -> "FiniteGroup":
         """Quotient by a normal subgroup; identity coset lands at index 0.
 
         N is certified normal by :meth:`_certify`, whose generators S of N
@@ -1128,8 +1119,8 @@ class FiniteGroup:
         (:class:`_ImageBackend`), with no table, so at any order up to the
         parent's."""
         idx = self._member_indices(sub, "normal subgroup")
-        n = self.order
-        qn = n // sub.size
+        n, m = self.order, len(idx)
+        qn = n // m
         members = np.zeros(n, dtype=bool)
         members[idx] = True
         closed, normal, gens = self._certify(members)
@@ -1144,11 +1135,11 @@ class FiniteGroup:
         if len(reps) != qn:
             raise RuntimeError("coset count mismatch")
         # row c: the members of coset c in ascending order, each coset of size |N|
-        cosets = np.argsort(coset_of, kind="stable").reshape(qn, sub.size)
+        cosets = np.argsort(coset_of, kind="stable").reshape(qn, m)
         return FiniteGroup(
             _ImageBackend(self.backend, reps, coset_of),
             labels=_coset_labels(self._label, cosets),
-            name=f"{self.name}/N{sub.size}",
+            name=f"{self.name}/N{m}",
         )
 
 

@@ -49,43 +49,57 @@ from .metric import PAIR_CONDITIONS, PairCondition, is_cp, non_prime_power_eleme
 GroupPredicate = Callable[[FiniteGroup], Union[bool, tuple]]
 
 
-def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _join_closure(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     r"""Every subgroup of g as a member row packed to words, and its size,
-    each made once, from the member masks ``cyclic[x]`` of the <x>: the
-    canonical-parent rule of :func:`core._canonical_joins` on the elements.
+    each made once by the canonical-parent rule of
+    :func:`core._canonical_joins` on the elements.
 
-    The atoms are the atom generators, each the smallest member of <x> of
-    order o(x) for some x: a chain element of a subgroup K lies in K and not
-    in the span of the chain before it, and so does that smallest member.
-    Atom a is ``below`` the h for which the atom generator of <h*a> lies
-    below a.  For h in H and a outside H, h*a lies in K \ H, K = <H, a>,
-    and so does the generator of <h*a>, so K would be dropped; and a^-1 is
-    one of those h, since <a^-1*a> = <e>, so a row that holds a is left out.
+    The atoms are the atom generators, each the smallest generator of its
+    cyclic subgroup: a chain element of a subgroup K lies in K and not in
+    the span of the chain before it, and so does the atom generator of its
+    <x>.  They come in ascending order, as the elements that no smaller
+    atom has reached: each atom a forms its map x -> x*a once, |G|
+    products, and walks it from e to mark every a^k with gcd(k, o(a)) = 1
+    as generated by a.  Atom a is ``below`` the h for which the atom
+    generator of <h*a> lies below a: the h whose h*a is marked when a is
+    reached, since only the smaller atoms have marked elements by then.
+    For h in H and a outside H, h*a lies in K \ H, K = <H, a>, and so does
+    the generator of <h*a>, so K would be dropped; and a^-1 is one of those
+    h, since <a^-1*a> = <e>, so a row that holds a is left out.
 
     In an abelian group the join of H and <a> is the product H<a>: the batch
-    is closed under the right shifts by a, a^2, a^4, ... (a^(2^k) for 2^k <
-    o(a)), one vectorized pass each.  Otherwise K is the coset of the
+    is closed under the maps x -> x*a^(2^k) for 2^k < o(a), the map of a
+    composed with itself, with no product.  Otherwise K is the coset of the
     identity under right multiplication by H's chain and a, which generate
-    it, read off the maps x -> x*a of the atoms (:func:`core._coset_roots`).
+    it, read off the maps of the atoms (:func:`core._coset_roots`).
     """
+    n = g.order
     orders = g.order_table().orders
     abelian = g.is_abelian
-    ar = np.arange(g.order)
-    # the atom generator of <x>, for every x
-    generator = (cyclic & (orders == orders[:, None])).argmax(axis=1)
-    atoms = np.flatnonzero(generator == ar)[1:]
-    # row t: x*a for every x, a = atoms[t]
-    right = np.empty((len(atoms), g.order), dtype=np.int32)
-    below = np.empty((len(atoms), -(-g.order // 64)), dtype=np.uint64)
-    shifts: list[list[np.ndarray]] = [[] for _ in atoms]
-    for t, a in enumerate(atoms.tolist()):
-        right[t] = g.mul_outer(ar, np.array([a]))[:, 0]
-        below[t] = _words((generator[right[t]] < a)[None])
-        power, reach = a, 1
-        while abelian and reach < orders[a]:
-            # x*c for every x: in an abelian group that is the row c*x
-            shifts[t].append(g.mul_outer(g.inv[[power]])[0])
-            power, reach = g.mul(power, power), 2 * reach
+    # for each element order d, the exponents k < d prime to d; a cyclic
+    # subgroup of order d has that many generators, and every one but <e>
+    # has one atom
+    coprime = {d: np.gcd(np.arange(d), d) == 1 for d in np.unique(orders).tolist()}
+    count = sum(int((orders == d).sum()) // int(k.sum()) for d, k in coprime.items()) - 1
+    right = np.empty((count, n), dtype=np.int32)
+    below = np.empty(right.shape, dtype=bool)
+    # the atom generator of <x> for every x marked so far, n for the rest
+    generator = np.where(np.arange(n) > 0, n, 0)
+    atoms, shifts = [], []
+    for a in range(1, n):
+        if generator[a] < n:
+            continue
+        t, o = len(atoms), int(orders[a])
+        atoms.append(a)
+        right[t] = g.mul_outer(np.arange(n), [a])[:, 0]
+        below[t] = generator[right[t]] < a
+        # the powers a^k, k < 2^j, along the row, and the map x -> x*a^(2^j)
+        powers, maps = np.zeros(1, dtype=np.int32), [right[t]]
+        while len(powers) < o:
+            powers = np.concatenate([powers, maps[-1][powers]])
+            maps.append(maps[-1][maps[-1]])
+        generator[powers[:o][coprime[o]]] = a
+        shifts.append(maps[:-1] if abelian else None)
 
     def join(t, rows, chains, sel):
         if not abelian:
@@ -94,7 +108,7 @@ def _join_closure(g: FiniteGroup, cyclic: np.ndarray) -> tuple[np.ndarray, np.nd
             rows |= rows[:, shift]
         return rows
 
-    return _canonical_joins(g.order, atoms, below, join)
+    return _canonical_joins(n, np.array(atoms, dtype=np.int64), _words(below), join)
 
 
 def _lattice(g: FiniteGroup, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,14 +123,7 @@ def _lattice(g: FiniteGroup, cap: int) -> tuple[np.ndarray, np.ndarray]:
 def _subgroup_lattice(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """Every subgroup of g as a row of words, sorted by (size, bitset), and
     its size, validated as closed and kept read-only."""
-    n = g.order
-    ar = np.arange(n)
-    cyclic = np.zeros((n, n), dtype=bool)
-    power = ar
-    for _ in range(g.order_table().max_order):
-        cyclic[ar, power] = True
-        power = g.mul_pairs(power, ar)
-    words, sizes = _sorted_subgroups(*_join_closure(g, cyclic))
+    words, sizes = _sorted_subgroups(*_join_closure(g))
     if not closure_verdicts(g, words, sizes).all():
         raise RuntimeError("enumerated subgroup failed closure validation")
     words.flags.writeable = sizes.flags.writeable = False
@@ -126,9 +133,9 @@ def _subgroup_lattice(g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
 def all_subgroups(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupSet]:
     """Every subgroup of g, sorted by (size, bitset), each made once.
 
-    This is :func:`_join_closure` over the cyclic subgroups <x>, whose
-    members come from one vectorized pass of max_order products x^k * x
-    over all x at once.  Groups of order above ``cap`` raise
+    This is :func:`_join_closure` over the atom generators of the cyclic
+    subgroups, which forms |G| products per atom, its map x -> x*a, and
+    no other product before the check.  Groups of order above ``cap`` raise
     CapExceededError before any work, and the subgroups found are validated
     as closed under multiplication in one batch
     (:func:`core.closure_verdicts`).  The sorted words and sizes are cached

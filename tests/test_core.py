@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -583,6 +584,20 @@ class TestQuotient:
         t, x = int(np.flatnonzero(orders == 2)[0]), int(np.flatnonzero(orders == 3)[0])
         with pytest.raises(ValueError, match="index set is not a subgroup"):
             s3.quotient(cg.SubgroupSet.from_indices([0, t, x]))
+
+    def test_index_array_as_for_subgroup(self, s3):
+        a3 = np.flatnonzero(s3.order_table().orders != 2)
+        by_set = s3.quotient(cg.SubgroupSet.from_indices(a3))
+        for members in (a3, a3.tolist()):
+            q = s3.quotient(members)
+            assert (q.order, q.name, q.labels) == (2, by_set.name, by_set.labels)
+            assert s3.subgroup(members).order == 3
+
+    def test_coset_size_is_the_member_count_not_the_size_field(self, s3):
+        a3 = cg.SubgroupSet.from_indices(np.flatnonzero(s3.order_table().orders != 2))
+        q = s3.quotient(dataclasses.replace(a3, size=2))
+        assert (q.order, q.name) == (2, s3.quotient(a3).name)
+        assert q.labels == s3.quotient(a3).labels
 
 
 class TestDerivedGroupsAboveTheTableLimit:

@@ -184,6 +184,55 @@ class TestAllSubgroups:
         assert max(graphs) <= 120 and max(formed) <= 480
         assert len(graphs) > len(batches)
 
+    @pytest.mark.parametrize(
+        "spec,atoms", [("cyclic:128", 7), ("elemab:2^7", 127), ("symmetric:4", 16)]
+    )
+    def test_one_map_per_atom_and_no_other_product(self, monkeypatch, spec, atoms):
+        # one atom per nontrivial cyclic subgroup, each forming its map
+        # x -> x*a; the powers, the generators and the abelian shifts are
+        # read off those maps, so nothing else is multiplied before the check
+        g = cg.group_from_spec(spec)
+        g.order_table(), g._generators(), g.is_abelian
+        formed = []
+        mul_pairs = g.backend.mul_pairs
+
+        def counting(a, b):
+            formed.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+            return mul_pairs(a, b)
+
+        class Checked(Exception):
+            pass
+
+        def stop(*_):
+            raise Checked
+
+        monkeypatch.setattr(g.backend, "mul_pairs", counting)
+        monkeypatch.setattr(subgroups_module, "closure_verdicts", stop)
+        with pytest.raises(Checked):
+            all_subgroups(g)
+        assert sum(formed) == atoms * g.order
+
+    @pytest.mark.parametrize(
+        "spec,size,limit", [("cyclic:4096", 13, 4 << 20), ("dihedral:1000", 1104, 6_000_000)]
+    )
+    def test_no_n_by_n_array(self, spec, size, limit):
+        # the join closure alone, after a warm-up call (the first call in a
+        # process pulls in numpy modules).  cyclic:4096 peaks at 1.6 MB, where
+        # an n x n bool matrix takes 16.8 MB.  dihedral:1000 peaks at 4.6 MB:
+        # its 511 int32 maps (2.0 MB) and the bool below rows (0.5 MB) are
+        # held through the joins; int64 maps would break the bound
+        subgroups_module._join_closure(cg.group_from_spec("dihedral:12"))
+        g = cg.group_from_spec(spec)
+        g.order_table(), g._generators(), g.is_abelian
+        tracemalloc.start()
+        try:
+            _, sizes = subgroups_module._join_closure(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == size
+        assert peak < limit
+
     @pytest.mark.parametrize("normal", [False, True])
     def test_a_row_that_is_not_closed_is_refused(self, monkeypatch, normal):
         # {e, x} with o(x) = 3 is not closed, and it joins the batch of the
