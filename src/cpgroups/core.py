@@ -12,14 +12,16 @@ their factors' backends, and realized subgroups and quotients through
 their parent's backend (:class:`_ImageBackend`).  These hold no n x n
 array at any order up to ELEMENT_CAP.  The formula families give
 their element orders and generators in closed form, and products the lcm
-of their factors' orders and their factors' generators; tables,
-permutations, realized subgroups and quotients power their elements prime
-by prime (:meth:`Backend.orders`) and find generators by a greedy pass
-(:meth:`Backend.generators`).  The two backends that are handed an element
-set, tables and permutations, validate it through that same pass
-(:meth:`Backend.validate`): a permutation set is closed once the products
-the pass looks up are all found, and a table is associative once Light's
-test passes at every generator the pass keeps.
+of their factors' orders and their factors' generators; permutations read
+their orders off their cycles (:meth:`PermBackend.orders`); tables,
+realized subgroups and quotients power their elements prime by prime
+(:meth:`Backend.orders`); and all but the formulas and products find
+generators by a greedy pass (:meth:`Backend.generators`).  The two
+backends that are handed an element set, tables and permutations,
+validate it through that same pass (:meth:`Backend.validate`): a
+permutation set is closed once the products the pass looks up are all
+found, and a table is associative once Light's test passes at every
+generator the pass keeps.
 """
 
 from __future__ import annotations
@@ -470,9 +472,10 @@ class Backend:
 
     :meth:`orders` powers the elements prime by prime through
     :meth:`mul_pairs`, and :meth:`generators` runs the greedy pass of
-    :meth:`FiniteGroup._grow` over every element; a backend whose orders or
-    generators have a closed form (the formula families, and products
-    through their factors) overrides them and forms no product."""
+    :meth:`FiniteGroup._grow` over every element; a backend that has its
+    orders or generators another way overrides them and forms no product:
+    the formula families and products in closed form, and permutations
+    their orders from their cycles (:meth:`PermBackend.orders`)."""
 
     width = 1
     table: Optional[np.ndarray] = None
@@ -504,7 +507,9 @@ class Backend:
         order the p-part of o(x), and that is p^k for the number k of p-th
         powers that take y to the identity.  All elements advance at once
         through :meth:`powers`, so this costs O(omega(n) log n)
-        :meth:`mul_pairs` rounds, not max o(x)."""
+        :meth:`mul_pairs` rounds, not max o(x).  Tables, realized subgroups
+        and quotients use it; the other backends override it, and the
+        tests keep it as the oracle of those overrides."""
         n = self.order
         orders = np.ones(n, dtype=np.int64)
         for p in distinct_primes(n):
@@ -602,16 +607,19 @@ class PermBackend(Backend):
     so no n x n array is held at any order."""
 
     def __init__(self, perms: np.ndarray):
-        perms = np.ascontiguousarray(perms, dtype=_perm_dtype(perms.shape[1]))
+        perms = _perm_rows(perms)
         if not np.array_equal(perms[0], np.arange(perms.shape[1])):
             raise ValueError("identity permutation is not at index 0")
+        # invp[i, P[i, x]] = x inverts row i where it is a bijection; a row
+        # that misses a point y leaves invp[i, y] = 0, and P[i, 0] != y
+        invp = np.zeros_like(perms)
+        cols = np.broadcast_to(np.arange(perms.shape[1], dtype=perms.dtype), perms.shape)
+        np.put_along_axis(invp, perms, cols, axis=1)
+        _refuse_rows((np.take_along_axis(perms, invp, axis=1) != cols).any(axis=1), perms)
         perms.setflags(write=False)
         self.perms = perms
         self.order, self.width = perms.shape
         self._index = _PermIndex(perms)
-        invp = np.empty_like(perms)
-        cols = np.arange(self.width, dtype=perms.dtype)
-        np.put_along_axis(invp, perms, np.broadcast_to(cols, perms.shape), axis=1)
         self.inv = self._index.lookup(invp).astype(np.int32)
 
     def mul_pairs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -620,6 +628,43 @@ class PermBackend(Backend):
         # about 2x faster than take_along_axis of the rows of b by those of a
         rows = P.ravel()[np.multiply(b, self.width)[..., None] + P[a]]
         return self._index.lookup(rows.reshape(-1, self.width)).reshape(rows.shape[:-1])
+
+    def orders(self) -> np.ndarray:
+        """o(x) as the lcm of the cycle lengths of x, read off the image
+        arrays with no product and no index lookup (Holt, Eick and O'Brien,
+        *Handbook of Computational Group Theory*, 2005).
+
+        Pointer doubling labels each point with the least point of its
+        cycle: with label(x) = x and jump = x's image, each round sets
+        label = min(label, label[jump]) and squares jump, so the label
+        covers twice as many points of the cycle from x, until they number
+        at least the degree.  A point's cycle length is then the count of
+        the points of its row that share its label, one bincount.  That is
+        O(log degree) gathers, where following each point one step per
+        round would take as many rounds as the longest cycle; rows go in
+        blocks of :func:`rows_per_block`, so no temporary exceeds
+        BLOCK_ENTRIES entries.
+        """
+        P, deg = self.perms, self.width
+        orders = np.empty(self.order, dtype=np.int64)
+        step = rows_per_block(deg)
+        for lo in range(0, self.order, step):
+            rows = P[lo : lo + step]
+            # point x of row r at r*deg + x: int32 gathers, as a block has
+            # at most BLOCK_ENTRIES entries
+            base = np.arange(0, len(rows) * deg, deg, dtype=np.int32)[:, None]
+            jump = (rows + base).ravel()
+            label = np.broadcast_to(np.arange(deg, dtype=P.dtype), rows.shape).ravel()
+            span = 1
+            while span < deg:
+                label = np.minimum(label, np.take(label, jump))
+                span *= 2
+                if span < deg:
+                    jump = np.take(jump, jump)
+            counts = np.bincount((label.reshape(rows.shape) + base).ravel(), minlength=rows.size)
+            # a cycle's count sits at its least point, 0 at every other point
+            orders[lo : lo + len(rows)] = np.lcm.reduce(np.maximum(counts, 1).reshape(rows.shape), axis=1)
+        return orders
 
     def validate(self, group: "FiniteGroup") -> None:
         """Closure: the cached greedy pass of :meth:`FiniteGroup._generators`
@@ -765,11 +810,13 @@ class FiniteGroup:
         the first call.
 
         The formula families and products of them give their orders in
-        closed form with no product; the other backends (also as a factor
-        of a product) power the elements prime by prime, in
-        O(omega(|G|) log|G|) :meth:`mul_pairs` rounds.  Either way the table
-        is checked: only the identity has order 1, every order divides |G|,
-        and o(x^-1) = o(x).
+        closed form, and permutations (also as a factor of a product) as
+        the lcm of their cycle lengths in O(log degree) gathers, with no
+        product either way; tables, realized subgroups and quotients power
+        the elements prime by prime, in O(omega(|G|) log|G|)
+        :meth:`mul_pairs` rounds.  Whichever way, the table is checked:
+        only the identity has order 1, every order divides |G|, and
+        o(x^-1) = o(x).
         """
         n = self.order
         orders = self.backend.orders()
@@ -1146,6 +1193,23 @@ class FiniteGroup:
 # -- factory functions ---------------------------------------------------
 
 
+def _refuse_rows(bad: np.ndarray, rows: np.ndarray) -> None:
+    """Raise ValueError naming the first row flagged in ``bad``, if any."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"row {i} {rows[i]} is not a permutation of 0..{rows.shape[1] - 1}")
+
+
+def _perm_rows(perms: np.ndarray) -> np.ndarray:
+    """The rows as a contiguous array of :func:`_perm_dtype`, once every
+    entry is known to be a point 0..degree-1 (the cast would wrap one that
+    is not)."""
+    perms = np.asarray(perms)
+    degree = perms.shape[1]
+    _refuse_rows(((perms < 0) | (perms >= degree)).any(axis=1), perms)
+    return np.ascontiguousarray(perms, dtype=_perm_dtype(degree))
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
     """Each row of an unsigned array as one fixed-width byte string, its
     entries big-endian, so that the keys sort in the lexicographic order of
@@ -1291,9 +1355,11 @@ def from_permutation_set(perms: np.ndarray, *, name: str) -> FiniteGroup:
     Elements are deduplicated, the identity moved to index 0 and the rest
     kept in lexicographic image order.
     """
-    perms = np.unique(np.asarray(perms), axis=0)
+    perms = _perm_rows(perms)
     degree = perms.shape[1]
-    perms = perms.astype(_perm_dtype(degree))
+    # byte keys sort in the rows' lexicographic order, as np.unique(axis=0)
+    # does, at a small fraction of its cost
+    perms = perms[np.unique(_row_keys(perms), return_index=True)[1]]
     identity = np.arange(degree, dtype=perms.dtype)
     pos = np.flatnonzero((perms == identity).all(axis=1))
     if len(pos) != 1:

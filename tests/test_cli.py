@@ -146,6 +146,20 @@ class TestAnalyze:
             got = tuple(records[f"{tag}_witness_{field}"] for field in ("a", "b", "orders"))
             assert got == (a, b, orders)
 
+    @pytest.mark.parametrize(
+        "spec,golden",
+        [
+            ("psl2:17", "perfbench/golden/analyze-psl2-17.records"),
+            ("alternating:7", "perfbench/golden/analyze-alternating-7.records"),
+            ("symmetric:7", "tests/golden/analyze-symmetric-7.records"),
+        ],
+    )
+    def test_permutation_group_records_match_the_goldens(self, capsys, spec, golden):
+        # the files CI compares in its "Permutation-group reports" step
+        code, out, _ = run_cli(capsys, "analyze", spec, "--format", "records")
+        assert code == 0
+        assert out == (Path(__file__).parent.parent / golden).read_text()
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.txt"
         code, out, _ = run_cli(capsys, "analyze", "cyclic:4", "--output", str(target))

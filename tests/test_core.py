@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cpgroups as cg
 from cpgroups import CapExceededError, Permutation, parse_cycles
+from cpgroups.catalog import SUPPORTED_PSL_Q
 from cpgroups.subgroups import all_subgroups
 
 from conftest import _INDEX_VARIANTS, random_pairs
@@ -939,6 +940,130 @@ class TestPermutationTables:
         perms = np.delete(g.perms, involution, axis=0)
         with pytest.raises(RuntimeError, match="product fell outside the element set"):
             cg.from_permutation_set(perms, name="not-closed")
+
+    @pytest.mark.parametrize(
+        "perms,row",
+        [
+            ([[0, 1, 2], [0, 0, 1]], r"row 1 \[0 0 1\]"),
+            ([[0, 1, 2], [3, 1, 0]], r"row 1 \[3 1 0\]"),
+            ([[2, 1, 0], [0, 1, 2], [0, -1, 2]], r"row 2 \[ 0 -1  2\]"),
+            # 258 would wrap to 2 in the one-byte points of degree 3
+            ([[0, 1, 2], [0, 1, 258]], r"row 1 \[  0   1 258\]"),
+        ],
+    )
+    def test_rows_that_are_not_permutations_are_rejected(self, perms, row):
+        with pytest.raises(ValueError, match=row + r" is not a permutation of 0..2"):
+            cg.from_permutation_set(np.array(perms), name="not-permutations")
+
+    def test_backend_rejects_a_row_that_is_not_a_bijection_before_indexing(self, monkeypatch):
+        monkeypatch.setattr(cg.core, "_PermIndex", lambda perms: pytest.fail("indexed a non-permutation"))
+        perms = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [1, 1, 3, 2]], dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"row 2 \[1 1 3 2\] is not a permutation of 0..3"):
+            cg.core.PermBackend(perms)
+
+
+def _psl2_raw_images(monkeypatch, q):
+    """The image rows psl2(q) hands to from_permutation_set: one per matrix
+    of SL(2, q), so each element of PSL(2, q) twice for odd q."""
+    seen = []
+    real = cg.catalog.from_permutation_set
+    monkeypatch.setattr(cg.catalog, "from_permutation_set", lambda perms, name: seen.append(perms) or real(perms, name=name))
+    g = cg.psl2(q)
+    return g, seen[0]
+
+
+class TestFromPermutationSet:
+    @staticmethod
+    def _reference(perms):
+        """np.unique(axis=0), then the identity moved to index 0."""
+        rows = np.unique(np.asarray(perms), axis=0)
+        is_identity = (rows == np.arange(rows.shape[1])).all(axis=1)
+        return np.concatenate([rows[is_identity], rows[~is_identity]])
+
+    def test_psl2_images_keep_the_lexicographic_order(self, monkeypatch):
+        g, images = _psl2_raw_images(monkeypatch, 17)
+        assert images.shape == (2 * g.order, 18)
+        assert np.array_equal(g.perms, self._reference(images))
+
+    def test_shuffled_images_give_the_same_group(self, monkeypatch):
+        g, images = _psl2_raw_images(monkeypatch, 13)
+        shuffled = np.random.default_rng(28).permutation(images)
+        h = cg.from_permutation_set(shuffled, name="shuffled")
+        assert np.array_equal(h.perms, self._reference(shuffled))
+        assert np.array_equal(h.perms, g.perms)
+
+    def test_wide_points_sort_by_value(self):
+        # the rotations by multiples of 30 on 300 points, two-byte points:
+        # a little-endian key would sort 270 (0x010e) before 30 (0x001e)
+        perms = np.array([np.roll(np.arange(300), -k) for k in range(270, -1, -30)])
+        g = cg.from_permutation_set(perms, name="rotations")
+        assert np.array_equal(g.perms, self._reference(perms))
+
+    def test_identity_comes_first(self):
+        g = cg.from_permutation_set(np.array([[1, 0, 2], [1, 0, 2], [0, 1, 2]]), name="c2")
+        assert g.perms.tolist() == [[0, 1, 2], [1, 0, 2]]
+
+    def test_set_without_the_identity_is_rejected(self):
+        with pytest.raises(ValueError, match="element set must contain the identity"):
+            cg.from_permutation_set(np.array([[1, 0, 2], [0, 2, 1]]), name="no-identity")
+
+
+# the order multiset of S7: cycle types 3+2, 3+2+2, 5+2 and 4+3 have orders
+# 6, 6, 10 and 12, the lcm of their cycle lengths, not the longest cycle
+_S7_ORDER_COUNTS = {1: 1, 2: 231, 3: 350, 4: 840, 5: 504, 6: 1470, 7: 720, 10: 504, 12: 420}
+_ORDER_GROUPS = {
+    "1000-cycle": lambda: cg.generate_group([Permutation(np.roll(np.arange(1000), -1))]),
+    "(1 2) on 70000": lambda: cg.generate_group([parse_cycles("(1 2)", 70000)]),
+}
+
+
+class TestPermutationOrders:
+    """PermBackend.orders reads the cycles; the generic Backend.orders,
+    which powers prime by prime, is the oracle."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"symmetric:{n}" for n in range(1, 8)]
+        + [f"alternating:{n}" for n in range(1, 8)]
+        + [f"psl2:{q}" for q in SUPPORTED_PSL_Q]
+        + ["product:symmetric:4,cyclic:6", "1000-cycle", "(1 2) on 70000"],
+    )
+    def test_matches_prime_by_prime_powering(self, name):
+        g = _ORDER_GROUPS[name]() if name in _ORDER_GROUPS else cg.group_from_spec(name)
+        orders = g.backend.orders()
+        assert orders.dtype == np.int64
+        assert np.array_equal(orders, cg.core.Backend.orders(g.backend))
+
+    def test_symmetric_7_order_multiset(self):
+        values, counts = np.unique(cg.symmetric(7).order_table().orders, return_counts=True)
+        assert dict(zip(values.tolist(), counts.tolist())) == _S7_ORDER_COUNTS
+
+    def test_no_product_and_no_lookup(self, monkeypatch):
+        g = cg.alternating(7)
+        monkeypatch.setattr(g.backend, "mul_pairs", lambda a, b: pytest.fail("formed a product"))
+        monkeypatch.setattr(g.backend._index, "lookup", lambda rows: pytest.fail("looked up a row"))
+        assert g.order_table().max_order == 7
+
+    @pytest.mark.parametrize("block_entries", [1, 40, 1000])
+    def test_small_blocks_give_the_same_orders(self, monkeypatch, block_entries):
+        g = cg.psl2(11)
+        expected = g.backend.orders()
+        monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", block_entries)
+        assert np.array_equal(g.backend.orders(), expected)
+
+    def test_gathers_are_logarithmic_in_the_degree_and_stay_in_a_block(self, monkeypatch):
+        # a 1000-cycle: ten doubling rounds cover 1024 >= 1000 points, each
+        # a gather of the labels, and nine squarings of the jumps between
+        # them; following each point one step a round would take 999
+        g = _ORDER_GROUPS["1000-cycle"]()
+        monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", 250_000)
+        sizes = []
+        take = np.take
+        monkeypatch.setattr(np, "take", lambda a, idx, *args, **kw: sizes.append(idx.size) or take(a, idx, *args, **kw))
+        orders = g.backend.orders()
+        assert sorted(set(orders.tolist())) == [d for d in range(1, 1001) if 1000 % d == 0]
+        # four blocks of 250 rows
+        assert sizes == [250_000] * (19 * 4)
 
 
 def _sl2_5():
