@@ -44,9 +44,9 @@ BLOCK_ENTRIES = 1 << 20
 # permutation images a closure may hold (:func:`generate_group`): the
 # entries of the largest Cayley table that TABLE_LIMIT admits
 IMAGE_ENTRIES = TABLE_LIMIT * TABLE_LIMIT
-# products per block of the element-set checks (closure, pair conditions,
-# commutativity; :func:`_size_blocks`); a sixteenth of
-# BLOCK_ENTRIES keeps a block's int64 temporaries near 512 KB each, so
+# products per block of the element-set checks (the closure of
+# :func:`_size_blocks`, the pair verdicts of :mod:`subgroups`); a sixteenth
+# of BLOCK_ENTRIES keeps a block's int64 temporaries near 512 KB each, so
 # checking sets in batches needs no more memory than checking them one at
 # a time
 CHECK_ENTRIES = BLOCK_ENTRIES >> 4
@@ -210,17 +210,16 @@ def _subgroup_words(subs: list[SubgroupSet], n: int) -> tuple[np.ndarray, np.nda
 
 def _size_blocks(
     g: "FiniteGroup", words: np.ndarray, sizes: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Element sets in blocks of one size s, from their member rows packed to
     words (:func:`_words`); each run of consecutive rows of one size is cut
     into blocks, so rows sorted by size make the fewest blocks.
 
-    Yields, per block of k sets and slice of r of their members: the
-    block's slice, its k x |G| member mask, the slice's members x as a
-    k x r x 1 array, all members y as a k x 1 x s array and the k x r x s
-    products x * y, formed by one :meth:`FiniteGroup.mul_pairs`.  Sets with
-    s^2 <= CHECK_ENTRIES come whole (r = s), as many to a block as fit; a
-    larger set comes alone, its s x s square cut into slices of
+    Yields, per block of k sets and slice of r of their members x: the
+    block's slice, its k x |G| member mask and the k x r x s products
+    x * y with every member y, formed by one :meth:`FiniteGroup.mul_pairs`.
+    Sets with s^2 <= CHECK_ENTRIES come whole (r = s), as many to a block
+    as fit; a larger set comes alone, its s x s square cut into slices of
     CHECK_ENTRIES // s rows.  So a block holds at most max(CHECK_ENTRIES, s)
     products, and its temporaries stay within a few megabytes whatever the
     size of the sets.
@@ -237,8 +236,7 @@ def _size_blocks(
             members = _members(words[block], g.order)
             idx = np.nonzero(members)[1].reshape(-1, s)
             for top in range(0, s, width):
-                x, y = idx[:, top : top + width, None], idx[:, None, :]
-                yield block, members, x, y, g.mul_pairs(x, y)
+                yield block, members, g.mul_pairs(idx[:, top : top + width, None], idx[:, None, :])
 
 
 def closure_verdicts(g: "FiniteGroup", words: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -253,7 +251,7 @@ def closure_verdicts(g: "FiniteGroup", words: np.ndarray, sizes: np.ndarray) -> 
     """
     closed = np.ones(len(sizes), dtype=bool)
     proper = np.flatnonzero(sizes != g.order)
-    for block, members, _, _, prods in _size_blocks(g, words[proper], sizes[proper]):
+    for block, members, prods in _size_blocks(g, words[proper], sizes[proper]):
         k = len(members)
         # row r of members, flattened, starts at r * |G|
         starts = np.arange(k)[:, None, None] * g.order

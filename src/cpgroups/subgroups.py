@@ -16,7 +16,12 @@ every quotient from the parent's own elements, with no subgroup or
 quotient group built: a subgroup's elements keep their orders
 (:func:`pair_condition_verdicts`), and a coset xN has the order of the
 least power of x that lies in N, a class function read on the class
-products (:func:`quotient_condition_verdicts`).
+products (:func:`quotient_condition_verdicts`).  A condition on pairs
+fails on a subgroup iff some pair of the parent with both ends in it
+fails, so the parent's pairs are scanned once and each subgroup reads
+the failing partners of its members as words (:func:`_pair_verdicts`);
+the commutativity test of :func:`abelian_subgroup_scan` is read the same
+way.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .core import (
     _coset_roots,
     _members,
     _once,
-    _size_blocks,
     _sorted_subgroups,
     _subgroup_sets,
     _subgroup_words,
@@ -177,25 +181,60 @@ class HereditaryReport:
         return not self.violations
 
 
-def pair_condition_verdicts(
-    g: FiniteGroup, words: np.ndarray, sizes: np.ndarray, condition: PairCondition
+def _pair_verdicts(
+    g: FiniteGroup, words: np.ndarray, fails: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:
+    """Whether no ordered pair (x, y) of members fails, for each element set
+    given as a row of words (:func:`core._words`), from one scan of g's
+    pairs.
+
+    The pairs come in row blocks of CHECK_ENTRIES products: ``fails(x, xy)``
+    gets a block's rows x and the len(x) x |G| products x * y, y = 0, 1,
+    ..., and returns a boolean array of that shape (or one that broadcasts
+    to it), True where (x, y) fails.  Each x keeps its failing partners
+    packed to words, and a set H fails iff one of its members x has a
+    failing partner in H: a test of x's bit in H and an AND of H's words
+    with x's, read for the x that have a partner at all, as many sets at a
+    time as keep the ANDs within CHECK_ENTRIES words.  So each pair of g is
+    tested once, not once per set that holds it: |G|^2 products in all,
+    never more than the |H|^2 of the sets when g itself is among them.
+    """
+    n = g.order
+    every = np.arange(n)
+    partners = np.empty((n, words.shape[1]), dtype=np.uint64)
+    step = max(1, CHECK_ENTRIES // n)
+    for lo in range(0, n, step):
+        x = every[lo : lo + step]
+        partners[x] = _words(np.broadcast_to(fails(x, g.mul_outer(x)), (len(x), n)))
+    culprits = np.flatnonzero(partners.any(axis=1))
+    holds = np.ones(len(words), dtype=bool)
+    if not len(culprits):
+        return holds
+    step = max(1, CHECK_ENTRIES // max(n, len(culprits) * words.shape[1]))
+    for lo in range(0, len(words), step):
+        w = words[lo : lo + step]
+        meets = (w[:, None, :] & partners[culprits]).any(axis=2)
+        holds[lo : lo + step] = ~(_members(w, n)[:, culprits] & meets).any(axis=1)
+    return holds
+
+
+def pair_condition_verdicts(g: FiniteGroup, words: np.ndarray, condition: PairCondition) -> np.ndarray:
     """Whether a pair-order condition holds on all |H|^2 pairs, for each
-    subgroup H given as a row of words (:func:`core._words`) and its size.
+    subgroup H given as a row of words (:func:`core._words`).
 
     Decided on g's own data: an element of H has the same order in H as in
-    g, and so does a product of two of them.  The products come in blocks
-    of subgroups of one size, a large subgroup's in row slices
-    (:func:`core._size_blocks`); a subgroup's verdict is the AND over its
-    slices.
+    g, and so does a product of two of them.  So H fails iff some pair
+    (x, y) of g with both ends in H fails ``condition(o(x), o(y), o(xy))``,
+    and g's pairs are tested once for every H (:func:`_pair_verdicts`).
+    The pairs are ordered, so the verdicts hold for conditions that are not
+    symmetric in a and b as well.
     """
     orders = g.order_table().orders
-    verdicts = np.ones(len(sizes), dtype=bool)
-    for block, _, x, y, prods in _size_blocks(g, words, sizes):
-        oab = orders[prods]
-        ok = condition(orders[x], orders[y], oab)
-        verdicts[block] &= np.broadcast_to(np.asarray(ok, dtype=bool), oab.shape).all(axis=(1, 2))
-    return verdicts
+
+    def fails(x, xy):
+        return ~np.asarray(condition(orders[x][:, None], orders[None, :], orders[xy]), dtype=bool)
+
+    return _pair_verdicts(g, words, fails)
 
 
 def _coset_orders(g: FiniteGroup, normals: list[SubgroupSet]) -> np.ndarray:
@@ -269,7 +308,7 @@ def hereditary_check(
     condition = _pair_condition(predicate)
     words, sizes = _lattice(g, cap)
     if condition is not None:
-        holds = pair_condition_verdicts(g, words, sizes, condition)
+        holds = pair_condition_verdicts(g, words, condition)
     elif predicate is is_cp:
         bad = _words(non_prime_power_elements(g)[None])
         holds = ~(words & bad).any(axis=1)
@@ -296,14 +335,15 @@ def abelian_subgroup_scan(g: FiniteGroup, cap: int = SUBGROUP_CAP) -> AbelianSca
     """List abelian subgroups and check each has prime-power order.
 
     In a nonabelian parent a subgroup is abelian iff x * y = y * x for all
-    its members x and y, checked in blocks of subgroups of one size, a
-    large subgroup's in row slices (:func:`core._size_blocks`).
+    its members x and y: a pair that fails when xy != yx, read from one
+    scan of g's pairs and the products y * x of each row block
+    (:func:`_pair_verdicts`), 2|G|^2 products in all.
     """
     words, sizes = _lattice(g, cap)
-    abelian = np.ones(len(sizes), dtype=bool)
-    if not g.is_abelian:
-        for block, _, x, y, prods in _size_blocks(g, words, sizes):
-            abelian[block] &= (prods == g.mul_pairs(y, x)).all(axis=(1, 2))
+    if g.is_abelian:
+        abelian = np.ones(len(sizes), dtype=bool)
+    else:
+        abelian = _pair_verdicts(g, words, lambda x, xy: xy != g.mul_outer(np.arange(g.order), x).T)
     entries = tuple((s, prime_power_flag(s.size)) for s in _subgroup_sets(words[abelian], sizes[abelian]))
     return AbelianScanReport(total_subgroups=len(sizes), abelian_subgroups=entries)
 

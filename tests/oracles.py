@@ -72,6 +72,32 @@ def slow_pair_witness(g: FiniteGroup, holds) -> tuple[int, int] | None:
     return None
 
 
+def square_pair_verdicts(g: FiniteGroup, subs, holds) -> list[bool]:
+    """Per element set of ``subs`` (SubgroupSets of g), whether
+    holds(o(a), o(b), o(ab)) on all |H|^2 pairs of its members: each set's
+    own square of products (:meth:`FiniteGroup.mul_outer` of its members),
+    formed again for every set, with the orders of g's order table."""
+    orders = g.order_table().orders
+    out = []
+    for s in subs:
+        idx = s.indices()
+        ok = holds(orders[idx][:, None], orders[idx][None, :], orders[g.mul_outer(idx, idx)])
+        out.append(bool(np.all(ok)))
+    return out
+
+
+def square_commuting_verdicts(g: FiniteGroup, subs) -> list[bool]:
+    """Per element set of ``subs`` (SubgroupSets of g), whether its members
+    commute: each set's own square of products x * y against its transpose
+    y * x."""
+    out = []
+    for s in subs:
+        idx = s.indices()
+        prods = g.mul_outer(idx, idx)
+        out.append(bool((prods == prods.T).all()))
+    return out
+
+
 def all_triples_witness(table) -> tuple[int, int, int] | None:
     """The first triple (i, j, k), i ascending, with (ij)k != i(jk) in a
     Cayley table, or None when the operation is associative: all n^3

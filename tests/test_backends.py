@@ -34,6 +34,8 @@ from oracles import (
     slow_conjugacy_classes,
     slow_element_order,
     slow_quotient_order_multiset,
+    square_commuting_verdicts,
+    square_pair_verdicts,
 )
 
 NAMES = [e.name for e in cg.catalog_entries(60)]
@@ -216,6 +218,26 @@ def test_classify(backends):
     assert all(classify(grp) == report for grp in backends[1:])
 
 
+@pytest.mark.parametrize("check_entries", [cg.core.CHECK_ENTRIES, 1])
+def test_pair_verdicts_match_the_square_route(backends, check_entries, monkeypatch):
+    """The pair-condition and commutativity verdicts, read from one scan of
+    the group's pairs, against each subgroup's own |H|^2 products, for CP2,
+    CP3 and a condition that is not symmetric in a and b; with
+    CHECK_ENTRIES = 1 the scan takes one row of pairs and one subgroup at a
+    time."""
+    g = backends[0]
+    subs = all_subgroups(g)
+    words, _ = _subgroup_words(subs, g.order)
+    conditions = [c for _, c in PAIR_CONDITIONS] + [lambda oa, ob, oab: oab <= oa]
+    expected = [square_pair_verdicts(g, subs, c) for c in conditions]
+    commuting = square_commuting_verdicts(g, subs)
+    monkeypatch.setattr(cg.subgroups, "CHECK_ENTRIES", check_entries)
+    for grp in backends:
+        assert [pair_condition_verdicts(grp, words, c).tolist() for c in conditions] == expected
+        abelian = {s for s, _ in abelian_subgroup_scan(grp).abelian_subgroups}
+        assert [s in abelian for s in subs] == commuting
+
+
 def test_element_set_checks_in_one_row_slices(backends, monkeypatch):
     """With CHECK_ENTRIES = 1 every block of the element-set checks is one
     row of one set; the lattice, the normal subgroups, the pair-condition
@@ -226,11 +248,11 @@ def test_element_set_checks_in_one_row_slices(backends, monkeypatch):
     def results(grp):
         subs = all_subgroups(grp)
         normals = grp.normal_subgroups()
-        words, sizes = _subgroup_words(subs, grp.order)
+        words, _ = _subgroup_words(subs, grp.order)
         return (
             subs,
             normals,
-            [pair_condition_verdicts(grp, words, sizes, c).tolist() for _, c in PAIR_CONDITIONS],
+            [pair_condition_verdicts(grp, words, c).tolist() for _, c in PAIR_CONDITIONS],
             hereditary_check(grp, is_cp2),
             hereditary_check(grp, is_cp3),
             abelian_subgroup_scan(grp),
@@ -243,5 +265,6 @@ def test_element_set_checks_in_one_row_slices(backends, monkeypatch):
     # fresh groups from the same backends: the lattice is cached on the instance
     fresh = [cg.FiniteGroup(grp.backend, labels=g.labels, name=g.name) for grp in backends]
     monkeypatch.setattr(cg.core, "CHECK_ENTRIES", 1)
+    monkeypatch.setattr(cg.subgroups, "CHECK_ENTRIES", 1)
     for grp in fresh:
         assert results(grp) == expected

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import cpgroups as cg
+from cpgroups.core import _subgroup_words
 from cpgroups.metric import cp2_pair_holds, cp3_pair_holds, is_cp2, is_cp3
-from cpgroups.subgroups import all_subgroups
+from cpgroups.subgroups import abelian_subgroup_scan, all_subgroups, pair_condition_verdicts
 
 from oracles import (
     slow_conjugacy_sizes,
@@ -27,6 +28,8 @@ from oracles import (
     slow_pair_witness,
     slow_quotient_order_multiset,
     slow_subgroups,
+    square_commuting_verdicts,
+    square_pair_verdicts,
 )
 
 _HOSTS = {
@@ -103,6 +106,21 @@ def test_derived_series_and_simplicity(kept):
 def test_subgroup_lists(kept):
     for key, (_, _, h) in kept.items():
         assert sorted(tuple(s.indices().tolist()) for s in all_subgroups(h)) == slow_subgroups(h), key
+
+
+def test_pair_verdicts_on_every_subgroup(kept):
+    # CP2, CP3 and a condition that is not symmetric in a and b, and
+    # commutativity, from one scan of each group's pairs against every
+    # subgroup's own square of products
+    conditions = [cp2_pair_holds, cp3_pair_holds, lambda oa, ob, oab: oab < 2 * oa + ob]
+    for key, (_, _, h) in kept.items():
+        subs = all_subgroups(h)
+        words, _ = _subgroup_words(subs, h.order)
+        for condition in conditions:
+            verdicts = pair_condition_verdicts(h, words, condition).tolist()
+            assert verdicts == square_pair_verdicts(h, subs, condition), key
+        abelian = {s for s, _ in abelian_subgroup_scan(h).abelian_subgroups}
+        assert [s in abelian for s in subs] == square_commuting_verdicts(h, subs), key
 
 
 def test_abelianization_through_a_realized_group(kept):

@@ -280,9 +280,9 @@ class TestBlockPairScan:
         _assert_scans_match_slow_witness(tableless_copy(cg.group_from_spec(name)))
 
     def test_blocks_double_up_to_the_entry_bound(self, monkeypatch):
-        # 512 x 512 pairs: FIRST_BLOCK_ENTRIES products (8 rows) first, then
+        # 512 x 512 pairs: FIRST_BLOCK_ENTRIES products (2 rows) first, then
         # doubling up to the 64 rows BLOCK_ENTRIES allows
-        assert cg.metric.FIRST_BLOCK_ENTRIES == 8 * 512
+        assert cg.metric.FIRST_BLOCK_ENTRIES == 2 * 512
         monkeypatch.setattr(cg.core, "BLOCK_ENTRIES", 64 * 512)
         shapes = []
 
@@ -292,10 +292,10 @@ class TestBlockPairScan:
             return oab >= 1
 
         assert scan_pair_order_condition(cg.elementary_abelian(2, 9), record) == (True, None)
-        assert [rows for rows, _ in shapes] == [8, 16, 32] + [64] * 7 + [8]
+        assert [rows for rows, _ in shapes] == [2, 4, 8, 16, 32] + [64] * 7 + [2]
         assert {cols for _, cols in shapes} == {512}
 
-    @pytest.mark.parametrize("n,first", [(1, 4096), (100, 40), (4096, 1), (5040, 1)])
+    @pytest.mark.parametrize("n,first", [(1, 1024), (100, 10), (1024, 1), (4096, 1), (5040, 1)])
     def test_first_block_holds_about_first_block_entries_products(self, n, first):
         blocks = [len(rows) for rows in cg.metric._doubling_blocks(n)]
         assert blocks[0] == min(n, first)

@@ -19,7 +19,20 @@ from cpgroups.subgroups import (
     write_subgroup_list,
 )
 
-from oracles import brute_force_subgroup_count, slow_quotient_order_multiset
+from oracles import (
+    brute_force_subgroup_count,
+    slow_quotient_order_multiset,
+    square_commuting_verdicts,
+    square_pair_verdicts,
+)
+
+# CP2, CP3 and two conditions that are not symmetric in a and b
+CONDITIONS = [
+    cp2_pair_holds,
+    cp3_pair_holds,
+    lambda oa, ob, oab: oab <= oa,
+    lambda oa, ob, oab: oab < 2 * oa + ob,
+]
 
 
 def _tau(n):
@@ -363,7 +376,7 @@ class TestPairConditionsOnSubgroups:
     def test_batched_verdicts_match_realized_subgroups(self, name, tableless_copy):
         g = cg.group_from_spec(name)
         subs = all_subgroups(g)
-        words, sizes = _subgroup_words(subs, g.order)
+        words, _ = _subgroup_words(subs, g.order)
         realized = [g.subgroup(s) for s in subs]
         expected = {
             cp2_pair_holds: [is_cp2(h)[0] for h in realized],
@@ -373,7 +386,7 @@ class TestPairConditionsOnSubgroups:
         not_cp = tuple(s for s, h in zip(subs, realized) if not is_cp(h)[0])
         for grp in (g, tableless_copy(g)):
             for condition, verdicts in expected.items():
-                assert pair_condition_verdicts(grp, words, sizes, condition).tolist() == verdicts
+                assert pair_condition_verdicts(grp, words, condition).tolist() == verdicts
             report = hereditary_check(grp, is_cp)
             assert report.applicable == is_cp(g)[0]
             assert report.violations == (not_cp if report.applicable else ())
@@ -381,11 +394,94 @@ class TestPairConditionsOnSubgroups:
     def test_violations_are_seen_in_s4(self, s4):
         # S4 is neither CP2 nor CP3, nor are S3 and D8 CP2
         subs = all_subgroups(s4)
-        words, sizes = _subgroup_words(subs, s4.order)
-        cp2 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, words, sizes, cp2_pair_holds)) if not ok]
-        cp3 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, words, sizes, cp3_pair_holds)) if not ok]
+        words, _ = _subgroup_words(subs, s4.order)
+        cp2 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, words, cp2_pair_holds)) if not ok]
+        cp3 = [s.size for s, ok in zip(subs, pair_condition_verdicts(s4, words, cp3_pair_holds)) if not ok]
         assert 24 in cp3 and 24 in cp2
         assert {6, 8} <= set(cp2)
+
+
+class TestPairVerdictsFromOneScan:
+    """The verdicts read from one scan of the parent's pairs against each
+    subgroup's own |H|^2 products (the square-route oracles)."""
+
+    @pytest.mark.parametrize("name", ["symmetric:4", "symmetric:5", "dihedral:30", "psl2:5"])
+    @pytest.mark.parametrize("check_entries", [cg.core.CHECK_ENTRIES, 1])
+    def test_failing_parents_match_the_square_route(self, name, check_entries, monkeypatch):
+        # each parent fails CP2 and CP3, so its subgroups take both verdicts
+        g = cg.group_from_spec(name)
+        subs = all_subgroups(g)
+        words, _ = _subgroup_words(subs, g.order)
+        monkeypatch.setattr(subgroups_module, "CHECK_ENTRIES", check_entries)
+        for condition in CONDITIONS:
+            verdicts = pair_condition_verdicts(g, words, condition).tolist()
+            assert verdicts == square_pair_verdicts(g, subs, condition)
+        for condition in (cp2_pair_holds, cp3_pair_holds):
+            assert {True, False} == set(pair_condition_verdicts(g, words, condition).tolist())
+        abelian = {s for s, _ in abelian_subgroup_scan(g).abelian_subgroups}
+        assert [s in abelian for s in subs] == square_commuting_verdicts(g, subs)
+
+    def test_element_sets_that_are_not_subgroups(self):
+        # the verdicts hold for any element sets: random subsets of S5, of
+        # random density
+        g = cg.symmetric(5)
+        rng = np.random.default_rng(4)
+        rows = rng.random((200, g.order)) < rng.random((200, 1))
+        subs = [cg.SubgroupSet.from_indices(np.flatnonzero(r)) for r in rows]
+        words, _ = _subgroup_words(subs, g.order)
+        for condition in CONDITIONS:
+            verdicts = pair_condition_verdicts(g, words, condition).tolist()
+            assert verdicts == square_pair_verdicts(g, subs, condition)
+            assert len(set(verdicts)) == 2
+        # (x, y) fails when x * y != y * x
+        every = np.arange(g.order)
+        commuting = subgroups_module._pair_verdicts(g, words, lambda x, xy: xy != g.mul_outer(every, x).T)
+        assert commuting.tolist() == square_commuting_verdicts(g, subs)
+
+    @staticmethod
+    def _counted_products(monkeypatch, g):
+        formed = []
+        mul_pairs = g.backend.mul_pairs
+
+        def counting(a, b):
+            formed.append(np.broadcast(np.asarray(a), np.asarray(b)).size)
+            return mul_pairs(a, b)
+
+        monkeypatch.setattr(g.backend, "mul_pairs", counting)
+        return formed
+
+    def test_lattice_of_elemab_2_7_takes_one_square_of_products(self, monkeypatch):
+        # 29,212 subgroups with 7,090,285 products among their squares, and
+        # 128^2 pairs in the group
+        g = cg.elementary_abelian(2, 7)
+        words, _ = subgroups_module._lattice(g, cg.core.SUBGROUP_CAP)
+        g.order_table()
+        formed = self._counted_products(monkeypatch, g)
+        for condition in (cp2_pair_holds, cp3_pair_holds):
+            formed.clear()
+            assert pair_condition_verdicts(g, words, condition).all()
+            assert sum(formed) <= 128 * 128
+
+    def test_commutativity_of_s4_takes_two_squares_of_products(self, monkeypatch):
+        # x * y and y * x for every pair of S4: 2 * 24^2 products
+        g = cg.symmetric(4)
+        all_subgroups(g), g.is_abelian
+        formed = self._counted_products(monkeypatch, g)
+        report = abelian_subgroup_scan(g)
+        assert sum(formed) <= 2 * 24 * 24
+        assert sorted(s.size for s, _ in report.abelian_subgroups) == [1] + [2] * 9 + [3] * 4 + [4] * 7
+
+    def test_one_scan_of_the_parent_when_no_pair_fails(self, monkeypatch):
+        # a CP3 parent has no failing pair, so no subgroup's words are read
+        g = cg.elementary_abelian(2, 5)
+        words, _ = subgroups_module._lattice(g, cg.core.SUBGROUP_CAP)
+
+        def refuse(*_):
+            raise AssertionError("read the members of a set")
+
+        monkeypatch.setattr(subgroups_module, "_members", refuse)
+        assert pair_condition_verdicts(g, words, cp3_pair_holds).all()
+        assert hereditary_check(g, is_cp3).ok
 
 
 class TestAbelianSubgroupScan:
